@@ -41,15 +41,12 @@ class SolverOptions:
     backend: "milp", "pipe" or "pipe:<command>".
     strategy: "greedy" (windowed peeling) or "optimal" (iterative deepening
     over the total stage count).
-    seed: reserved for stochastic backends; the bundled engines are
-    deterministic regardless.
     """
 
     timeout: float = 600.0
     window: int = 1
     backend: str = "milp"
     strategy: str = "greedy"
-    seed: int = 0
     max_horizon: int = 8
 
     def __post_init__(self):
@@ -67,7 +64,7 @@ class WindowResult:
 
     stages: list[Stage]
     fired: dict[int, int]  # gate id -> stage index within the window
-    horizon: int
+    horizon: int  # new stages, not counting a stage-0 boundary
     replaces_boundary: bool
 
 
@@ -106,7 +103,8 @@ def _matching_bound(gates: Mapping[int, tuple[int, int]]) -> int:
     return max(1, len(nx.max_weight_matching(graph)))
 
 
-def _extract(model: dict[str, int], v: Vars, w: WindowSpec) -> WindowResult:
+def _extract(model: dict[str, int], v: Vars, w: WindowSpec,
+             horizon: int) -> WindowResult:
     stages = []
     fired: dict[int, int] = {}
     for t in range(w.stages):
@@ -122,7 +120,7 @@ def _extract(model: dict[str, int], v: Vars, w: WindowSpec) -> WindowResult:
         for g in here:
             fired[g] = t
         stages.append(Stage(states, here))
-    return WindowResult(stages, fired, w.stages,
+    return WindowResult(stages, fired, horizon,
                         w.boundary.kind != "free" and w.boundary.exempt)
 
 
@@ -143,25 +141,25 @@ def solve_window(pending: Mapping[int, tuple[int, int]], horizon: int,
     if not pending:
         if _checked(backend, stats) != "sat":
             return None
-        return _extract(backend.model(), v, context)
+        return _extract(backend.model(), v, context, horizon)
     fired_total = v.fired_total()
     if context.require_all_fired:
         if _checked(backend, stats) != "sat":
             return None
-        return _extract(backend.model(), v, context)
+        return _extract(backend.model(), v, context, horizon)
     if backend.supports_maximize:
         lit = backend.bool_var("card_ge_1")
         backend.add(IMP(pos(lit), GE(fired_total, 1)))
         if _checked(backend, stats, [pos(lit)], maximize=fired_total) != "sat":
             return None
-        return _extract(backend.model(), v, context)
+        return _extract(backend.model(), v, context, horizon)
     upper = min(len(pending),
                 _matching_bound(pending) * len(context.fire_stages))
     for bound in range(upper, 0, -1):
         lit = backend.bool_var(f"card_ge_{bound}")
         backend.add(IMP(pos(lit), GE(fired_total, bound)))
         if _checked(backend, stats, [pos(lit)]) == "sat":
-            return _extract(backend.model(), v, context)
+            return _extract(backend.model(), v, context, horizon)
     return None
 
 

@@ -6,10 +6,20 @@ pinned to positions inherited from an earlier window; movement between stages
 t and t+1 is governed by stage-t trap membership; gates fire at stages >=
 `fire_from`.
 
-Families C1..C8 mirror the hardware rules: region bounds, static-trap
-stationarity, rigid lines, non-crossing, trap occupancy, gate co-siting,
-blockade isolation (as pair exactness), gate coverage.  Each family is an
-independent generator so it can be switched off and tested in isolation.
+Families C2..C8 mirror the hardware rules: static-trap stationarity, rigid
+lines, non-crossing, trap occupancy, gate co-siting, blockade isolation (as
+pair exactness), gate coverage.  C1 (region bounds) is the variable domains
+declared by make_vars.  Each family is an independent generator so it can be
+switched off and tested in isolation.
+
+One family, static_lines, removes symmetry instead of encoding a rule.  The
+line indices c/r of a statically trapped qubit mean nothing: C3, C4, C5 and
+prev_traps read them only under a[q,t], trap_transfer only under a[q,t-1],
+and extraction drops them.  So a qubit static at t-1 and t (or at stage 0)
+can hold the region's first index without losing any schedule, and the
+solver no longer searches relabelings that change nothing.  The one
+exception is the stage-0 col_order/row_order directives, which bind their
+qubits' indices unconditionally; those qubits keep free stage-0 indices.
 """
 
 from __future__ import annotations
@@ -118,25 +128,6 @@ def make_vars(backend, w: WindowSpec) -> Vars:
     return Vars(x, y, c, r, a, f)
 
 
-def c1_bounds(v: Vars, w: WindowSpec) -> Iterator[Formula]:
-    """Positions inside the governing region, line indices region-owned.
-
-    Redundant with the variable domains from make_vars; emitted anyway so
-    the family is visible and testable on its own.
-    """
-    reg = w.region
-    for q in w.qubits:
-        for t in range(w.stages):
-            yield GE(v.x[q, t], reg.x_range.start)
-            yield LE(v.x[q, t], reg.x_range.stop - 1)
-            yield GE(v.y[q, t], reg.y_range.start)
-            yield LE(v.y[q, t], reg.y_range.stop - 1)
-            yield GE(v.c[q, t], reg.col_range.start)
-            yield LE(v.c[q, t], reg.col_range.stop - 1)
-            yield GE(v.r[q, t], reg.row_range.start)
-            yield LE(v.r[q, t], reg.row_range.stop - 1)
-
-
 def c2_slm_stationary(v: Vars, w: WindowSpec) -> Iterator[Formula]:
     """A statically trapped qubit keeps its site across the transition."""
     for q in w.qubits:
@@ -203,6 +194,27 @@ def trap_transfer(v: Vars, w: WindowSpec) -> Iterator[Formula]:
             yield IMP(pos(v.a[q, t]), EQ(v.r[q, t + 1], v.r[q, t]))
         if w.stages == 2:
             yield IMP(neg(v.a[q, 0]), neg(v.a[q, 1]))
+
+
+def static_lines(v: Vars, w: WindowSpec) -> Iterator[Formula]:
+    """A qubit static at stage t-1 and t (or static at stage 0) holds the
+    region's first column and row index (symmetry breaking; see the module
+    docstring).  Qubits named by a stage-0 order directive keep free stage-0
+    indices."""
+    reg = w.region
+    directed: set[int] = set()
+    for u, q, _ in (*w.boundary.col_order, *w.boundary.row_order):
+        directed.update((u, q))
+    for q in w.qubits:
+        for t in range(w.stages):
+            if t == 0:
+                if q in directed:
+                    continue
+                static = neg(v.a[q, 0])
+            else:
+                static = AND(neg(v.a[q, t - 1]), neg(v.a[q, t]))
+            yield IMP(static, EQ(v.c[q, t], reg.col_range.start))
+            yield IMP(static, EQ(v.r[q, t], reg.row_range.start))
 
 
 def c5_occupancy(v: Vars, w: WindowSpec) -> Iterator[Formula]:
@@ -325,16 +337,17 @@ def boundary_rows(v: Vars, w: WindowSpec) -> Iterator[Formula]:
         yield _ORDER_OPS[rel](v.r[u, 0], v.r[q, 0])
 
 
-# boundary pins and bounds go first: their equalities collapse into variable
-# domains, so later reified comparisons over pinned stages fold to constants
+# Family order does not fold pinned stages: single-variable pins tighten the
+# backend's bounds, but big-M sizing and clause pruning use the declared
+# domains (LinExpr.bounds).  HiGHS presolve does that folding.
 ALL_FAMILIES = (
-    c1_bounds,
     boundary_rows,
     final_slm_rows,
     c2_slm_stationary,
     c3_rigid_lines,
     c4_no_crossing,
     trap_transfer,
+    static_lines,
     c5_occupancy,
     c6_gate_cosite,
     c7_isolation,

@@ -249,13 +249,15 @@ def pac_compile(c: Circuit, a: ArraySpec,
     region1, region2 = split_plane(a)
     if c.num_qubits < 2:
         raise InfeasibleError("need at least 2 qubits to divide")
-    if c.num_qubits > region1.num_sites:
-        raise InfeasibleError(
-            f"{c.num_qubits} qubits exceed one region's {region1.num_sites} "
-            "sites")
 
     partition = refine(c, initial_partition(c, opts.division.seed),
                        opts.division)
+    for side, qs, region in ((1, partition.q1, region1),
+                             (2, partition.q2, region2)):
+        if len(qs) > region.num_sites:
+            raise InfeasibleError(
+                f"community {side} has {len(qs)} qubits, more than its "
+                f"region's {region.num_sites} sites")
     qc1, qc2, qc3 = split_circuit(c, partition)
     map1, map2 = _local_ids(partition.q1), _local_ids(partition.q2)
     park1 = frozenset(map1[q] for q in build_local_constraints(partition, 1))

@@ -79,7 +79,8 @@ class CompileResult:
     """A schedule plus solve statistics.
 
     stage_budget_history records, per committed solver window, how many new
-    stages that window used.
+    stages that window used: the horizon it was solved at, not counting a
+    replayed or given stage 0.
     """
 
     schedule: Schedule
