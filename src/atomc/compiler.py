@@ -1,12 +1,11 @@
 """Constraint-based schedule compiler for one region.
 
 The greedy strategy peels the circuit window by window: each window spans a
-small number of new stages, the solver maximizes how many pending gates fire
-inside it (descending cardinality search, or one optimizing check when the
-backend supports an objective), the result is committed and the fired gates
-leave the pending set.  A window that cannot fire anything grows its horizon
-until it can.  An optimal strategy (iterative deepening over the total stage
-count with every gate forced) is available for small instances.
+small number of new stages, one MILP check maximizes how many pending gates
+fire inside it, the result is committed and the fired gates leave the
+pending set.  A window that cannot fire anything grows its horizon until it
+can.  An optimal strategy (iterative deepening over the total stage count
+with every gate forced) is available for small instances.
 
 Between windows the committed final stage is replayed as the next window's
 stage 0: positions are pinned, trap fields are re-decided (a qubit that was
@@ -29,7 +28,7 @@ from .encoding import Boundary, Vars, WindowSpec, encode_window
 from .errors import (CompileTimeout, ConsistencyError, InfeasibleError,
                      VerificationError)
 from .schedule import AOD, SLM, CompileResult, QubitState, Schedule, Stage
-from .smt import GE, IMP, make_backend, pos
+from .smt import GE, IMP, MilpBackend, pos
 
 
 @dataclass(frozen=True)
@@ -38,14 +37,12 @@ class SolverOptions:
 
     timeout: total wall budget in seconds for one compile call.
     window: new stages per greedy solve (grown when nothing can fire).
-    backend: "milp", "pipe" or "pipe:<command>".
     strategy: "greedy" (windowed peeling) or "optimal" (iterative deepening
     over the total stage count).
     """
 
     timeout: float = 600.0
     window: int = 1
-    backend: str = "milp"
     strategy: str = "greedy"
     max_horizon: int = 8
 
@@ -130,37 +127,22 @@ def solve_window(pending: Mapping[int, tuple[int, int]], horizon: int,
     """Solve one window, firing as many pending gates as possible.
 
     Returns None when not even one gate fits in the horizon (the caller
-    grows the window).  With an optimizing backend a single check both
-    proves feasibility of the >= 1 bound and returns a maximum-cardinality
-    model; otherwise the cardinality bound is searched by descending linear
-    scan with one assumption literal per bound, so any sat answer is the
-    first (largest) feasible bound.
+    grows the window).  One check under the assumption literal `card_ge_1`
+    both proves that at least one gate can fire and returns a model that
+    maximizes the fired count.  A window with nothing pending, or with every
+    gate required, is a plain feasibility check.
     """
     backend.reset()
     v = encode_window(backend, context)
-    if not pending:
-        if _checked(backend, stats) != "sat":
-            return None
-        return _extract(backend.model(), v, context, horizon)
-    fired_total = v.fired_total()
-    if context.require_all_fired:
-        if _checked(backend, stats) != "sat":
-            return None
-        return _extract(backend.model(), v, context, horizon)
-    if backend.supports_maximize:
+    assumptions, objective = (), None
+    if pending and not context.require_all_fired:
+        objective = v.fired_total()
         lit = backend.bool_var("card_ge_1")
-        backend.add(IMP(pos(lit), GE(fired_total, 1)))
-        if _checked(backend, stats, [pos(lit)], maximize=fired_total) != "sat":
-            return None
-        return _extract(backend.model(), v, context, horizon)
-    upper = min(len(pending),
-                _matching_bound(pending) * len(context.fire_stages))
-    for bound in range(upper, 0, -1):
-        lit = backend.bool_var(f"card_ge_{bound}")
-        backend.add(IMP(pos(lit), GE(fired_total, bound)))
-        if _checked(backend, stats, [pos(lit)]) == "sat":
-            return _extract(backend.model(), v, context, horizon)
-    return None
+        backend.add(IMP(pos(lit), GE(objective, 1)))
+        assumptions = [pos(lit)]
+    if _checked(backend, stats, assumptions, maximize=objective) != "sat":
+        return None
+    return _extract(backend.model(), v, context, horizon)
 
 
 def extract_schedule(windows: Sequence[WindowResult]) -> Schedule:
@@ -277,8 +259,7 @@ def compile_circuit(circuit: Circuit, region: Region,
                     init_xy: Mapping[int, tuple[int, int]] | None = None,
                     stage0_aod_order: tuple[Sequence, Sequence] = ((), ()),
                     avoid_sites: frozenset[tuple[int, int]] = frozenset(),
-                    self_check: bool = True,
-                    array_for_check=None) -> CompileResult:
+                    self_check: bool = True) -> CompileResult:
     """Compile a circuit onto a region; returns a verifier-clean schedule.
 
     All gates execute exactly once.  With `init` given, stage 0 equals it
@@ -294,22 +275,16 @@ def compile_circuit(circuit: Circuit, region: Region,
     qubits = list(range(circuit.num_qubits))
     t0 = time.perf_counter()
     stats = _Stats(t0=t0, deadline=t0 + opts.timeout)
-    backend = make_backend(opts.backend)
-    try:
-        windows = _run(circuit, region, qubits, init, init_xy,
-                       stage0_aod_order, fixed_slm_blocklist, avoid_sites,
-                       final_stage_slm, opts, backend, stats)
-    finally:
-        if hasattr(backend, "close"):
-            backend.close()
+    windows = _run(circuit, region, qubits, init, init_xy,
+                   stage0_aod_order, fixed_slm_blocklist, avoid_sites,
+                   final_stage_slm, opts, MilpBackend(), stats)
     schedule = extract_schedule(windows)
     result = CompileResult(schedule=schedule, wall_time=stats.wall(),
                            solver_calls=stats.calls,
                            stage_budget_history=stats.budget_history)
     if self_check:
         from .verifier import verify
-        report = verify(schedule, circuit,
-                        array_for_check, scope=region)
+        report = verify(schedule, circuit, scope=region)
         if not report.ok:
             raise VerificationError(
                 "compiled schedule failed independent verification: "

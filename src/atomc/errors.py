@@ -50,7 +50,12 @@ class CompileTimeout(AtomcError):
 
 
 class BackendError(AtomcError):
-    """The solver backend failed or answered outside its protocol."""
+    """The MILP solver failed, or the constraints were malformed.
+
+    Raised for formulas the solver cannot compile, duplicate variables,
+    empty domains, a HiGHS failure status and a model read after a check
+    that was not sat.
+    """
 
 
 class MergeError(AtomcError):

@@ -2,14 +2,14 @@
 
 The array splits into two diagonal quadrants and the circuit into two
 communities plus cross gates.  Both intra-community sub-circuits compile
-independently (optionally in parallel threads) on their own quadrant, every
+independently, in two threads, on their own quadrant, every
 local qubit parking in a static trap at the local final stage.  The cross
 gates then compile on the full array, inheriting the local outcome: parked
 sites are reserved, every active qubit starts at its local final position,
 and stage-0 line indices respect the order of the lines each active qubit
 last held.  Merging zips the two local stage lists firing-round by
-firing-round (padding with stationary stages) and appends the global stages,
-so the merged depth is exactly max(d1, d2) + d3.
+firing-round (padding with stages that fire nothing) and appends the global
+stages, so the merged depth is exactly max(d1, d2) + d3.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .verifier import verify, verify_phases
 class PacOptions:
     division: DivisionOptions = field(default_factory=DivisionOptions)
     solver: SolverOptions = field(default_factory=SolverOptions)
-    parallel_local: bool = True
 
 
 @dataclass
@@ -157,46 +156,48 @@ def _blocks(stages: Sequence[Stage]) -> tuple[list[list[Stage]], list[Stage]]:
     return rounds, cur
 
 
+def _timeline(stages: list[Stage], lengths: Sequence[int]) -> list[Stage]:
+    """One side's stages, slot by slot, with round k stretched to lengths[k].
+
+    A side never repeats a firing stage, since its co-sited pairs would sit
+    unfired while the other side fires.  A round pads in front by repeating
+    its first stage, which fires nothing when the round has more than one
+    stage.  In the rounds a side sits out it runs its movement-only tail
+    (the separating and parking stages) and then repeats its final stage,
+    where every qubit is parked apart.  The one case with no legal pad is a
+    one-stage round that waits for a longer round on the other side: its pad
+    holds a firing stage's positions without firing, and the merged
+    verification rejects the schedule.
+    """
+    rounds, tail = _blocks(stages)
+    out: list[Stage] = []
+    for k, n in enumerate(lengths):
+        if k < len(rounds):
+            blk = rounds[k]
+            pad = out[-1] if len(blk) == 1 and out else blk[0]
+            out.extend([Stage(pad.states)] * (n - len(blk)) + blk)
+        else:
+            run, tail = tail[:n], tail[n:]
+            out.extend(run + [Stage(stages[-1].states)] * (n - len(run)))
+    return out + tail
+
+
 def _zip_local(s1: list[Stage], s2: list[Stage]) -> list[Stage]:
     """Zip two region-disjoint stage lists, aligning firing rounds.
 
-    The shorter round pads with stationary stages in front, so the k-th
-    firing stages coincide and the joint depth is max(d1, d2); tails pad at
-    the end.  Stationary padding repeats the side's previous states and
-    fires nothing, which is always legal on its own region.
+    The k-th firing stages coincide, so the joint depth is max(d1, d2); see
+    `_timeline` for how each side fills the slots it does not fire in.  The
+    shorter timeline ends by repeating its final stage.
     """
-    rounds1, tail1 = _blocks(s1)
-    rounds2, tail2 = _blocks(s2)
-    last1 = s1[0].states if s1 else {}
-    last2 = s2[0].states if s2 else {}
-    out: list[Stage] = []
-
-    def emit(st1: Stage | None, st2: Stage | None):
-        nonlocal last1, last2
-        states: dict = {}
-        fired: tuple[int, ...] = ()
-        if st1 is not None:
-            last1 = st1.states
-            fired += st1.fired
-        if st2 is not None:
-            last2 = st2.states
-            fired += st2.fired
-        states.update(last1)
-        states.update(last2)
-        out.append(Stage(states, fired))
-
-    for k in range(max(len(rounds1), len(rounds2))):
-        blk1 = rounds1[k] if k < len(rounds1) else []
-        blk2 = rounds2[k] if k < len(rounds2) else []
-        n = max(len(blk1), len(blk2))
-        pad1, pad2 = n - len(blk1), n - len(blk2)
-        for i in range(n):
-            emit(blk1[i - pad1] if i >= pad1 else None,
-                 blk2[i - pad2] if i >= pad2 else None)
-    for i in range(max(len(tail1), len(tail2))):
-        emit(tail1[i] if i < len(tail1) else None,
-             tail2[i] if i < len(tail2) else None)
-    return out
+    rounds1, rounds2 = _blocks(s1)[0], _blocks(s2)[0]
+    lengths = [max(len(r[k]) if k < len(r) else 0 for r in (rounds1, rounds2))
+               for k in range(max(len(rounds1), len(rounds2)))]
+    t1, t2 = _timeline(s1, lengths), _timeline(s2, lengths)
+    n = max(len(t1), len(t2))
+    t1 += [Stage(s1[-1].states)] * (n - len(t1))
+    t2 += [Stage(s2[-1].states)] * (n - len(t2))
+    return [Stage({**a.states, **b.states}, a.fired + b.fired)
+            for a, b in zip(t1, t2)]
 
 
 def merge(pr: PhaseResults) -> Schedule:
@@ -272,13 +273,10 @@ def pac_compile(c: Circuit, a: ArraySpec,
         except AtomcError as exc:
             raise _with_phase(exc, f"local-{side}")
 
-    if opts.parallel_local:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fut1 = pool.submit(run_local, 1)
-            fut2 = pool.submit(run_local, 2)
-            r1, r2 = fut1.result(), fut2.result()
-    else:
-        r1, r2 = run_local(1), run_local(2)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        fut1 = pool.submit(run_local, 1)
+        fut2 = pool.submit(run_local, 2)
+        r1, r2 = fut1.result(), fut2.result()
 
     gd = build_global_constraints(partition, r1, r2)
     map3 = _local_ids(partition.qa1 | partition.qa2)

@@ -1,27 +1,17 @@
-"""Solver backends behind one push/pop/assume/check/model interface.
+"""The constraint solver: formula trees compiled to one MILP.
 
 Constraints are built as small formula trees over bounded integer and boolean
-variables.  Two interchangeable backends consume them:
-
-* MilpBackend -- in-process; compiles formulas to exact big-M integer-linear
-  rows and solves each check with scipy's HiGHS MILP engine.  Supports a
-  native maximization objective.
-* PipeBackend -- emits SMT-LIB v2 text over a process pipe and speaks
-  check-sat-assuming / get-value with any conforming solver.  By default it
-  talks to this package's bundled SMT-LIB server subprocess (same engine),
-  so the textual protocol is exercised end to end; point it at an external
-  solver with "pipe:CMD".
+variables.  MilpBackend compiles them in process to exact big-M
+integer-linear rows and answers each check (under optional assumption
+literals and an optional maximization objective) with scipy's HiGHS MILP
+engine.  The compiler calls reset() before encoding each window.
 
 All integer variables are finite-domain, negation of comparisons stays exact
-(integer arithmetic), and both backends are deterministic for identical call
-sequences.
+(integer arithmetic), and identical call sequences give identical models.
 """
 
 from __future__ import annotations
 
-import shlex
-import subprocess
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -265,18 +255,8 @@ def to_clauses(f) -> list[list[Union[Lit, Cmp]]]:
 # in-process MILP backend (scipy / HiGHS)
 
 
-class _Frame:
-    def __init__(self, n_vars: int, n_rows: int):
-        self.n_vars = n_vars
-        self.n_rows = n_rows
-        self.reified: list[tuple] = []
-        self.bounds_saved: dict[str, tuple[int, int]] = {}
-
-
 class MilpBackend:
     """Exact big-M integer-linear compilation solved by scipy's HiGHS."""
-
-    supports_maximize = True
 
     def __init__(self):
         self.reset()
@@ -288,7 +268,6 @@ class MilpBackend:
         self._hi: list[int] = []
         self._rows: list[tuple[dict[int, float], float, float]] = []
         self._reify: dict[tuple, BoolVar] = {}
-        self._frames: list[_Frame] = []
         self._model: dict[str, int] | None = None
 
     # -- variables
@@ -313,27 +292,7 @@ class MilpBackend:
         self._register(v, 0, 1)
         return v
 
-    # -- constraint stack
-
-    def push(self) -> None:
-        self._frames.append(_Frame(len(self._vars), len(self._rows)))
-
-    def pop(self) -> None:
-        if not self._frames:
-            raise BackendError("pop without matching push")
-        fr = self._frames.pop()
-        for v in self._vars[fr.n_vars:]:
-            del self._names[v.name]
-        del self._vars[fr.n_vars:]
-        del self._lo[fr.n_vars:]
-        del self._hi[fr.n_vars:]
-        del self._rows[fr.n_rows:]
-        for key in fr.reified:
-            self._reify.pop(key, None)
-        for name, (lo, hi) in fr.bounds_saved.items():
-            if name in self._names:
-                idx = self._names[name]
-                self._lo[idx], self._hi[idx] = lo, hi
+    # -- constraints
 
     def _add_row(self, coeffs: dict[int, float], lo: float, hi: float) -> None:
         self._rows.append((coeffs, lo, hi))
@@ -354,10 +313,6 @@ class MilpBackend:
             return False
         rhs = cmp.k - cmp.expr.const
         idx = self._names[v.name]
-        if self._frames:
-            fr = self._frames[-1]
-            if v.name not in fr.bounds_saved and idx < fr.n_vars:
-                fr.bounds_saved[v.name] = (self._lo[idx], self._hi[idx])
         if k == 1:
             self._hi[idx] = min(self._hi[idx], rhs)
         else:
@@ -373,8 +328,6 @@ class MilpBackend:
             return Lit(hit)
         p = self.bool_var(f"__r{len(self._reify)}")
         self._reify[key] = p
-        if self._frames:
-            self._frames[-1].reified.append(key)
         e = LinExpr(cmp.expr.terms)
         lo, hi = e.bounds()
         pidx = self._names[p.name]
@@ -404,10 +357,6 @@ class MilpBackend:
 
     def _fix_lit(self, l: Lit) -> None:
         idx = self._names[l.var.name]
-        if self._frames:
-            fr = self._frames[-1]
-            if l.var.name not in fr.bounds_saved and idx < fr.n_vars:
-                fr.bounds_saved[l.var.name] = (self._lo[idx], self._hi[idx])
         if l.neg:
             self._hi[idx] = min(self._hi[idx], 0)
         else:
@@ -537,209 +486,3 @@ class MilpBackend:
         if self._model is None:
             raise BackendError("no model available (last check was not sat)")
         return dict(self._model)
-
-
-# ---------------------------------------------------------------------------
-# SMT-LIB v2 emission over a process pipe
-
-
-def _sexpr_lin(e: LinExpr) -> str:
-    parts: list[str] = []
-    for k, v in e.terms:
-        atom = v.name if isinstance(v, IntVar) else f"(ite {v.name} 1 0)"
-        if k == 1:
-            parts.append(atom)
-        elif k == -1:
-            parts.append(f"(- {atom})")
-        else:
-            parts.append(f"(* {_int(k)} {atom})")
-    if e.const != 0 or not parts:
-        parts.append(_int(e.const))
-    if len(parts) == 1:
-        return parts[0]
-    return "(+ " + " ".join(parts) + ")"
-
-
-def _int(k: int) -> str:
-    return str(k) if k >= 0 else f"(- {-k})"
-
-
-def _sexpr(f) -> str:
-    if isinstance(f, BoolVar):
-        return f.name
-    if isinstance(f, Lit):
-        return f"(not {f.var.name})" if f.neg else f.var.name
-    if isinstance(f, Cmp):
-        op = "<=" if f.op == "<=" else "="
-        return f"({op} {_sexpr_lin(f.expr)} {_int(f.k)})"
-    if isinstance(f, And):
-        return "(and " + " ".join(_sexpr(i) for i in f.items) + ")" \
-            if f.items else "true"
-    if isinstance(f, Or):
-        return "(or " + " ".join(_sexpr(i) for i in f.items) + ")" \
-            if f.items else "false"
-    if isinstance(f, Not):
-        return f"(not {_sexpr(f.item)})"
-    if isinstance(f, Implies):
-        return f"(=> {_sexpr(f.if_)} {_sexpr(f.then)})"
-    raise BackendError(f"cannot emit {f!r}")
-
-
-class PipeBackend:
-    """Drives an SMT-LIB v2 solver process over stdin/stdout."""
-
-    supports_maximize = False
-
-    def __init__(self, cmd: Sequence[str] | None = None):
-        self._cmd = list(cmd) if cmd else [
-            sys.executable, "-m", "atomc._smtlib_server"]
-        self._proc: subprocess.Popen | None = None
-        self._declared: list[Var] = []
-        self._model: dict[str, int] | None = None
-        self._start()
-
-    def _start(self) -> None:
-        self._proc = subprocess.Popen(
-            self._cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL, text=True, bufsize=1)
-        self._send("(set-option :print-success false)")
-        self._send("(set-logic QF_LIA)")
-
-    def _send(self, line: str) -> None:
-        assert self._proc is not None and self._proc.stdin is not None
-        try:
-            self._proc.stdin.write(line + "\n")
-            self._proc.stdin.flush()
-        except BrokenPipeError as exc:
-            raise BackendError(f"solver process died: {exc}") from None
-
-    def _read_sexpr(self) -> str:
-        assert self._proc is not None and self._proc.stdout is not None
-        buf = ""
-        depth = 0
-        while True:
-            ch = self._proc.stdout.read(1)
-            if ch == "":
-                raise BackendError("solver process closed its output")
-            buf += ch
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    return buf.strip()
-            elif ch == "\n" and depth == 0 and buf.strip():
-                return buf.strip()
-
-    def reset(self) -> None:
-        self._send("(reset)")
-        self._send("(set-option :print-success false)")
-        self._send("(set-logic QF_LIA)")
-        self._declared = []
-        self._model = None
-
-    def close(self) -> None:
-        if self._proc is not None:
-            try:
-                self._send("(exit)")
-            except BackendError:
-                pass
-            self._proc.wait(timeout=5)
-            self._proc = None
-
-    def int_var(self, name: str, lo: int, hi: int) -> IntVar:
-        v = IntVar(name, lo, hi)
-        self._declared.append(v)
-        self._send(f"(declare-const {name} Int)")
-        self._send(f"(assert (<= {_int(lo)} {name}))")
-        self._send(f"(assert (<= {name} {_int(hi)}))")
-        return v
-
-    def bool_var(self, name: str) -> BoolVar:
-        v = BoolVar(name)
-        self._declared.append(v)
-        self._send(f"(declare-const {name} Bool)")
-        return v
-
-    def add(self, f: Formula) -> None:
-        self._send(f"(assert {_sexpr(f)})")
-
-    def push(self) -> None:
-        self._send("(push 1)")
-
-    def pop(self) -> None:
-        self._send("(pop 1)")
-
-    def check(self, assumptions: Sequence[Lit] = (),
-              maximize: LinExpr | None = None,
-              timeout: float | None = None) -> str:
-        if timeout is not None:
-            ms = max(int(timeout * 1000), 1)
-            self._send(f"(set-option :timeout {ms})")
-        lits = " ".join(_sexpr(a) for a in assumptions)
-        self._send(f"(check-sat-assuming ({lits}))")
-        answer = self._read_sexpr()
-        if answer not in ("sat", "unsat", "unknown"):
-            raise BackendError(f"unexpected check-sat answer {answer!r}")
-        if answer == "sat":
-            self._fetch_model()
-        else:
-            self._model = None
-        return answer
-
-    def _fetch_model(self) -> None:
-        if not self._declared:
-            self._model = {}
-            return
-        names = " ".join(v.name for v in self._declared)
-        self._send(f"(get-value ({names}))")
-        reply = self._read_sexpr()
-        self._model = _parse_values(reply)
-
-    def model(self) -> dict[str, int]:
-        if self._model is None:
-            raise BackendError("no model available (last check was not sat)")
-        return dict(self._model)
-
-
-def _tokenize(text: str) -> list[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
-
-
-def _parse_values(reply: str) -> dict[str, int]:
-    toks = _tokenize(reply)
-
-    def parse(pos: int):
-        if toks[pos] == "(":
-            items = []
-            pos += 1
-            while toks[pos] != ")":
-                item, pos = parse(pos)
-                items.append(item)
-            return items, pos + 1
-        return toks[pos], pos + 1
-
-    tree, _ = parse(0)
-    out: dict[str, int] = {}
-    for pair in tree:
-        name, value = pair[0], pair[1]
-        if value == "true":
-            out[name] = 1
-        elif value == "false":
-            out[name] = 0
-        elif isinstance(value, list):  # (- k)
-            out[name] = -int(value[1])
-        else:
-            out[name] = int(value)
-    return out
-
-
-def make_backend(spec: str):
-    """Backend factory: "milp", "pipe", or "pipe:<command line>"."""
-    if spec == "milp":
-        return MilpBackend()
-    if spec == "pipe":
-        return PipeBackend()
-    if spec.startswith("pipe:"):
-        return PipeBackend(shlex.split(spec[len("pipe:"):]))
-    raise BackendError(f"unknown solver backend {spec!r}")

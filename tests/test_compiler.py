@@ -44,6 +44,28 @@ def test_pac_rejects_a_community_larger_than_its_quadrant():
         pac_compile(generate_rand3reg(10, 1), ArraySpec(4))
 
 
+def _pac_verifies(c, n):
+    a = ArraySpec(n)
+    merged, phases = pac_compile(c, a)
+    assert verify(merged, c, a).ok
+    assert verify_phases(phases, c, a).ok
+    assert merged.depth == (max(phases.r1.schedule.depth,
+                                phases.r2.schedule.depth)
+                            + phases.r3.schedule.depth)
+
+
+def test_pac_merge_pads_a_side_that_ran_out_of_rounds():
+    # the two local phases fire a different number of rounds here
+    _pac_verifies(generate_rand3reg(12, 2), 8)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q,seed", [(12, 1), (12, 3), (12, 4), (12, 5),
+                                    (12, 6), (16, 1)])
+def test_pac_seed_sweep_verifies(q, seed):
+    _pac_verifies(generate_rand3reg(q, seed), 8)
+
+
 def _compiles_and_verifies(c, n):
     a = ArraySpec(n)
     res = compile_circuit(c, full_region(a), self_check=False)

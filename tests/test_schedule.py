@@ -1,0 +1,53 @@
+import pytest
+
+from atomc.arrays import ArraySpec, full_region
+from atomc.circuits import generate_rand3reg
+from atomc.compiler import compile_circuit
+from atomc.errors import ParseError
+from atomc.schedule import (AOD, SLM, QubitState, Schedule, Stage,
+                            schedule_from_json, schedule_to_json)
+
+
+def _doc(schedule: Schedule, **overrides) -> str:
+    header = dict(circuit_name="demo", circuit_digest="ab" * 32,
+                  num_qubits=2, num_gates=1, array=3, mode="pac")
+    header.update(overrides)
+    return schedule_to_json(schedule, **header)
+
+
+def test_roundtrip_hand_built_schedule():
+    schedule = Schedule([
+        Stage({0: QubitState(0, 0, SLM), 1: QubitState(1, 2, AOD, 1, 2)}),
+        Stage({0: QubitState(0, 0, SLM), 1: QubitState(0, 0, AOD, 0, 0)},
+              (0,)),
+    ])
+    text = _doc(schedule)
+    back, meta = schedule_from_json(text)
+    assert back.stages == schedule.stages
+    assert meta == {"circuit": {"name": "demo", "sha256": "ab" * 32,
+                                "qubits": 2, "gates": 1},
+                    "array": 3, "mode": "pac"}
+    assert _doc(back) == text  # deterministic bytes
+
+
+def test_roundtrip_compiled_schedule():
+    c = generate_rand3reg(6, 1)
+    schedule = compile_circuit(c, full_region(ArraySpec(3))).schedule
+    text = schedule_to_json(
+        schedule, circuit_name=c.name, circuit_digest=c.digest(),
+        num_qubits=c.num_qubits, num_gates=c.num_gates, array=3)
+    back, meta = schedule_from_json(text)
+    assert back.stages == schedule.stages
+    assert back.depth == schedule.depth
+    assert meta["circuit"]["sha256"] == c.digest()
+    assert meta["mode"] == "direct"
+
+
+@pytest.mark.parametrize("text", [
+    "not json",
+    '{"format": 99, "stages": []}',
+    '{"format": 1, "circuit": {}, "array": 2, "stages": [{"gates": []}]}',
+])
+def test_malformed_documents_are_rejected(text):
+    with pytest.raises(ParseError):
+        schedule_from_json(text)

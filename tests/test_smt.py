@@ -3,10 +3,8 @@ import random
 
 import pytest
 
-from atomc.errors import BackendError
-from atomc.smt import (AND, EQ, GE, GT, IMP, LE, LT, NE, NOT, OR, BoolVar,
-                       Cmp, IntVar, LinExpr, Lit, MilpBackend, PipeBackend,
-                       lin, make_backend, neg, pos, total)
+from atomc.smt import (AND, EQ, GE, GT, IMP, LE, LT, NE, NOT, OR, IntVar, Lit,
+                       MilpBackend, lin, pos, total)
 
 
 def evaluate(f, env):
@@ -68,12 +66,9 @@ def random_formula(rng, ints, bools, depth=2):
     return NOT(parts[0])
 
 
-@pytest.fixture(params=["milp", "pipe"], scope="module")
+@pytest.fixture(params=["milp"], scope="module")
 def backend(request):
-    b = make_backend(request.param)
-    yield b
-    if isinstance(b, PipeBackend):
-        b.close()
+    return MilpBackend()
 
 
 def fresh(backend):
@@ -113,18 +108,6 @@ def test_implication_with_comparison(backend):
     b.add(Lit(p))
     assert b.check() == "sat"
     assert b.model()["x"] == 7
-
-
-def test_push_pop(backend):
-    b = fresh(backend)
-    x = b.int_var("x", 0, 5)
-    b.add(GE(x, 2))
-    b.push()
-    b.add(LE(x, 1))
-    assert b.check() == "unsat"
-    b.pop()
-    assert b.check() == "sat"
-    assert b.model()["x"] >= 2
 
 
 def test_assumptions(backend):
@@ -194,36 +177,20 @@ def test_differential_against_bruteforce():
             assert all(evaluate(f, env) for f in formulas)
 
 
-def test_differential_pipe_small():
-    rng = random.Random(77)
-    b = make_backend("pipe")
-    try:
-        for trial in range(25):
-            b.reset()
-            ints = [b.int_var(f"x{i}", 0, 2) for i in range(2)]
-            bools = [b.bool_var("b0")]
-            formulas = [random_formula(rng, ints, bools) for _ in range(2)]
-            for f in formulas:
-                b.add(f)
-            got = b.check()
-            expected = brute_force_sat(ints + bools, formulas)
-            assert got == ("sat" if expected is not None else "unsat")
-            if expected is not None:
-                m = b.model()
-                env = {v.name: m[v.name] for v in ints + bools}
-                assert all(evaluate(f, env) for f in formulas)
-    finally:
-        b.close()
-
-
-def test_make_backend_spec_strings():
-    assert isinstance(make_backend("milp"), MilpBackend)
-    with pytest.raises(BackendError):
-        make_backend("nonsense")
-
-
 def test_linexpr_bounds():
     x = IntVar("x", 1, 4)
     y = IntVar("y", -2, 2)
     e = lin(x) - lin(y) + 3
     assert e.bounds() == (1 - 2 + 3, 4 + 2 + 3)
+
+
+def test_reset_discards_variables_and_constraints():
+    b = MilpBackend()
+    x = b.int_var("x", 0, 5)
+    b.add(LE(x, 1))
+    b.reset()
+    x = b.int_var("x", 0, 5)
+    b.add(GE(x, 4))
+    assert b.check() == "sat"
+    m = b.model()
+    assert set(m) == {"x"} and m["x"] >= 4

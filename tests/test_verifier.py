@@ -1,0 +1,169 @@
+"""Mutation tests: perturb a valid schedule, expect the specific rule."""
+
+import itertools
+from dataclasses import replace
+
+import pytest
+
+from atomc.arrays import ArraySpec, full_region, split_plane
+from atomc.circuits import Circuit
+from atomc.compiler import compile_circuit
+from atomc.orchestrator import pac_compile
+from atomc.schedule import AOD, SLM, QubitState, Schedule, Stage
+from atomc.verifier import verify, verify_phases
+
+A = ArraySpec(2)
+K4 = Circuit(4, tuple(itertools.combinations(range(4), 2)), name="k4")
+TWO_TRIANGLES = Circuit(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                            (2, 3)), name="two-triangles")
+
+
+@pytest.fixture(scope="module")
+def k4():
+    return compile_circuit(K4, full_region(A)).schedule
+
+
+@pytest.fixture(scope="module")
+def two_triangles():
+    return pac_compile(TWO_TRIANGLES, ArraySpec(4))[1]
+
+
+def _set(s: Schedule, t: int, q: int, st: QubitState | None) -> Schedule:
+    """Copy of s with qubit q's state at stage t replaced (None drops it)."""
+    stages = list(s.stages)
+    states = dict(stages[t].states)
+    if st is None:
+        del states[q]
+    else:
+        states[q] = st
+    stages[t] = Stage(states, stages[t].fired)
+    return Schedule(stages)
+
+
+def _idle_pair(s: Schedule, c: Circuit) -> tuple[int, int, int]:
+    """(stage, u, v): two qubits that fire nothing there, on distinct sites."""
+    for t, stage in enumerate(s.stages):
+        busy = {q for g in stage.fired for q in c.gates[g]}
+        idle = [q for q in sorted(stage.states) if q not in busy]
+        if len(idle) >= 2:
+            return t, idle[0], idle[1]
+    raise AssertionError("no stage with two idle qubits")
+
+
+def _first_firing(s: Schedule, c: Circuit) -> tuple[int, int]:
+    """(stage, gate) of the first fired gate."""
+    for t, stage in enumerate(s.stages):
+        if stage.fired:
+            return t, stage.fired[0]
+    raise AssertionError("nothing fired")
+
+
+def _rules(s: Schedule) -> set[str]:
+    return {v.rule for v in verify(s, K4, A).violations}
+
+
+def test_compiled_schedule_is_clean(k4):
+    assert verify(k4, K4, A).ok
+
+
+def test_c1_site_outside_region(k4):
+    st = k4.stages[0].states[0]
+    assert "C1" in _rules(_set(k4, 0, 0, replace(st, x=A.n)))
+
+
+def test_c1_line_outside_region(k4):
+    st = k4.stages[0].states[0]
+    bad = QubitState(x=st.x, y=st.y, a=AOD, c=A.n, r=0)
+    assert "C1" in _rules(_set(k4, 0, 0, bad))
+
+
+def test_c3_shared_column_at_two_x(k4):
+    t, u, v = _idle_pair(k4, K4)
+    su, sv = k4.stages[t].states[u], k4.stages[t].states[v]
+    assert (su.x, su.y) != (sv.x, sv.y)
+    # one column, two rows: the column must then hold one x
+    x_u, x_v = (su.x, sv.x) if su.x != sv.x else (su.x, 1 - su.x)
+    s = _set(k4, t, u, QubitState(x=x_u, y=su.y, a=AOD, c=0, r=0))
+    s = _set(s, t, v, QubitState(x=x_v, y=sv.y, a=AOD, c=0, r=1))
+    c3 = verify(s, K4, A).by_rule("C3")
+    assert any("share column 0 but x" in x.detail for x in c3)
+
+
+def test_c5_two_static_traps_on_one_site(k4):
+    t, u, v = _idle_pair(k4, K4)
+    su = k4.stages[t].states[u]
+    s = _set(k4, t, u, QubitState(x=su.x, y=su.y, a=SLM))
+    s = _set(s, t, v, QubitState(x=su.x, y=su.y, a=SLM))
+    assert "C5" in _rules(s)
+
+
+def test_c5_one_movable_trap_for_two_qubits(k4):
+    t, u, v = _idle_pair(k4, K4)
+    su = k4.stages[t].states[u]
+    s = _set(k4, t, u, QubitState(x=su.x, y=su.y, a=AOD, c=0, r=0))
+    s = _set(s, t, v, QubitState(x=su.x, y=su.y, a=AOD, c=0, r=0))
+    assert "C5" in _rules(s)
+
+
+def test_c6_gate_fired_apart(k4):
+    t, g = _first_firing(k4, K4)
+    u, v = K4.gates[g]
+    su = k4.stages[t].states[u]
+    moved = QubitState(x=1 - su.x, y=su.y, a=SLM)
+    assert "C6" in _rules(_set(k4, t, v, moved))
+
+
+def test_c7_mixed_traps_co_sited_without_firing(k4):
+    t, u, v = _idle_pair(k4, K4)
+    su = k4.stages[t].states[u]
+    s = _set(k4, t, u, QubitState(x=su.x, y=su.y, a=SLM))
+    s = _set(s, t, v, QubitState(x=su.x, y=su.y, a=AOD, c=0, r=0))
+    assert "C7" in _rules(s)
+
+
+def test_c8_gate_never_fired(k4):
+    t, g = _first_firing(k4, K4)
+    stages = list(k4.stages)
+    stages[t] = Stage(stages[t].states,
+                      tuple(x for x in stages[t].fired if x != g))
+    details = [v.detail for v in verify(Schedule(stages), K4, A).by_rule("C8")]
+    assert f"gate {g} never fired" in details
+
+
+def test_c8_gate_fired_twice(k4):
+    t, g = _first_firing(k4, K4)
+    stages = list(k4.stages)
+    stages[-1] = Stage(stages[-1].states, stages[-1].fired + (g,))
+    details = [v.detail for v in verify(Schedule(stages), K4, A).by_rule("C8")]
+    assert f"gate {g} fired 2 times" in details
+
+
+def test_coherence_missing_qubit(k4):
+    assert "coherence" in _rules(_set(k4, 0, 0, None))
+
+
+def test_phases_are_clean(two_triangles):
+    assert verify_phases(two_triangles, TWO_TRIANGLES, ArraySpec(4)).ok
+
+
+def test_e2_local_qubit_not_parked(two_triangles):
+    r1 = two_triangles.r1
+    region1 = split_plane(ArraySpec(4))[0]
+    last = len(r1.schedule.stages) - 1
+    st = r1.schedule.stages[last].states[0]
+    lifted = QubitState(x=st.x, y=st.y, a=AOD,
+                        c=region1.col_range[0], r=region1.row_range[0])
+    phases = replace(two_triangles, r1=replace(
+        r1, schedule=_set(r1.schedule, last, 0, lifted)))
+    report = verify_phases(phases, TWO_TRIANGLES, ArraySpec(4))
+    assert report.by_rule("E2")
+
+
+def test_e4_global_start_away_from_local_final(two_triangles):
+    r3 = two_triangles.r3
+    st = r3.schedule.stages[0].states[0]
+    shifted = replace(st, x=(st.x + 1) % 4)
+    phases = replace(two_triangles, r3=replace(
+        r3, schedule=_set(r3.schedule, 0, 0, shifted)))
+    report = verify_phases(phases, TWO_TRIANGLES, ArraySpec(4))
+    assert report.by_rule("E4")
