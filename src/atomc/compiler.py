@@ -11,11 +11,18 @@ Between windows the committed final stage is replayed as the next window's
 stage 0: positions are pinned, trap fields are re-decided (a qubit that was
 in a movable line immediately before the boundary may only stay in or return
 to that same line), which lets a pickup happen at the boundary instant
-instead of costing a stage.
+instead of costing a stage.  Each window is stitched once onto the running
+list of committed stages that the next boundary reads; `extract_schedule`
+builds the returned schedule from the window results in one pass.
+
+Qubits listed to end in static traps that finish in a movable trap are
+dropped where they stand, or, when some site holds two qubits, separated and
+dropped by one more solve.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -37,8 +44,10 @@ class SolverOptions:
 
     timeout: total wall budget in seconds for one compile call.
     window: new stages per greedy solve (grown when nothing can fire).
+    max_horizon: the most new stages a greedy or parking window grows to
+    before the compile gives up as infeasible; at least `window`.
     strategy: "greedy" (windowed peeling) or "optimal" (iterative deepening
-    over the total stage count).
+    over the total stage count, not capped by `max_horizon`).
     """
 
     timeout: float = 600.0
@@ -51,6 +60,8 @@ class SolverOptions:
             raise ValueError("timeout must be positive")
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        if self.max_horizon < self.window:
+            raise ValueError("max_horizon must be >= window")
         if self.strategy not in ("greedy", "optimal"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
@@ -92,12 +103,6 @@ def _checked(backend, stats: _Stats, assumptions=(), maximize=None) -> str:
         raise CompileTimeout("solver hit the time limit",
                              wall_time=stats.wall(), solver_calls=stats.calls)
     return answer
-
-
-def _matching_bound(gates: Mapping[int, tuple[int, int]]) -> int:
-    graph = nx.Graph()
-    graph.add_edges_from(set(map(tuple, map(sorted, gates.values()))))
-    return max(1, len(nx.max_weight_matching(graph)))
 
 
 def _extract(model: dict[str, int], v: Vars, w: WindowSpec,
@@ -145,45 +150,50 @@ def solve_window(pending: Mapping[int, tuple[int, int]], horizon: int,
     return _extract(backend.model(), v, context, horizon)
 
 
-def extract_schedule(windows: Sequence[WindowResult]) -> Schedule:
-    """Stitch window results into one schedule.
+def _stitch(acc: list[Stage], res: WindowResult) -> None:
+    """Append one window's stages to the committed stages `acc`.
 
     A replayed boundary stage must sit exactly where the previous window
     ended; its re-decided trap fields replace the committed ones (the fired
     set is kept).
     """
+    if not res.replaces_boundary:
+        acc.extend(res.stages)
+        return
+    if not acc:
+        raise ConsistencyError("boundary replay with no committed stage")
+    replay, last = res.stages[0], acc[-1]
+    for q, st in replay.states.items():
+        prev = last.states[q]
+        if (st.x, st.y) != (prev.x, prev.y):
+            raise ConsistencyError(
+                f"qubit {q} moved across a window boundary: "
+                f"({prev.x},{prev.y}) -> ({st.x},{st.y})")
+    if replay.fired:
+        raise ConsistencyError("gates fired at a replayed boundary stage")
+    acc[-1] = Stage(replay.states, last.fired)
+    acc.extend(res.stages[1:])
+
+
+def extract_schedule(windows: Sequence[WindowResult]) -> Schedule:
+    """Stitch window results into one schedule (see `_stitch`)."""
     acc: list[Stage] = []
     for res in windows:
-        if not res.replaces_boundary:
-            acc.extend(res.stages)
-            continue
-        if not acc:
-            raise ConsistencyError("boundary replay with no committed stage")
-        replay, last = res.stages[0], acc[-1]
-        for q, st in replay.states.items():
-            prev = last.states[q]
-            if (st.x, st.y) != (prev.x, prev.y):
-                raise ConsistencyError(
-                    f"qubit {q} moved across a window boundary: "
-                    f"({prev.x},{prev.y}) -> ({st.x},{st.y})")
-        if replay.fired:
-            raise ConsistencyError("gates fired at a replayed boundary stage")
-        acc[-1] = Stage(replay.states, last.fired)
-        acc.extend(res.stages[1:])
+        _stitch(acc, res)
     return Schedule(acc)
 
 
-def _row_major_placement(qubits: Sequence[int], region: Region
+def _row_major_placement(qubits: Sequence[int], region: Region,
+                         avoid: frozenset[tuple[int, int]]
                          ) -> dict[int, QubitState]:
-    sites = [(x, y) for x in region.x_range for y in region.y_range]
+    sites = [(x, y) for x in region.x_range for y in region.y_range
+             if (x, y) not in avoid]
     return {q: QubitState(x=sx, y=sy, a=SLM)
             for q, (sx, sy) in zip(qubits, sites)}
 
 
-def _internal_boundary(acc: list[Stage], user_init: bool) -> Boundary:
+def _internal_boundary(acc: list[Stage]) -> Boundary:
     last = acc[-1]
-    if len(acc) == 1 and user_init:
-        return Boundary("pinned_full", states=last.states, exempt=True)
     # a qubit trapped in a line at the boundary (or dropped from one at the
     # boundary instant) stays tied to that exact line if it is up at the
     # replayed stage; only qubits static through both stages pick lines
@@ -201,83 +211,75 @@ def _internal_boundary(acc: list[Stage], user_init: bool) -> Boundary:
         prev_traps=prev_traps, exempt=True)
 
 
-def _first_boundary(qubits, init, init_xy, stage0_aod_order) -> Boundary:
-    if init is not None:
-        return Boundary("pinned_full", states=dict(init))
-    if init_xy is not None:
-        col_order, row_order = stage0_aod_order
-        return Boundary("pinned_xy", xy=dict(init_xy),
-                        col_order=tuple(col_order), row_order=tuple(row_order))
-    return Boundary("free")
+def _first_boundary(init_xy, stage0_aod_order) -> Boundary:
+    if init_xy is None:
+        return Boundary("free")
+    col_order, row_order = stage0_aod_order
+    return Boundary("pinned_xy", xy=dict(init_xy),
+                    col_order=tuple(col_order), row_order=tuple(row_order))
 
 
 def _window_spec(boundary: Boundary, horizon: int, qubits, pending, region,
-                 blocklist, avoid, final_slm=frozenset(),
+                 avoid, final_slm=frozenset(),
                  require_all=False) -> WindowSpec:
     if boundary.kind == "free":
         stages, fire_from = horizon, 0
-    elif boundary.kind == "pinned_full" and not boundary.exempt:
-        stages, fire_from = horizon + 1, 0
     else:
         stages, fire_from = horizon + 1, 1
     return WindowSpec(
         qubits=qubits, gates=pending, stages=stages, fire_from=fire_from,
-        region=region, boundary=boundary, slm_blocklist=blocklist,
-        avoid_sites=avoid, final_slm=final_slm, require_all_fired=require_all)
+        region=region, boundary=boundary, avoid_sites=avoid,
+        final_slm=final_slm, require_all_fired=require_all)
 
 
-def _validate_inputs(circuit, region, init, init_xy, blocklist, avoid):
+def _validate_inputs(circuit, region, init_xy, avoid):
     qubits = list(range(circuit.num_qubits))
     if len(qubits) > region.num_sites:
         raise InfeasibleError(
             f"{len(qubits)} qubits cannot fit {region.num_sites} sites")
-    if init is not None and init_xy is not None:
-        raise ValueError("give either init or init_xy, not both")
-    if init is not None:
-        if set(init) != set(qubits):
-            raise ValueError("init must map every circuit qubit")
-        for q, st in init.items():
-            if not site_in_region(region, st.x, st.y):
-                raise InfeasibleError(f"init places qubit {q} outside region")
-            if st.a == AOD and (st.c not in region.col_range
-                                or st.r not in region.row_range):
-                raise InfeasibleError(
-                    f"init gives qubit {q} a line the region does not own")
-    if init_xy is not None:
-        if set(init_xy) != set(qubits):
-            raise ValueError("init_xy must map every circuit qubit")
-        for q, (px, py) in init_xy.items():
-            if not site_in_region(region, px, py):
-                raise InfeasibleError(f"init_xy places qubit {q} outside region")
+    if init_xy is None:
+        return
+    if set(init_xy) != set(qubits):
+        raise ValueError("init_xy must map every circuit qubit")
+    # stage 0 of the first window is not a replay: pair exactness (C7)
+    # holds there, and no qubit ever stands on an avoided site
+    holder: dict[tuple[int, int], int] = {}
+    for q, (px, py) in sorted(init_xy.items()):
+        site = (px, py)
+        if not site_in_region(region, px, py):
+            raise InfeasibleError(f"init_xy places qubit {q} outside region")
+        if site in avoid:
+            raise InfeasibleError(
+                f"init_xy places qubit {q} on avoided site {site}")
+        if site in holder:
+            raise InfeasibleError(
+                f"init_xy places qubits {holder[site]} and {q} on one site "
+                f"{site}")
+        holder[site] = q
 
 
-def compile_circuit(circuit: Circuit, region: Region,
-                    init: Mapping[int, QubitState] | None = None,
-                    fixed_slm_blocklist: frozenset[tuple[int, int]] = frozenset(),
+def compile_circuit(circuit: Circuit, region: Region, *,
                     final_stage_slm: frozenset[int] = frozenset(),
-                    opts: SolverOptions | None = None, *,
+                    opts: SolverOptions | None = None,
                     init_xy: Mapping[int, tuple[int, int]] | None = None,
                     stage0_aod_order: tuple[Sequence, Sequence] = ((), ()),
                     avoid_sites: frozenset[tuple[int, int]] = frozenset(),
                     self_check: bool = True) -> CompileResult:
     """Compile a circuit onto a region; returns a verifier-clean schedule.
 
-    All gates execute exactly once.  With `init` given, stage 0 equals it
-    exactly; with `init_xy`, stage-0 positions are pinned and trap fields
-    are solver-chosen under `stage0_aod_order` (column and row index order
+    All gates execute exactly once.  Without `init_xy` the solver places
+    every qubit; with it, stage-0 positions are pinned and trap fields are
+    solver-chosen under `stage0_aod_order` (column and row index order
     directives).  Qubits in `final_stage_slm` sit in static traps at the
-    final stage.  `fixed_slm_blocklist` sites never hold a statically
-    trapped qubit; `avoid_sites` are never occupied at all.
+    final stage.  `avoid_sites` are never occupied, by a qubit in either
+    trap kind, at any stage.
     """
     opts = opts or SolverOptions()
-    _validate_inputs(circuit, region, init, init_xy,
-                     fixed_slm_blocklist, avoid_sites)
-    qubits = list(range(circuit.num_qubits))
+    _validate_inputs(circuit, region, init_xy, avoid_sites)
     t0 = time.perf_counter()
     stats = _Stats(t0=t0, deadline=t0 + opts.timeout)
-    windows = _run(circuit, region, qubits, init, init_xy,
-                   stage0_aod_order, fixed_slm_blocklist, avoid_sites,
-                   final_stage_slm, opts, MilpBackend(), stats)
+    windows = _run(circuit, region, init_xy, stage0_aod_order, avoid_sites,
+                   final_stage_slm, opts, stats)
     schedule = extract_schedule(windows)
     result = CompileResult(schedule=schedule, wall_time=stats.wall(),
                            solver_calls=stats.calls,
@@ -294,118 +296,97 @@ def compile_circuit(circuit: Circuit, region: Region,
     return result
 
 
-def _run(circuit, region, qubits, init, init_xy, stage0_aod_order,
-         blocklist, avoid, final_slm, opts, backend, stats
-         ) -> list[WindowResult]:
-    pending = dict(enumerate(circuit.gates))
-    windows: list[WindowResult] = []
-    user_init = init is not None
-
-    if not qubits:
-        return [WindowResult([Stage({}, ())], {}, 1, False)]
-
-    if opts.strategy == "optimal" and pending:
-        windows.append(_solve_optimal(
-            circuit, region, qubits, init, init_xy, stage0_aod_order,
-            blocklist, avoid, opts, backend, stats))
-        pending = {}
-    elif not pending:
-        # placement only: no solving needed for the supported boundaries
-        if init is not None:
-            stage0 = Stage(dict(init), ())
-        elif init_xy is not None:
-            stage0 = Stage({q: QubitState(x=px, y=py, a=SLM)
-                            for q, (px, py) in init_xy.items()}, ())
-        else:
-            stage0 = Stage(_row_major_placement(qubits, region), ())
-        windows.append(WindowResult([stage0], {}, 1, False))
-
-    first = True
-    while pending:
-        if first and not windows:
-            boundary = _first_boundary(qubits, init, init_xy, stage0_aod_order)
-        else:
-            boundary = _internal_boundary(
-                extract_schedule(windows).stages, user_init)
-        first = False
-        result = None
-        for horizon in range(opts.window, opts.max_horizon + 1):
-            spec = _window_spec(boundary, horizon, qubits, pending, region,
-                                blocklist, avoid)
-            result = solve_window(pending, horizon, spec,
-                                  backend=backend, stats=stats)
-            if result is not None:
-                break
-        if result is None:
-            raise InfeasibleError(
-                f"no gate fireable within {opts.max_horizon} stages")
-        windows.append(result)
-        stats.budget_history.append(result.horizon)
-        for g in result.fired:
-            del pending[g]
-
-    if final_slm:
-        park = _park(extract_schedule(windows).stages, qubits, region,
-                     blocklist, avoid, final_slm, user_init, opts,
-                     backend, stats)
-        if park is not None:
-            windows.append(park)
-    return windows
-
-
-def _solve_optimal(circuit, region, qubits, init, init_xy, stage0_aod_order,
-                   blocklist, avoid, opts, backend, stats) -> WindowResult:
-    """Iterative deepening over the total stage count, all gates forced."""
-    pending = dict(enumerate(circuit.gates))
+def _depth_lower_bound(circuit: Circuit) -> int:
+    """The larger of the max degree and the gate count over a maximum
+    matching's size, rounded up."""
     degree = [0] * circuit.num_qubits
     for u, v in circuit.gates:
         degree[u] += 1
         degree[v] += 1
-    per_stage = _matching_bound(pending)
-    lower = max(1, max(degree), -(-len(pending) // per_stage))
-    boundary = _first_boundary(qubits, init, init_xy, stage0_aod_order)
-    horizon = lower
-    while True:
-        stats.remaining()
-        spec = _window_spec(boundary, horizon, qubits, pending, region,
-                            blocklist, avoid, require_all=True)
-        result = solve_window(pending, horizon, spec,
-                              backend=backend, stats=stats)
-        if result is not None:
-            stats.budget_history.append(result.horizon)
-            return result
-        horizon += 1
+    graph = nx.Graph()
+    graph.add_edges_from(set(map(tuple, map(sorted, circuit.gates))))
+    per_stage = max(1, len(nx.max_weight_matching(graph)))
+    return max(1, max(degree), -(-circuit.num_gates // per_stage))
 
 
-def _park(acc: list[Stage], qubits, region, blocklist, avoid, final_slm,
-          user_init, opts, backend, stats) -> WindowResult | None:
-    """Drop the listed qubits into static traps at the final stage.
+def _run(circuit, region, init_xy, stage0_aod_order, avoid, final_slm,
+         opts, stats) -> list[WindowResult]:
+    qubits = list(range(circuit.num_qubits))
+    if not qubits:
+        return [WindowResult([Stage({}, ())], {}, 1, False)]
+    backend = MilpBackend()
+    pending = dict(enumerate(circuit.gates))
+    windows: list[WindowResult] = []
+    committed: list[Stage] = []  # the stitched stages so far
 
-    In place when nothing is co-sited and no reserved site sits beneath a
-    listed qubit; otherwise one small solve separates and drops.
-    """
-    last = acc[-1]
-    listed_aod = [q for q in sorted(final_slm) if last.states[q].a == AOD]
-    if not listed_aod:
+    def commit(result: WindowResult) -> None:
+        windows.append(result)
+        _stitch(committed, result)
+
+    def grow(boundary, horizons, gates, **spec) -> WindowResult | None:
+        """Solve the window at each horizon in turn; return the first sat
+        one, recorded in the budget history, or None."""
+        for horizon in horizons:
+            w = _window_spec(boundary, horizon, qubits, gates, region,
+                             avoid, **spec)
+            result = solve_window(gates, horizon, w, backend=backend,
+                                  stats=stats)
+            if result is not None:
+                stats.budget_history.append(result.horizon)
+                return result
         return None
+
+    boundary = _first_boundary(init_xy, stage0_aod_order)
+    if not pending:
+        # placement only: no solving needed
+        if init_xy is not None:
+            states = {q: QubitState(x=px, y=py, a=SLM)
+                      for q, (px, py) in init_xy.items()}
+        else:
+            states = _row_major_placement(qubits, region, avoid)
+        commit(WindowResult([Stage(states, ())], {}, 1, False))
+    elif opts.strategy == "optimal":
+        # iterative deepening over the total stage count, all gates forced
+        commit(grow(boundary, itertools.count(_depth_lower_bound(circuit)),
+                    pending, require_all=True))
+    else:
+        while pending:
+            result = grow(boundary, range(opts.window, opts.max_horizon + 1),
+                          pending)
+            if result is None:
+                raise InfeasibleError(
+                    f"no gate fireable within {opts.max_horizon} stages")
+            commit(result)
+            for g in result.fired:
+                del pending[g]
+            boundary = _internal_boundary(committed)
+
+    # park the listed qubits that end up in a movable trap: drop them in
+    # place, or separate and drop them in one small solve
+    listed = [q for q in sorted(final_slm)
+              if committed[-1].states[q].a == AOD]
+    if listed:
+        park = _drop_in_place(committed[-1], listed)
+        if park is None:
+            park = grow(_internal_boundary(committed),
+                        range(1, opts.max_horizon + 1), {},
+                        final_slm=frozenset(final_slm))
+        if park is None:
+            raise InfeasibleError(f"cannot park {sorted(final_slm)} within "
+                                  f"{opts.max_horizon} stages")
+        commit(park)
+    return windows
+
+
+def _drop_in_place(last: Stage, listed: Sequence[int]) -> WindowResult | None:
+    """Drop the listed qubits into static traps where they stand; None when
+    two qubits share a site, since a separating move is needed first."""
     positions = [(st.x, st.y) for st in last.states.values()]
-    collision = len(set(positions)) != len(positions)
-    blocked = any((last.states[q].x, last.states[q].y) in blocklist
-                  for q in listed_aod)
-    if not collision and not blocked:
-        states = dict(last.states)
-        for q in listed_aod:
-            st = states[q]
-            states[q] = QubitState(x=st.x, y=st.y, a=SLM)
-        return WindowResult([Stage(last.states, ()), Stage(states, ())],
-                            {}, 1, True)
-    boundary = _internal_boundary(acc, user_init)
-    for horizon in range(1, opts.max_horizon + 1):
-        spec = _window_spec(boundary, horizon, qubits, {}, region,
-                            blocklist, avoid, final_slm=frozenset(final_slm))
-        result = solve_window({}, horizon, spec, backend=backend, stats=stats)
-        if result is not None:
-            stats.budget_history.append(result.horizon)
-            return result
-    raise InfeasibleError(
-        f"cannot park {sorted(final_slm)} within {opts.max_horizon} stages")
+    if len(set(positions)) != len(positions):
+        return None
+    states = dict(last.states)
+    for q in listed:
+        st = states[q]
+        states[q] = QubitState(x=st.x, y=st.y, a=SLM)
+    return WindowResult([Stage(last.states, ()), Stage(states, ())],
+                        {}, 1, True)

@@ -1,16 +1,17 @@
 """Constraint families for one solver window.
 
 A window covers `stages` consecutive stages over the managed qubits.  Stage 0
-is either free (the solver places qubits), pinned to caller-given states, or
-pinned to positions inherited from an earlier window; movement between stages
-t and t+1 is governed by stage-t trap membership; gates fire at stages >=
+is either free (the solver places qubits) or pinned to positions, given by
+the caller or inherited from an earlier window; movement between stages t
+and t+1 is governed by stage-t trap membership; gates fire at stages >=
 `fire_from`.
 
 Families C2..C8 mirror the hardware rules: static-trap stationarity, rigid
 lines, non-crossing, trap occupancy, gate co-siting, blockade isolation (as
 pair exactness), gate coverage.  C1 (region bounds) is the variable domains
-declared by make_vars.  Each family is an independent generator so it can be
-switched off and tested in isolation.
+declared by make_vars.  avoid_rows keeps every qubit off the avoided sites
+(in pac, the sites of parked qubits outside the window).  Each family is an
+independent generator so it can be switched off and tested in isolation.
 
 One family, static_lines, removes symmetry instead of encoding a rule.  The
 line indices c/r of a statically trapped qubit mean nothing: C3, C4, C5 and
@@ -28,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .arrays import Region
-from .schedule import AOD, QubitState
 from .smt import (AND, EQ, GE, IMP, LE, LT, NE, OR, BoolVar, Formula, IntVar,
                   Lit, LinExpr, lin, neg, pos, total)
 
@@ -38,17 +38,16 @@ class Boundary:
     """How stage 0 of a window is fixed.
 
     kind "free": solver chooses placements, gates may fire at stage 0.
-    kind "pinned_full": stage 0 equals `states` exactly.
-    kind "pinned_xy": stage-0 positions equal `xy`; trap fields are
-    solver-chosen subject to `prev_traps` (a qubit tied to a movable line at
-    the boundary may only stay in or return to that same line) and to
-    `col_order`/`row_order` directives on the stage-0 line index variables.
-    `exempt` marks a replay of an already-committed stage, whose pair
-    co-siting was validated by the window that produced it.
+    kind "pinned_xy": stage-0 positions equal `xy` and no gate fires there;
+    trap fields are solver-chosen subject to `prev_traps` (a qubit tied to a
+    movable line at the boundary may only stay in or return to that same
+    line) and to `col_order`/`row_order` directives on the stage-0 line
+    index variables.  `exempt` marks a replay of an already-committed stage,
+    whose pair co-siting was validated by the window that produced it; a
+    caller-given stage 0 is not exempt.
     """
 
     kind: str = "free"
-    states: Mapping[int, QubitState] | None = None
     xy: Mapping[int, tuple[int, int]] | None = None
     prev_traps: Mapping[int, tuple[int, int]] = field(default_factory=dict)
     col_order: Sequence[tuple[int, int, str]] = ()
@@ -66,7 +65,6 @@ class WindowSpec:
     fire_from: int
     region: Region
     boundary: Boundary
-    slm_blocklist: frozenset[tuple[int, int]] = frozenset()
     avoid_sites: frozenset[tuple[int, int]] = frozenset()
     final_slm: frozenset[int] = frozenset()
     require_all_fired: bool = False
@@ -275,18 +273,8 @@ def _site_id(v: Vars, w: WindowSpec, q: int, t: int) -> LinExpr:
     return LinExpr(((width, v.x[q, t]), (1, v.y[q, t])))
 
 
-def blocklist_rows(v: Vars, w: WindowSpec) -> Iterator[Formula]:
-    """No statically trapped qubit may sit on a reserved static site."""
-    width = w.region.y_range.stop
-    for q in w.qubits:
-        for t in range(w.stages):
-            for fx, fy in sorted(w.slm_blocklist):
-                yield OR(pos(v.a[q, t]),
-                         NE(_site_id(v, w, q, t), width * fx + fy))
-
-
 def avoid_rows(v: Vars, w: WindowSpec) -> Iterator[Formula]:
-    """Fully forbidden sites (occupied by parked qubits outside the window)."""
+    """No qubit, in either trap kind, stands on an avoided site."""
     width = w.region.y_range.stop
     for q in w.qubits:
         for t in range(w.stages):
@@ -308,19 +296,6 @@ def boundary_rows(v: Vars, w: WindowSpec) -> Iterator[Formula]:
     """Pin stage 0 according to the boundary condition."""
     b = w.boundary
     if b.kind == "free":
-        return
-    if b.kind == "pinned_full":
-        assert b.states is not None
-        for q in w.qubits:
-            st = b.states[q]
-            yield EQ(v.x[q, 0], st.x)
-            yield EQ(v.y[q, 0], st.y)
-            if st.a == AOD:
-                yield pos(v.a[q, 0])
-                yield EQ(v.c[q, 0], st.c)
-                yield EQ(v.r[q, 0], st.r)
-            else:
-                yield neg(v.a[q, 0])
         return
     assert b.kind == "pinned_xy" and b.xy is not None
     for q in w.qubits:
@@ -352,7 +327,6 @@ ALL_FAMILIES = (
     c6_gate_cosite,
     c7_isolation,
     c8_coverage,
-    blocklist_rows,
     avoid_rows,
 )
 

@@ -5,7 +5,7 @@ communities plus cross gates.  Both intra-community sub-circuits compile
 independently, in two threads, on their own quadrant, every
 local qubit parking in a static trap at the local final stage.  The cross
 gates then compile on the full array, inheriting the local outcome: parked
-sites are reserved, every active qubit starts at its local final position,
+sites are avoided, every active qubit starts at its local final position,
 and stage-0 line indices respect the order of the lines each active qubit
 last held.  Merging zips the two local stage lists firing-round by
 firing-round (padding with stages that fire nothing) and appends the global
@@ -50,15 +50,15 @@ class GlobalDirectives:
     """Hand-off from the local phases to the global one.
 
     init_xy pins every active qubit's global stage-0 position to its local
-    final position; blocklist holds the parked resolved sites (reserved both
-    as static-trap targets and as fully forbidden sites, since a qubit
-    passing over a parked atom would break blockade isolation); col_order /
-    row_order keep stage-0 line indices in the order of the last lines the
-    actives held locally.
+    final position; avoid_sites holds the sites of the parked resolved
+    qubits, which no global-phase qubit may occupy in either trap kind
+    (it would stand co-sited with a parked atom that has no gate left to
+    fire with it); col_order / row_order keep stage-0 line indices in the
+    order of the last lines the actives held locally.
     """
 
     init_xy: dict[int, tuple[int, int]]
-    blocklist: frozenset[tuple[int, int]]
+    avoid_sites: frozenset[tuple[int, int]]
     col_order: tuple[tuple[int, int, str], ...]
     row_order: tuple[tuple[int, int, str], ...]
 
@@ -107,8 +107,8 @@ def build_global_constraints(p: Partition, r1: CompileResult,
                              f"local phases on one site ({st.x},{st.y})")
         seen[(st.x, st.y)] = q
 
-    blocklist = frozenset((final_state(q).x, final_state(q).y)
-                          for q in p.qr1 | p.qr2)
+    parked = frozenset((final_state(q).x, final_state(q).y)
+                       for q in p.qr1 | p.qr2)
     actives = sorted(p.qa1 | p.qa2)
     init_xy = {q: (final_state(q).x, final_state(q).y) for q in actives}
 
@@ -128,7 +128,7 @@ def build_global_constraints(p: Partition, r1: CompileResult,
                                         - (held[u][0] < held[v][0])]))
             row_order.append((u, v, rel[(held[u][1] > held[v][1])
                                         - (held[u][1] < held[v][1])]))
-    return GlobalDirectives(init_xy, blocklist,
+    return GlobalDirectives(init_xy, parked,
                             tuple(col_order), tuple(row_order))
 
 
@@ -285,10 +285,10 @@ def pac_compile(c: Circuit, a: ArraySpec,
     row_order = tuple((map3[u], map3[v], rel) for u, v, rel in gd.row_order)
     try:
         r3 = compile_circuit(
-            qc3, full_region(a), fixed_slm_blocklist=gd.blocklist,
-            opts=opts.solver, init_xy=init_xy if init_xy else None,
+            qc3, full_region(a), opts=opts.solver,
+            init_xy=init_xy if init_xy else None,
             stage0_aod_order=(col_order, row_order),
-            avoid_sites=gd.blocklist)
+            avoid_sites=gd.avoid_sites)
     except AtomcError as exc:
         raise _with_phase(exc, "global")
 

@@ -71,10 +71,6 @@ def lin(x: LinExpr | Var | int) -> LinExpr:
     return LinExpr((), int(x))
 
 
-def scaled(k: int, x: Var) -> LinExpr:
-    return LinExpr(((int(k), x),))
-
-
 def total(xs: Iterable[Var]) -> LinExpr:
     return LinExpr(tuple((1, x) for x in xs))
 
@@ -337,8 +333,6 @@ class MilpBackend:
             row = dict(coeffs)
             row[pidx] = row.get(pidx, 0.0) + float(hi - rhs)
             self._add_row(row, -np.inf, float(hi))
-        elif hi <= rhs:
-            pass  # comparison always true; p=1 side vacuous
         # p = 0  =>  e >= rhs + 1:        e + (rhs + 1 - lo) p >= rhs + 1
         if lo <= rhs:
             row = dict(coeffs)
@@ -347,6 +341,7 @@ class MilpBackend:
         # lo > rhs: comparison always false; p=0 side vacuous, but p must be 0
         if lo > rhs:
             self._hi[pidx] = 0
+        # hi <= rhs: comparison always true; p=1 side vacuous, but p must be 1
         if hi <= rhs:
             self._lo[pidx] = 1
         return Lit(p)

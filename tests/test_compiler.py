@@ -4,10 +4,10 @@ import pytest
 
 from atomc.arrays import ArraySpec, full_region
 from atomc.circuits import Circuit, generate_rand3reg
-from atomc.compiler import compile_circuit
+from atomc.compiler import SolverOptions, compile_circuit
 from atomc.errors import InfeasibleError
 from atomc.orchestrator import pac_compile
-from atomc.schedule import SLM, QubitState
+from atomc.smt import MilpBackend
 from atomc.verifier import verify, verify_phases
 
 K4 = Circuit(4, tuple(itertools.combinations(range(4), 2)), name="k4")
@@ -23,10 +23,72 @@ def test_budget_history_counts_new_stages():
 
 
 def test_budget_history_skips_given_stage0():
-    init = {q: QubitState(x=q // 2, y=q % 2, a=SLM) for q in range(4)}
-    res = compile_circuit(K4, full_region(ArraySpec(2)), init=init)
-    assert res.schedule.stages[0].states == init
+    init_xy = {q: (q // 2, q % 2) for q in range(4)}
+    res = compile_circuit(K4, full_region(ArraySpec(2)), init_xy=init_xy)
+    stage0 = res.schedule.stages[0].states
+    assert {q: (st.x, st.y) for q, st in stage0.items()} == init_xy
     assert sum(res.stage_budget_history) == len(res.schedule.stages) - 1
+
+
+def test_max_horizon_below_window_is_rejected():
+    with pytest.raises(ValueError, match="max_horizon must be >= window"):
+        SolverOptions(window=3, max_horizon=2)
+    assert SolverOptions(window=2, max_horizon=2).max_horizon == 2
+
+
+def test_parameters_after_region_are_keyword_only():
+    with pytest.raises(TypeError):
+        compile_circuit(K4, full_region(ArraySpec(2)), frozenset())
+
+
+@pytest.mark.parametrize("init_xy,avoid,message", [
+    ({0: (0, 0), 1: (0, 0), 2: (1, 0), 3: (1, 1)}, frozenset(),
+     r"qubits 0 and 1 on one site \(0, 0\)"),
+    ({q: (q // 2, q % 2) for q in range(4)}, frozenset({(1, 0)}),
+     r"qubit 2 on avoided site \(1, 0\)"),
+], ids=["co-sited", "avoided"])
+def test_impossible_stage0_is_rejected_before_solving(init_xy, avoid, message,
+                                                      monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver was called")
+
+    monkeypatch.setattr(MilpBackend, "check", no_solve)
+    with pytest.raises(InfeasibleError, match=message):
+        compile_circuit(K4, full_region(ArraySpec(2)), init_xy=init_xy,
+                        avoid_sites=avoid)
+
+
+def test_placement_only_keeps_off_avoided_sites():
+    a = ArraySpec(2)
+    res = compile_circuit(Circuit(3, ()), full_region(a),
+                          avoid_sites=frozenset({(0, 0)}))
+    (stage,) = res.schedule.stages
+    assert {(st.x, st.y) for st in stage.states.values()} == {
+        (0, 1), (1, 0), (1, 1)}
+    assert res.solver_calls == 0
+
+
+def test_optimal_reaches_the_lower_bound():
+    # each K4 qubit is in 3 gates, so depth 3 is the lower bound
+    res = compile_circuit(K4, full_region(ArraySpec(2)),
+                          opts=SolverOptions(strategy="optimal"))
+    assert res.schedule.depth == 3
+    assert res.solver_calls == 1
+    assert res.stage_budget_history == [3]
+    assert verify(res.schedule, K4, ArraySpec(2)).ok
+
+
+def test_optimal_deepens_past_an_infeasible_horizon():
+    # the two diagonals of a 2x2 square from a pinned start: the matching
+    # bound (horizon 1) and horizon 2 are infeasible, horizon 3 is not
+    c = Circuit(4, ((1, 3), (0, 2)))
+    init_xy = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}
+    res = compile_circuit(c, full_region(ArraySpec(2)), init_xy=init_xy,
+                          opts=SolverOptions(strategy="optimal"))
+    assert res.solver_calls == 3
+    assert res.stage_budget_history == [3]
+    assert len(res.schedule.stages) == 4
+    assert verify(res.schedule, c, ArraySpec(2)).ok
 
 
 def test_pac_admits_communities_that_fit_their_quadrants():

@@ -15,8 +15,7 @@ NO_PIN = tuple(f for f in ALL_FAMILIES if f is not static_lines)
 
 def window(c, region, horizon=1, boundary=Boundary(), **kw):
     return _window_spec(boundary, horizon, list(range(c.num_qubits)),
-                        dict(enumerate(c.gates)), region, frozenset(),
-                        frozenset(), **kw)
+                        dict(enumerate(c.gates)), region, frozenset(), **kw)
 
 
 def solve(spec, families=ALL_FAMILIES):
@@ -57,14 +56,14 @@ def greedy_windows(c, region, count):
     boundary, done, specs = Boundary(), [], []
     for _ in range(count):
         spec = _window_spec(boundary, 1, list(range(c.num_qubits)),
-                            dict(pending), region, frozenset(), frozenset())
+                            dict(pending), region, frozenset())
         specs.append(spec)
         res = solve_window(pending, 1, spec, backend=backend, stats=stats)
         assert res is not None
         done.append(res)
         for g in res.fired:
             del pending[g]
-        boundary = _internal_boundary(extract_schedule(done).stages, False)
+        boundary = _internal_boundary(extract_schedule(done).stages)
     return specs
 
 

@@ -167,3 +167,58 @@ def test_e4_global_start_away_from_local_final(two_triangles):
         r3, schedule=_set(r3.schedule, 0, 0, shifted)))
     report = verify_phases(phases, TWO_TRIANGLES, ArraySpec(4))
     assert report.by_rule("E4")
+
+
+def test_c2_static_trap_moved(k4):
+    t, q = next((t, q) for t in range(len(k4.stages) - 1)
+                for q, st in sorted(k4.stages[t].states.items())
+                if st.a == SLM)
+    here, there = k4.stages[t].states[q], k4.stages[t + 1].states[q]
+    moved = replace(there, x=1 - here.x)
+    c2 = verify(_set(k4, t + 1, q, moved), K4, A).by_rule("C2")
+    assert any(f"statically trapped qubit {q} moved" in x.detail for x in c2)
+
+
+def test_c4_column_order_contradicts_x_order(k4):
+    t, u, v = _idle_pair(k4, K4)
+    su, sv = k4.stages[t].states[u], k4.stages[t].states[v]
+    # column 0 stands right of column 1
+    s = _set(k4, t, u, QubitState(x=1, y=su.y, a=AOD, c=0, r=0))
+    s = _set(s, t, v, QubitState(x=0, y=sv.y, a=AOD, c=1, r=1))
+    c4 = verify(s, K4, A).by_rule("C4")
+    assert any("column order contradicts x order" in x.detail for x in c4)
+
+
+def _parked_sites(phases) -> set[tuple[int, int]]:
+    """Final sites of the resolved (parked) qubits of both local phases."""
+    p = phases.partition
+    sites = set()
+    for res, side, resolved in ((phases.r1, p.q1, p.qr1),
+                                (phases.r2, p.q2, p.qr2)):
+        final = res.schedule.stages[-1].states
+        for q in resolved:
+            st = final[sorted(side).index(q)]
+            sites.add((st.x, st.y))
+    return sites
+
+
+def test_e3_global_static_trap_on_parked_site(two_triangles):
+    r3 = two_triangles.r3
+    last = len(r3.schedule.stages) - 1
+    x, y = min(_parked_sites(two_triangles))
+    phases = replace(two_triangles, r3=replace(
+        r3, schedule=_set(r3.schedule, last, 0, QubitState(x=x, y=y, a=SLM))))
+    e3 = verify_phases(phases, TWO_TRIANGLES, ArraySpec(4)).by_rule("E3")
+    assert any(f"parked site ({x},{y})" in v.detail for v in e3)
+
+
+def test_e5_global_start_reverses_held_column_order(two_triangles):
+    r3 = two_triangles.r3
+    start = r3.schedule.stages[0].states
+    su, sv = start[0], start[1]
+    assert su.a == sv.a == AOD and su.c != sv.c, "fixture changed"
+    s = _set(r3.schedule, 0, 0, replace(su, c=sv.c))
+    s = _set(s, 0, 1, replace(sv, c=su.c))
+    phases = replace(two_triangles, r3=replace(r3, schedule=s))
+    e5 = verify_phases(phases, TWO_TRIANGLES, ArraySpec(4)).by_rule("E5")
+    assert any("column order" in x.detail for x in e5)
