@@ -22,7 +22,6 @@ dropped by one more solve.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -35,7 +34,7 @@ from .encoding import Boundary, Vars, WindowSpec, encode_window
 from .errors import (CompileTimeout, ConsistencyError, InfeasibleError,
                      VerificationError)
 from .schedule import AOD, SLM, CompileResult, QubitState, Schedule, Stage
-from .smt import GE, IMP, MilpBackend, pos
+from .smt import GE, MilpBackend
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,9 @@ class SolverOptions:
     max_horizon: the most new stages a greedy or parking window grows to
     before the compile gives up as infeasible; at least `window`.
     strategy: "greedy" (windowed peeling) or "optimal" (iterative deepening
-    over the total stage count, not capped by `max_horizon`).
+    over the total stage count, up to `max_horizon` stages per gate: every
+    greedy window fires a gate within `max_horizon` new stages, so any
+    circuit greedy can compile has a schedule within that cap).
     """
 
     timeout: float = 600.0
@@ -73,7 +74,6 @@ class WindowResult:
     stages: list[Stage]
     fired: dict[int, int]  # gate id -> stage index within the window
     horizon: int  # new stages, not counting a stage-0 boundary
-    replaces_boundary: bool
 
 
 @dataclass
@@ -95,10 +95,10 @@ class _Stats:
         return left
 
 
-def _checked(backend, stats: _Stats, assumptions=(), maximize=None) -> str:
+def _checked(backend, stats: _Stats, maximize=None) -> str:
     left = stats.remaining()
     stats.calls += 1
-    answer = backend.check(assumptions, maximize=maximize, timeout=left)
+    answer = backend.check(maximize=maximize, timeout=left)
     if answer == "unknown":
         raise CompileTimeout("solver hit the time limit",
                              wall_time=stats.wall(), solver_calls=stats.calls)
@@ -122,8 +122,7 @@ def _extract(model: dict[str, int], v: Vars, w: WindowSpec,
         for g in here:
             fired[g] = t
         stages.append(Stage(states, here))
-    return WindowResult(stages, fired, horizon,
-                        w.boundary.kind != "free" and w.boundary.exempt)
+    return WindowResult(stages, fired, horizon)
 
 
 def solve_window(pending: Mapping[int, tuple[int, int]], horizon: int,
@@ -132,20 +131,18 @@ def solve_window(pending: Mapping[int, tuple[int, int]], horizon: int,
     """Solve one window, firing as many pending gates as possible.
 
     Returns None when not even one gate fits in the horizon (the caller
-    grows the window).  One check under the assumption literal `card_ge_1`
-    both proves that at least one gate can fire and returns a model that
-    maximizes the fired count.  A window with nothing pending, or with every
-    gate required, is a plain feasibility check.
+    grows the window).  One check with the row `fired >= 1` both proves
+    that at least one gate can fire and returns a model that maximizes the
+    fired count.  A window with nothing pending, or with every gate
+    required, is a plain feasibility check.
     """
     backend.reset()
     v = encode_window(backend, context)
-    assumptions, objective = (), None
+    objective = None
     if pending and not context.require_all_fired:
         objective = v.fired_total()
-        lit = backend.bool_var("card_ge_1")
-        backend.add(IMP(pos(lit), GE(objective, 1)))
-        assumptions = [pos(lit)]
-    if _checked(backend, stats, assumptions, maximize=objective) != "sat":
+        backend.add(GE(objective, 1))
+    if _checked(backend, stats, maximize=objective) != "sat":
         return None
     return _extract(backend.model(), v, context, horizon)
 
@@ -153,15 +150,14 @@ def solve_window(pending: Mapping[int, tuple[int, int]], horizon: int,
 def _stitch(acc: list[Stage], res: WindowResult) -> None:
     """Append one window's stages to the committed stages `acc`.
 
-    A replayed boundary stage must sit exactly where the previous window
-    ended; its re-decided trap fields replace the committed ones (the fired
-    set is kept).
+    Every window after the first replays the last committed stage as its
+    stage 0.  The replay must sit exactly where the previous window ended;
+    its re-decided trap fields replace the committed ones (the fired set is
+    kept).
     """
-    if not res.replaces_boundary:
+    if not acc:
         acc.extend(res.stages)
         return
-    if not acc:
-        raise ConsistencyError("boundary replay with no committed stage")
     replay, last = res.stages[0], acc[-1]
     for q, st in replay.states.items():
         prev = last.states[q]
@@ -205,24 +201,22 @@ def _internal_boundary(acc: list[Stage]) -> Boundary:
         for q, st in acc[-2].states.items():
             if st.a == AOD and q not in prev_traps:
                 prev_traps[q] = (st.c, st.r)
-    return Boundary(
-        "pinned_xy",
-        xy={q: (st.x, st.y) for q, st in last.states.items()},
-        prev_traps=prev_traps, exempt=True)
+    return Boundary(xy={q: (st.x, st.y) for q, st in last.states.items()},
+                    prev_traps=prev_traps)
 
 
 def _first_boundary(init_xy, stage0_aod_order) -> Boundary:
     if init_xy is None:
-        return Boundary("free")
+        return Boundary()
     col_order, row_order = stage0_aod_order
-    return Boundary("pinned_xy", xy=dict(init_xy),
+    return Boundary(xy=dict(init_xy),
                     col_order=tuple(col_order), row_order=tuple(row_order))
 
 
 def _window_spec(boundary: Boundary, horizon: int, qubits, pending, region,
                  avoid, final_slm=frozenset(),
                  require_all=False) -> WindowSpec:
-    if boundary.kind == "free":
+    if boundary.xy is None:
         stages, fire_from = horizon, 0
     else:
         stages, fire_from = horizon + 1, 1
@@ -313,7 +307,7 @@ def _run(circuit, region, init_xy, stage0_aod_order, avoid, final_slm,
          opts, stats) -> list[WindowResult]:
     qubits = list(range(circuit.num_qubits))
     if not qubits:
-        return [WindowResult([Stage({}, ())], {}, 1, False)]
+        return [WindowResult([Stage({}, ())], {}, 1)]
     backend = MilpBackend()
     pending = dict(enumerate(circuit.gates))
     windows: list[WindowResult] = []
@@ -344,11 +338,17 @@ def _run(circuit, region, init_xy, stage0_aod_order, avoid, final_slm,
                       for q, (px, py) in init_xy.items()}
         else:
             states = _row_major_placement(qubits, region, avoid)
-        commit(WindowResult([Stage(states, ())], {}, 1, False))
+        commit(WindowResult([Stage(states, ())], {}, 1))
     elif opts.strategy == "optimal":
-        # iterative deepening over the total stage count, all gates forced
-        commit(grow(boundary, itertools.count(_depth_lower_bound(circuit)),
-                    pending, require_all=True))
+        # iterative deepening over the total stage count, all gates forced,
+        # up to the cap that bounds what greedy could reach
+        cap = circuit.num_gates * opts.max_horizon
+        result = grow(boundary, range(_depth_lower_bound(circuit), cap + 1),
+                      pending, require_all=True)
+        if result is None:
+            raise InfeasibleError(f"no schedule within {cap} stages "
+                                  f"({opts.max_horizon} per gate)")
+        commit(result)
     else:
         while pending:
             result = grow(boundary, range(opts.window, opts.max_horizon + 1),
@@ -388,5 +388,4 @@ def _drop_in_place(last: Stage, listed: Sequence[int]) -> WindowResult | None:
     for q in listed:
         st = states[q]
         states[q] = QubitState(x=st.x, y=st.y, a=SLM)
-    return WindowResult([Stage(last.states, ()), Stage(states, ())],
-                        {}, 1, True)
+    return WindowResult([Stage(last.states, ()), Stage(states, ())], {}, 1)

@@ -7,20 +7,23 @@ and t+1 is governed by stage-t trap membership; gates fire at stages >=
 `fire_from`.
 
 Families C2..C8 mirror the hardware rules: static-trap stationarity, rigid
-lines, non-crossing, trap occupancy, gate co-siting, blockade isolation (as
-pair exactness), gate coverage.  C1 (region bounds) is the variable domains
-declared by make_vars.  avoid_rows keeps every qubit off the avoided sites
-(in pac, the sites of parked qubits outside the window).  Each family is an
-independent generator so it can be switched off and tested in isolation.
+and non-crossing lines (C3 and C4 as one family, line_order: index order
+bounds coordinate order), trap occupancy, gate co-siting, blockade isolation
+(as pair exactness), gate coverage.  C1 (region bounds) is the variable
+domains declared by make_vars.  avoid_rows keeps every qubit off the avoided
+sites (in pac, the sites of parked qubits outside the window).  Each family
+is an independent generator so it can be switched off and tested in
+isolation.
 
 One family, static_lines, removes symmetry instead of encoding a rule.  The
-line indices c/r of a statically trapped qubit mean nothing: C3, C4, C5 and
-prev_traps read them only under a[q,t], trap_transfer only under a[q,t-1],
-and extraction drops them.  So a qubit static at t-1 and t (or at stage 0)
-can hold the region's first index without losing any schedule, and the
-solver no longer searches relabelings that change nothing.  The one
-exception is the stage-0 col_order/row_order directives, which bind their
-qubits' indices unconditionally; those qubits keep free stage-0 indices.
+line indices c/r of a statically trapped qubit mean nothing: line_order, C5
+and prev_traps read them only under a[q,t], trap_transfer only under
+a[q,t-1], and extraction drops them.  So a qubit static at t-1 and t (or
+at stage 0) can hold the region's first index without losing any schedule,
+and the solver no longer searches relabelings that change nothing.  The
+one exception is the stage-0 col_order/row_order directives, which bind
+their qubits' indices unconditionally; those qubits keep free stage-0
+indices.
 """
 
 from __future__ import annotations
@@ -30,29 +33,25 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .arrays import Region
 from .smt import (AND, EQ, GE, IMP, LE, LT, NE, OR, BoolVar, Formula, IntVar,
-                  Lit, LinExpr, lin, neg, pos, total)
+                  LinExpr, lin, neg, pos, total)
 
 
 @dataclass(frozen=True)
 class Boundary:
     """How stage 0 of a window is fixed.
 
-    kind "free": solver chooses placements, gates may fire at stage 0.
-    kind "pinned_xy": stage-0 positions equal `xy` and no gate fires there;
-    trap fields are solver-chosen subject to `prev_traps` (a qubit tied to a
-    movable line at the boundary may only stay in or return to that same
-    line) and to `col_order`/`row_order` directives on the stage-0 line
-    index variables.  `exempt` marks a replay of an already-committed stage,
-    whose pair co-siting was validated by the window that produced it; a
-    caller-given stage 0 is not exempt.
+    Free (`xy` is None): the solver chooses placements, and gates may fire
+    at stage 0.  Pinned: stage-0 positions equal `xy` and no gate fires
+    there; trap fields are solver-chosen subject to `prev_traps` (a qubit
+    tied to a movable line at the boundary may only stay in or return to
+    that same line) and to `col_order`/`row_order` directives on the
+    stage-0 line index variables.
     """
 
-    kind: str = "free"
     xy: Mapping[int, tuple[int, int]] | None = None
     prev_traps: Mapping[int, tuple[int, int]] = field(default_factory=dict)
     col_order: Sequence[tuple[int, int, str]] = ()
     row_order: Sequence[tuple[int, int, str]] = ()
-    exempt: bool = False
 
 
 @dataclass
@@ -134,46 +133,21 @@ def c2_slm_stationary(v: Vars, w: WindowSpec) -> Iterator[Formula]:
             yield IMP(neg(v.a[q, t]), EQ(v.y[q, t + 1], v.y[q, t]))
 
 
-def c3_rigid_lines(v: Vars, w: WindowSpec) -> Iterator[Formula]:
-    """Qubits sharing a line index share its coordinate, now and after the
-    move (movement is by whole lines, keyed on stage-t membership)."""
+def line_order(v: Vars, w: WindowSpec) -> Iterator[Formula]:
+    """C3 and C4 as one rule: while two qubits ride movable lines, index
+    order bounds coordinate order, now and after the move (movement is by
+    whole lines, keyed on stage-t membership).  Equal indices bound the
+    coordinates both ways, so lines are rigid; a smaller index never stands
+    right of (or below) a larger one, so lines never cross."""
     for u, q in w.pairs():
         for t in range(w.stages):
             both = AND(pos(v.a[u, t]), pos(v.a[q, t]))
-            yield IMP(AND(both, EQ(v.c[u, t], v.c[q, t])),
-                      EQ(v.x[u, t], v.x[q, t]))
-            yield IMP(AND(both, EQ(v.r[u, t], v.r[q, t])),
-                      EQ(v.y[u, t], v.y[q, t]))
-            if t + 1 < w.stages:
-                yield IMP(AND(both, EQ(v.c[u, t], v.c[q, t])),
-                          EQ(v.x[u, t + 1], v.x[q, t + 1]))
-                yield IMP(AND(both, EQ(v.r[u, t], v.r[q, t])),
-                          EQ(v.y[u, t + 1], v.y[q, t + 1]))
-
-
-def c4_no_crossing(v: Vars, w: WindowSpec) -> Iterator[Formula]:
-    """Lines never pass each other: index order bounds coordinate order at
-    every stage and across every move."""
-    for u, q in w.pairs():
-        for t in range(w.stages):
-            both = AND(pos(v.a[u, t]), pos(v.a[q, t]))
-            yield IMP(AND(both, LT(v.c[u, t], v.c[q, t])),
-                      LE(v.x[u, t], v.x[q, t]))
-            yield IMP(AND(both, LT(v.c[q, t], v.c[u, t])),
-                      LE(v.x[q, t], v.x[u, t]))
-            yield IMP(AND(both, LT(v.r[u, t], v.r[q, t])),
-                      LE(v.y[u, t], v.y[q, t]))
-            yield IMP(AND(both, LT(v.r[q, t], v.r[u, t])),
-                      LE(v.y[q, t], v.y[u, t]))
-            if t + 1 < w.stages:
-                yield IMP(AND(both, LT(v.c[u, t], v.c[q, t])),
-                          LE(v.x[u, t + 1], v.x[q, t + 1]))
-                yield IMP(AND(both, LT(v.c[q, t], v.c[u, t])),
-                          LE(v.x[q, t + 1], v.x[u, t + 1]))
-                yield IMP(AND(both, LT(v.r[u, t], v.r[q, t])),
-                          LE(v.y[u, t + 1], v.y[q, t + 1]))
-                yield IMP(AND(both, LT(v.r[q, t], v.r[u, t])),
-                          LE(v.y[q, t + 1], v.y[u, t + 1]))
+            for s in range(t, min(t + 2, w.stages)):
+                for lo, hi in ((u, q), (q, u)):
+                    yield IMP(AND(both, LE(v.c[lo, t], v.c[hi, t])),
+                              LE(v.x[lo, s], v.x[hi, s]))
+                    yield IMP(AND(both, LE(v.r[lo, t], v.r[hi, t])),
+                              LE(v.y[lo, s], v.y[hi, s]))
 
 
 def trap_transfer(v: Vars, w: WindowSpec) -> Iterator[Formula]:
@@ -246,8 +220,11 @@ def c7_isolation(v: Vars, w: WindowSpec) -> Iterator[Formula]:
     for u, q in w.pairs():
         fireable = w.gates_between(u, q)
         for t in range(w.stages):
-            if t == 0 and w.boundary.exempt:
-                continue  # replayed stage, validated by its own window
+            if t == 0 and w.boundary.xy is not None:
+                # a pinned stage 0 is a replayed stage, checked by the
+                # window that produced it, or the caller's init_xy, which
+                # the compiler keeps on distinct sites
+                continue
             fs = [pos(v.f[g, t]) for g in fireable] if t in w.fire_stages else []
             yield OR(NE(v.x[u, t], v.x[q, t]), NE(v.y[u, t], v.y[q, t]), *fs)
 
@@ -295,9 +272,8 @@ _ORDER_OPS = {"<": LT, "=": EQ, ">": lambda a, b: LT(b, a)}
 def boundary_rows(v: Vars, w: WindowSpec) -> Iterator[Formula]:
     """Pin stage 0 according to the boundary condition."""
     b = w.boundary
-    if b.kind == "free":
+    if b.xy is None:
         return
-    assert b.kind == "pinned_xy" and b.xy is not None
     for q in w.qubits:
         px, py = b.xy[q]
         yield EQ(v.x[q, 0], px)
@@ -319,8 +295,7 @@ ALL_FAMILIES = (
     boundary_rows,
     final_slm_rows,
     c2_slm_stationary,
-    c3_rigid_lines,
-    c4_no_crossing,
+    line_order,
     trap_transfer,
     static_lines,
     c5_occupancy,

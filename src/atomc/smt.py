@@ -2,9 +2,9 @@
 
 Constraints are built as small formula trees over bounded integer and boolean
 variables.  MilpBackend compiles them in process to exact big-M
-integer-linear rows and answers each check (under optional assumption
-literals and an optional maximization objective) with scipy's HiGHS MILP
-engine.  The compiler calls reset() before encoding each window.
+integer-linear rows and answers each check (with an optional maximization
+objective) with scipy's HiGHS MILP engine.  The compiler calls reset()
+before encoding each window.
 
 All integer variables are finite-domain, negation of comparisons stays exact
 (integer arithmetic), and identical call sequences give identical models.
@@ -13,7 +13,7 @@ All integer variables are finite-domain, negation of comparisons stays exact
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -422,9 +422,11 @@ class MilpBackend:
 
     # -- solving
 
-    def check(self, assumptions: Sequence[Lit] = (),
-              maximize: LinExpr | None = None,
+    def check(self, maximize: LinExpr | None = None,
               timeout: float | None = None) -> str:
+        """Solve the rows added since the last reset: "sat" (a model is
+        available; it maximizes `maximize` when given), "unsat" or
+        "unknown" (the time limit hit first)."""
         from scipy.optimize import Bounds, LinearConstraint, milp
         from scipy.sparse import csc_matrix
 
@@ -434,12 +436,7 @@ class MilpBackend:
             return "sat"
         lo = np.array(self._lo, dtype=float)
         hi = np.array(self._hi, dtype=float)
-        for a in assumptions:
-            idx = self._names[a.var.name]
-            val = 0.0 if a.neg else 1.0
-            lo[idx] = max(lo[idx], val)
-            hi[idx] = min(hi[idx], val)
-        if np.any(lo > hi):  # bound absorption or assumptions emptied a domain
+        if np.any(lo > hi):  # bound absorption emptied a domain
             self._model = None
             return "unsat"
         c = np.zeros(n)

@@ -150,12 +150,16 @@ def _check_stage(out, t, stage: Stage, c: Circuit, scope: Region,
             continue
         if len(occupants) == 2:
             u, v = occupants
-            if frozenset((u, v)) in firing_pairs:
-                continue  # co-siting blessed by the fired gate
-            if states[u].a == states[v].a:
-                kind = "movable" if states[u].a == AOD else "static"
+            if states[u].a == states[v].a == SLM:
+                # a site has one static trap, firing or not
                 out.append(Violation(t, "C5", f"qubits {u},{v} share the "
-                                     f"{kind} traps at {site} without firing"))
+                                     f"static trap at {site}"))
+            elif frozenset((u, v)) in firing_pairs:
+                pass  # co-siting blessed by the fired gate
+            elif states[u].a == states[v].a:
+                out.append(Violation(t, "C5", f"qubits {u},{v} share the "
+                                     f"movable traps at {site} without "
+                                     "firing"))
             else:
                 out.append(Violation(t, "C7", f"qubits {u},{v} co-sited at "
                                      f"{site} without firing a gate"))

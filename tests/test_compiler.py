@@ -91,6 +91,16 @@ def test_optimal_deepens_past_an_infeasible_horizon():
     assert verify(res.schedule, c, ArraySpec(2)).ok
 
 
+def test_optimal_stops_at_its_cap():
+    # three qubits, one usable site: no horizon is feasible
+    c = Circuit(3, ((0, 1), (1, 2)))
+    avoid = frozenset({(0, 0), (0, 1), (1, 0)})
+    opts = SolverOptions(strategy="optimal", max_horizon=2, timeout=60)
+    with pytest.raises(InfeasibleError, match="within 4 stages"):
+        compile_circuit(c, full_region(ArraySpec(2)), avoid_sites=avoid,
+                        opts=opts)
+
+
 def test_pac_admits_communities_that_fit_their_quadrants():
     # 6 qubits exceed one 2x2 quadrant, but each community of 3 fits its own
     a = ArraySpec(4)

@@ -6,8 +6,12 @@ from atomc.arrays import ArraySpec, full_region, split_plane
 from atomc.circuits import Circuit, generate_rand3reg
 from atomc.compiler import (_internal_boundary, _Stats, _window_spec,
                             extract_schedule, solve_window)
-from atomc.encoding import ALL_FAMILIES, Boundary, encode_window, static_lines
+from atomc.encoding import (ALL_FAMILIES, Boundary, WindowSpec, encode_window,
+                            line_order, make_vars, static_lines)
+from atomc.schedule import AOD, SLM, QubitState, Schedule, Stage
 from atomc.smt import MilpBackend
+from atomc.verifier import verify
+from test_smt import evaluate
 
 K4 = Circuit(4, tuple(itertools.combinations(range(4), 2)), name="k4")
 NO_PIN = tuple(f for f in ALL_FAMILIES if f is not static_lines)
@@ -86,7 +90,7 @@ def test_pin_holds_across_a_window_boundary():
 def test_stage0_directives_exempt_their_qubits():
     # every qubit is static at stage 0 (a one-stage window with final static
     # traps), yet the directives order the stage-0 indices of qubits 0 and 1
-    boundary = Boundary("pinned_xy", xy={0: (0, 0), 1: (1, 1), 2: (2, 2)},
+    boundary = Boundary(xy={0: (0, 0), 1: (1, 1), 2: (2, 2)},
                         col_order=((0, 1, ">"),), row_order=((0, 1, "<"),))
     spec = window(Circuit(3, ()), full_region(ArraySpec(3)), 0, boundary,
                   final_slm=frozenset({0, 1, 2}))
@@ -110,3 +114,37 @@ def test_pin_loses_no_schedule(case):
     with_pin, without = solve(spec), solve(spec, NO_PIN)
     assert with_pin is not None and without is not None
     assert with_pin[0] == without[0] >= 1
+
+
+def test_line_order_admits_exactly_what_c3_and_c4_admit():
+    # two qubits in movable lines at stage 0 of a 2x2 window, each keeping
+    # its line indices across the move as trap_transfer requires, and each
+    # still up or dropped at stage 1: every placement, indexing and drop
+    a = ArraySpec(2)
+    spec = WindowSpec(qubits=[0, 1], gates={}, stages=2, fire_from=0,
+                      region=full_region(a), boundary=Boundary())
+    v = make_vars(MilpBackend(), spec)
+    rows = list(line_order(v, spec))
+    keys = [(q, t) for q in (0, 1) for t in (0, 1)]
+    admitted = cases = 0
+    for xy, cr, up in itertools.product(
+            itertools.product(range(2), repeat=2 * len(keys)),
+            itertools.product(range(2), repeat=4),
+            itertools.product((AOD, SLM), repeat=2)):
+        env, stages = {}, [{}, {}]
+        for i, (q, t) in enumerate(keys):
+            x, y, c, r = xy[2 * i], xy[2 * i + 1], cr[2 * q], cr[2 * q + 1]
+            trap = AOD if t == 0 else up[q]
+            env.update({v.x[q, t].name: x, v.y[q, t].name: y,
+                        v.c[q, t].name: c, v.r[q, t].name: r,
+                        v.a[q, t].name: trap})
+            stages[t][q] = (QubitState(x=x, y=y, a=AOD, c=c, r=r)
+                            if trap == AOD else QubitState(x=x, y=y, a=SLM))
+        holds = all(evaluate(f, env) for f in rows)
+        report = verify(Schedule([Stage(st, ()) for st in stages]),
+                        Circuit(2, ()), a)
+        clean = not report.by_rule("C3") and not report.by_rule("C4")
+        assert holds == clean, (xy, cr, up)
+        admitted += holds
+        cases += 1
+    assert cases == 4 * 2 ** 12 and 0 < admitted < cases

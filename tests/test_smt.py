@@ -4,7 +4,7 @@ import random
 import pytest
 
 from atomc.smt import (AND, EQ, GE, GT, IMP, LE, LT, NE, NOT, OR, IntVar, Lit,
-                       MilpBackend, lin, pos, total)
+                       MilpBackend, lin, total)
 
 
 def evaluate(f, env):
@@ -108,20 +108,6 @@ def test_implication_with_comparison(backend):
     b.add(Lit(p))
     assert b.check() == "sat"
     assert b.model()["x"] == 7
-
-
-def test_assumptions(backend):
-    b = fresh(backend)
-    x = b.int_var("x", 0, 5)
-    hi = b.bool_var("hi")
-    lo = b.bool_var("lo")
-    b.add(IMP(Lit(hi), GE(x, 4)))
-    b.add(IMP(Lit(lo), LE(x, 1)))
-    assert b.check([pos(hi)]) == "sat"
-    assert b.model()["x"] >= 4
-    assert b.check([pos(hi), pos(lo)]) == "unsat"
-    assert b.check([pos(lo)]) == "sat"
-    assert b.model()["x"] <= 1
 
 
 def test_cardinality_over_bools(backend):

@@ -14,6 +14,8 @@ from atomc.verifier import verify, verify_phases
 
 A = ArraySpec(2)
 K4 = Circuit(4, tuple(itertools.combinations(range(4), 2)), name="k4")
+# whenever (1, 2) fires, qubits 0 and 3 are idle
+PATH = Circuit(4, ((0, 1), (1, 2), (2, 3)), name="path")
 TWO_TRIANGLES = Circuit(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
                             (2, 3)), name="two-triangles")
 
@@ -21,6 +23,11 @@ TWO_TRIANGLES = Circuit(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
 @pytest.fixture(scope="module")
 def k4():
     return compile_circuit(K4, full_region(A)).schedule
+
+
+@pytest.fixture(scope="module")
+def path():
+    return compile_circuit(PATH, full_region(A)).schedule
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +65,8 @@ def _first_firing(s: Schedule, c: Circuit) -> tuple[int, int]:
     raise AssertionError("nothing fired")
 
 
-def _rules(s: Schedule) -> set[str]:
-    return {v.rule for v in verify(s, K4, A).violations}
+def _rules(s: Schedule, c: Circuit = K4) -> set[str]:
+    return {v.rule for v in verify(s, c, A).violations}
 
 
 def test_compiled_schedule_is_clean(k4):
@@ -77,32 +84,44 @@ def test_c1_line_outside_region(k4):
     assert "C1" in _rules(_set(k4, 0, 0, bad))
 
 
-def test_c3_shared_column_at_two_x(k4):
-    t, u, v = _idle_pair(k4, K4)
-    su, sv = k4.stages[t].states[u], k4.stages[t].states[v]
+def test_c3_shared_column_at_two_x(path):
+    t, u, v = _idle_pair(path, PATH)
+    su, sv = path.stages[t].states[u], path.stages[t].states[v]
     assert (su.x, su.y) != (sv.x, sv.y)
     # one column, two rows: the column must then hold one x
     x_u, x_v = (su.x, sv.x) if su.x != sv.x else (su.x, 1 - su.x)
-    s = _set(k4, t, u, QubitState(x=x_u, y=su.y, a=AOD, c=0, r=0))
+    s = _set(path, t, u, QubitState(x=x_u, y=su.y, a=AOD, c=0, r=0))
     s = _set(s, t, v, QubitState(x=x_v, y=sv.y, a=AOD, c=0, r=1))
-    c3 = verify(s, K4, A).by_rule("C3")
+    c3 = verify(s, PATH, A).by_rule("C3")
     assert any("share column 0 but x" in x.detail for x in c3)
 
 
-def test_c5_two_static_traps_on_one_site(k4):
-    t, u, v = _idle_pair(k4, K4)
+def test_c5_two_static_traps_on_one_site(path):
+    t, u, v = _idle_pair(path, PATH)
+    su = path.stages[t].states[u]
+    s = _set(path, t, u, QubitState(x=su.x, y=su.y, a=SLM))
+    s = _set(s, t, v, QubitState(x=su.x, y=su.y, a=SLM))
+    assert "C5" in _rules(s, PATH)
+
+
+def test_c5_firing_pair_in_two_static_traps(k4):
+    # a site has one static trap, so even a firing pair needs a movable one
+    t, g = _first_firing(k4, K4)
+    u, v = K4.gates[g]
     su = k4.stages[t].states[u]
     s = _set(k4, t, u, QubitState(x=su.x, y=su.y, a=SLM))
     s = _set(s, t, v, QubitState(x=su.x, y=su.y, a=SLM))
-    assert "C5" in _rules(s)
+    c5 = verify(s, K4, A).by_rule("C5")
+    assert any(f"qubits {min(u, v)},{max(u, v)} share the static trap"
+               in x.detail for x in c5)
 
 
-def test_c5_one_movable_trap_for_two_qubits(k4):
-    t, u, v = _idle_pair(k4, K4)
-    su = k4.stages[t].states[u]
-    s = _set(k4, t, u, QubitState(x=su.x, y=su.y, a=AOD, c=0, r=0))
+def test_c5_one_movable_trap_for_two_qubits(path):
+    t, u, v = _idle_pair(path, PATH)
+    su = path.stages[t].states[u]
+    s = _set(path, t, u, QubitState(x=su.x, y=su.y, a=AOD, c=0, r=0))
     s = _set(s, t, v, QubitState(x=su.x, y=su.y, a=AOD, c=0, r=0))
-    assert "C5" in _rules(s)
+    assert "C5" in _rules(s, PATH)
 
 
 def test_c6_gate_fired_apart(k4):
@@ -113,12 +132,12 @@ def test_c6_gate_fired_apart(k4):
     assert "C6" in _rules(_set(k4, t, v, moved))
 
 
-def test_c7_mixed_traps_co_sited_without_firing(k4):
-    t, u, v = _idle_pair(k4, K4)
-    su = k4.stages[t].states[u]
-    s = _set(k4, t, u, QubitState(x=su.x, y=su.y, a=SLM))
+def test_c7_mixed_traps_co_sited_without_firing(path):
+    t, u, v = _idle_pair(path, PATH)
+    su = path.stages[t].states[u]
+    s = _set(path, t, u, QubitState(x=su.x, y=su.y, a=SLM))
     s = _set(s, t, v, QubitState(x=su.x, y=su.y, a=AOD, c=0, r=0))
-    assert "C7" in _rules(s)
+    assert "C7" in _rules(s, PATH)
 
 
 def test_c8_gate_never_fired(k4):
@@ -179,13 +198,13 @@ def test_c2_static_trap_moved(k4):
     assert any(f"statically trapped qubit {q} moved" in x.detail for x in c2)
 
 
-def test_c4_column_order_contradicts_x_order(k4):
-    t, u, v = _idle_pair(k4, K4)
-    su, sv = k4.stages[t].states[u], k4.stages[t].states[v]
+def test_c4_column_order_contradicts_x_order(path):
+    t, u, v = _idle_pair(path, PATH)
+    su, sv = path.stages[t].states[u], path.stages[t].states[v]
     # column 0 stands right of column 1
-    s = _set(k4, t, u, QubitState(x=1, y=su.y, a=AOD, c=0, r=0))
+    s = _set(path, t, u, QubitState(x=1, y=su.y, a=AOD, c=0, r=0))
     s = _set(s, t, v, QubitState(x=0, y=sv.y, a=AOD, c=1, r=1))
-    c4 = verify(s, K4, A).by_rule("C4")
+    c4 = verify(s, PATH, A).by_rule("C4")
     assert any("column order contradicts x order" in x.detail for x in c4)
 
 
