@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import networkx as nx
 
 from .arrays import Region, site_in_region
-from .circuits import Circuit
+from .circuits import Circuit, degree_sequence
 from .encoding import Boundary, Vars, WindowSpec, encode_window
 from .errors import (CompileTimeout, ConsistencyError, InfeasibleError,
                      VerificationError)
@@ -125,10 +125,9 @@ def _extract(model: dict[str, int], v: Vars, w: WindowSpec,
     return WindowResult(stages, fired, horizon)
 
 
-def solve_window(pending: Mapping[int, tuple[int, int]], horizon: int,
-                 context: WindowSpec, *, backend, stats: _Stats
+def solve_window(context: WindowSpec, *, backend, stats: _Stats
                  ) -> WindowResult | None:
-    """Solve one window, firing as many pending gates as possible.
+    """Solve one window, firing as many of its gates as possible.
 
     Returns None when not even one gate fits in the horizon (the caller
     grows the window).  One check with the row `fired >= 1` both proves
@@ -139,12 +138,13 @@ def solve_window(pending: Mapping[int, tuple[int, int]], horizon: int,
     backend.reset()
     v = encode_window(backend, context)
     objective = None
-    if pending and not context.require_all_fired:
+    if context.gates and not context.require_all_fired:
         objective = v.fired_total()
         backend.add(GE(objective, 1))
     if _checked(backend, stats, maximize=objective) != "sat":
         return None
-    return _extract(backend.model(), v, context, horizon)
+    return _extract(backend.model(), v, context,
+                    context.stages - context.fire_from)
 
 
 def _stitch(acc: list[Stage], res: WindowResult) -> None:
@@ -283,24 +283,18 @@ def compile_circuit(circuit: Circuit, region: Region, *,
         report = verify(schedule, circuit, scope=region)
         if not report.ok:
             raise VerificationError(
-                "compiled schedule failed independent verification: "
-                + "; ".join(f"{v.rule}@{v.stage}: {v.detail}"
-                            for v in report.violations[:5]),
-                report=report)
+                "compiled schedule failed independent verification", report)
     return result
 
 
 def _depth_lower_bound(circuit: Circuit) -> int:
     """The larger of the max degree and the gate count over a maximum
     matching's size, rounded up."""
-    degree = [0] * circuit.num_qubits
-    for u, v in circuit.gates:
-        degree[u] += 1
-        degree[v] += 1
     graph = nx.Graph()
     graph.add_edges_from(set(map(tuple, map(sorted, circuit.gates))))
     per_stage = max(1, len(nx.max_weight_matching(graph)))
-    return max(1, max(degree), -(-circuit.num_gates // per_stage))
+    return max(1, max(degree_sequence(circuit)),
+               -(-circuit.num_gates // per_stage))
 
 
 def _run(circuit, region, init_xy, stage0_aod_order, avoid, final_slm,
@@ -323,8 +317,7 @@ def _run(circuit, region, init_xy, stage0_aod_order, avoid, final_slm,
         for horizon in horizons:
             w = _window_spec(boundary, horizon, qubits, gates, region,
                              avoid, **spec)
-            result = solve_window(gates, horizon, w, backend=backend,
-                                  stats=stats)
+            result = solve_window(w, backend=backend, stats=stats)
             if result is not None:
                 stats.budget_history.append(result.horizon)
                 return result

@@ -12,8 +12,9 @@ bounds coordinate order), trap occupancy, gate co-siting, blockade isolation
 (as pair exactness), gate coverage.  C1 (region bounds) is the variable
 domains declared by make_vars.  avoid_rows keeps every qubit off the avoided
 sites (in pac, the sites of parked qubits outside the window).  Each family
-is an independent generator so it can be switched off and tested in
-isolation.
+is an independent generator of clauses, so it can be switched off and tested
+in isolation.  A clause is a tuple of literals and comparisons of which at
+least one holds; an implication p => q is written as the clause (not p, q).
 
 One family, static_lines, removes symmetry instead of encoding a rule.  The
 line indices c/r of a statically trapped qubit mean nothing: line_order, C5
@@ -32,8 +33,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .arrays import Region
-from .smt import (AND, EQ, GE, IMP, LE, LT, NE, OR, BoolVar, Formula, IntVar,
-                  LinExpr, lin, neg, pos, total)
+from .smt import (EQ, GE, GT, LE, LT, NE, BoolVar, Cmp, IntVar, LinExpr, Lit,
+                  lin, neg, pos, total)
+
+Clause = tuple[Lit | Cmp, ...]  # at least one item holds
 
 
 @dataclass(frozen=True)
@@ -125,15 +128,15 @@ def make_vars(backend, w: WindowSpec) -> Vars:
     return Vars(x, y, c, r, a, f)
 
 
-def c2_slm_stationary(v: Vars, w: WindowSpec) -> Iterator[Formula]:
+def c2_slm_stationary(v: Vars, w: WindowSpec) -> Iterator[Clause]:
     """A statically trapped qubit keeps its site across the transition."""
     for q in w.qubits:
         for t in w.transitions:
-            yield IMP(neg(v.a[q, t]), EQ(v.x[q, t + 1], v.x[q, t]))
-            yield IMP(neg(v.a[q, t]), EQ(v.y[q, t + 1], v.y[q, t]))
+            yield pos(v.a[q, t]), EQ(v.x[q, t + 1], v.x[q, t])
+            yield pos(v.a[q, t]), EQ(v.y[q, t + 1], v.y[q, t])
 
 
-def line_order(v: Vars, w: WindowSpec) -> Iterator[Formula]:
+def line_order(v: Vars, w: WindowSpec) -> Iterator[Clause]:
     """C3 and C4 as one rule: while two qubits ride movable lines, index
     order bounds coordinate order, now and after the move (movement is by
     whole lines, keyed on stage-t membership).  Equal indices bound the
@@ -141,16 +144,16 @@ def line_order(v: Vars, w: WindowSpec) -> Iterator[Formula]:
     right of (or below) a larger one, so lines never cross."""
     for u, q in w.pairs():
         for t in range(w.stages):
-            both = AND(pos(v.a[u, t]), pos(v.a[q, t]))
+            either_static = neg(v.a[u, t]), neg(v.a[q, t])
             for s in range(t, min(t + 2, w.stages)):
                 for lo, hi in ((u, q), (q, u)):
-                    yield IMP(AND(both, LE(v.c[lo, t], v.c[hi, t])),
-                              LE(v.x[lo, s], v.x[hi, s]))
-                    yield IMP(AND(both, LE(v.r[lo, t], v.r[hi, t])),
-                              LE(v.y[lo, s], v.y[hi, s]))
+                    yield (*either_static, GT(v.c[lo, t], v.c[hi, t]),
+                           LE(v.x[lo, s], v.x[hi, s]))
+                    yield (*either_static, GT(v.r[lo, t], v.r[hi, t]),
+                           LE(v.y[lo, s], v.y[hi, s]))
 
 
-def trap_transfer(v: Vars, w: WindowSpec) -> Iterator[Formula]:
+def trap_transfer(v: Vars, w: WindowSpec) -> Iterator[Clause]:
     """Line membership persists while trapped in a movable line; together
     with C2 this forces transfers to happen at fixed coordinates (pickups
     are stationary by C2, drops land where the line went).
@@ -162,13 +165,13 @@ def trap_transfer(v: Vars, w: WindowSpec) -> Iterator[Formula]:
     """
     for q in w.qubits:
         for t in w.transitions:
-            yield IMP(pos(v.a[q, t]), EQ(v.c[q, t + 1], v.c[q, t]))
-            yield IMP(pos(v.a[q, t]), EQ(v.r[q, t + 1], v.r[q, t]))
+            yield neg(v.a[q, t]), EQ(v.c[q, t + 1], v.c[q, t])
+            yield neg(v.a[q, t]), EQ(v.r[q, t + 1], v.r[q, t])
         if w.stages == 2:
-            yield IMP(neg(v.a[q, 0]), neg(v.a[q, 1]))
+            yield pos(v.a[q, 0]), neg(v.a[q, 1])
 
 
-def static_lines(v: Vars, w: WindowSpec) -> Iterator[Formula]:
+def static_lines(v: Vars, w: WindowSpec) -> Iterator[Clause]:
     """A qubit static at stage t-1 and t (or static at stage 0) holds the
     region's first column and row index (symmetry breaking; see the module
     docstring).  Qubits named by a stage-0 order directive keep free stage-0
@@ -182,38 +185,37 @@ def static_lines(v: Vars, w: WindowSpec) -> Iterator[Formula]:
             if t == 0:
                 if q in directed:
                     continue
-                static = neg(v.a[q, 0])
+                not_static = (pos(v.a[q, 0]),)
             else:
-                static = AND(neg(v.a[q, t - 1]), neg(v.a[q, t]))
-            yield IMP(static, EQ(v.c[q, t], reg.col_range.start))
-            yield IMP(static, EQ(v.r[q, t], reg.row_range.start))
+                not_static = pos(v.a[q, t - 1]), pos(v.a[q, t])
+            yield (*not_static, EQ(v.c[q, t], reg.col_range.start))
+            yield (*not_static, EQ(v.r[q, t], reg.row_range.start))
 
 
-def c5_occupancy(v: Vars, w: WindowSpec) -> Iterator[Formula]:
+def c5_occupancy(v: Vars, w: WindowSpec) -> Iterator[Clause]:
     """One qubit per static trap site, one per movable trap slot, and a
     firing pair is never two static traps (the meeting always involves a
     movable trap)."""
     for u, q in w.pairs():
         for t in range(w.stages):
-            yield OR(pos(v.a[u, t]), pos(v.a[q, t]),
-                     NE(v.x[u, t], v.x[q, t]), NE(v.y[u, t], v.y[q, t]))
-            yield OR(neg(v.a[u, t]), neg(v.a[q, t]),
-                     NE(v.c[u, t], v.c[q, t]), NE(v.r[u, t], v.r[q, t]))
+            yield (pos(v.a[u, t]), pos(v.a[q, t]),
+                   *NE(v.x[u, t], v.x[q, t]), *NE(v.y[u, t], v.y[q, t]))
+            yield (neg(v.a[u, t]), neg(v.a[q, t]),
+                   *NE(v.c[u, t], v.c[q, t]), *NE(v.r[u, t], v.r[q, t]))
     for g, (u, q) in sorted(w.gates.items()):
         for s in w.fire_stages:
-            yield IMP(pos(v.f[g, s]),
-                      GE(lin(v.a[u, s]) + lin(v.a[q, s]), 1))
+            yield neg(v.f[g, s]), GE(lin(v.a[u, s]) + lin(v.a[q, s]), 1)
 
 
-def c6_gate_cosite(v: Vars, w: WindowSpec) -> Iterator[Formula]:
+def c6_gate_cosite(v: Vars, w: WindowSpec) -> Iterator[Clause]:
     """A fired gate's endpoints share a site at that stage."""
     for g, (u, q) in sorted(w.gates.items()):
         for s in w.fire_stages:
-            yield IMP(pos(v.f[g, s]), EQ(v.x[u, s], v.x[q, s]))
-            yield IMP(pos(v.f[g, s]), EQ(v.y[u, s], v.y[q, s]))
+            yield neg(v.f[g, s]), EQ(v.x[u, s], v.x[q, s])
+            yield neg(v.f[g, s]), EQ(v.y[u, s], v.y[q, s])
 
 
-def c7_isolation(v: Vars, w: WindowSpec) -> Iterator[Formula]:
+def c7_isolation(v: Vars, w: WindowSpec) -> Iterator[Clause]:
     """Pair exactness: two co-sited qubits must be firing a pending gate
     together at that stage.  This yields blockade isolation: any third
     qubit on a firing site would form a co-sited non-firing pair."""
@@ -226,23 +228,23 @@ def c7_isolation(v: Vars, w: WindowSpec) -> Iterator[Formula]:
                 # the compiler keeps on distinct sites
                 continue
             fs = [pos(v.f[g, t]) for g in fireable] if t in w.fire_stages else []
-            yield OR(NE(v.x[u, t], v.x[q, t]), NE(v.y[u, t], v.y[q, t]), *fs)
+            yield (*NE(v.x[u, t], v.x[q, t]), *NE(v.y[u, t], v.y[q, t]), *fs)
 
 
-def c8_coverage(v: Vars, w: WindowSpec) -> Iterator[Formula]:
+def c8_coverage(v: Vars, w: WindowSpec) -> Iterator[Clause]:
     """Each gate fires at most once per window (exactly once when the whole
     horizon must finish), and gates sharing a qubit never fire together."""
     for g in sorted(w.gates):
         fired = total([v.f[g, s] for s in w.fire_stages])
         if w.require_all_fired:
-            yield EQ(fired, 1)
+            yield (EQ(fired, 1),)
         else:
-            yield LE(fired, 1)
+            yield (LE(fired, 1),)
     for q in w.qubits:
         incident = [g for g, ends in sorted(w.gates.items()) if q in ends]
         if len(incident) > 1:
             for s in w.fire_stages:
-                yield LE(total([v.f[g, s] for g in incident]), 1)
+                yield (LE(total([v.f[g, s] for g in incident]), 1),)
 
 
 def _site_id(v: Vars, w: WindowSpec, q: int, t: int) -> LinExpr:
@@ -250,7 +252,7 @@ def _site_id(v: Vars, w: WindowSpec, q: int, t: int) -> LinExpr:
     return LinExpr(((width, v.x[q, t]), (1, v.y[q, t])))
 
 
-def avoid_rows(v: Vars, w: WindowSpec) -> Iterator[Formula]:
+def avoid_rows(v: Vars, w: WindowSpec) -> Iterator[Clause]:
     """No qubit, in either trap kind, stands on an avoided site."""
     width = w.region.y_range.stop
     for q in w.qubits:
@@ -259,33 +261,33 @@ def avoid_rows(v: Vars, w: WindowSpec) -> Iterator[Formula]:
                 yield NE(_site_id(v, w, q, t), width * fx + fy)
 
 
-def final_slm_rows(v: Vars, w: WindowSpec) -> Iterator[Formula]:
+def final_slm_rows(v: Vars, w: WindowSpec) -> Iterator[Clause]:
     """Listed qubits end the window in static traps."""
     last = w.stages - 1
     for q in sorted(w.final_slm):
-        yield neg(v.a[q, last])
+        yield (neg(v.a[q, last]),)
 
 
-_ORDER_OPS = {"<": LT, "=": EQ, ">": lambda a, b: LT(b, a)}
+_ORDER_OPS = {"<": LT, "=": EQ, ">": GT}
 
 
-def boundary_rows(v: Vars, w: WindowSpec) -> Iterator[Formula]:
+def boundary_rows(v: Vars, w: WindowSpec) -> Iterator[Clause]:
     """Pin stage 0 according to the boundary condition."""
     b = w.boundary
     if b.xy is None:
         return
     for q in w.qubits:
         px, py = b.xy[q]
-        yield EQ(v.x[q, 0], px)
-        yield EQ(v.y[q, 0], py)
+        yield (EQ(v.x[q, 0], px),)
+        yield (EQ(v.y[q, 0], py),)
     for q, (pc, pr) in sorted(b.prev_traps.items()):
         # staying in or returning to a movable trap means the same line
-        yield IMP(pos(v.a[q, 0]), EQ(v.c[q, 0], pc))
-        yield IMP(pos(v.a[q, 0]), EQ(v.r[q, 0], pr))
+        yield neg(v.a[q, 0]), EQ(v.c[q, 0], pc)
+        yield neg(v.a[q, 0]), EQ(v.r[q, 0], pr)
     for u, q, rel in b.col_order:
-        yield _ORDER_OPS[rel](v.c[u, 0], v.c[q, 0])
+        yield (_ORDER_OPS[rel](v.c[u, 0], v.c[q, 0]),)
     for u, q, rel in b.row_order:
-        yield _ORDER_OPS[rel](v.r[u, 0], v.r[q, 0])
+        yield (_ORDER_OPS[rel](v.r[u, 0], v.r[q, 0]),)
 
 
 # Family order does not fold pinned stages: single-variable pins tighten the
@@ -311,6 +313,6 @@ def encode_window(backend, w: WindowSpec,
     """Declare variables and assert every constraint family."""
     v = make_vars(backend, w)
     for family in families:
-        for formula in family(v, w):
-            backend.add(formula)
+        for clause in family(v, w):
+            backend.add(*clause)
     return v

@@ -50,11 +50,10 @@ class CompileTimeout(AtomcError):
 
 
 class BackendError(AtomcError):
-    """The MILP solver failed, or the constraints were malformed.
+    """The MILP solver failed, or the variables were malformed.
 
-    Raised for formulas the solver cannot compile, duplicate variables,
-    empty domains, a HiGHS failure status and a model read after a check
-    that was not sat.
+    Raised for duplicate variables, empty domains, a HiGHS failure status
+    and a model read after a check that was not sat.
     """
 
 
@@ -67,8 +66,13 @@ class ConsistencyError(AtomcError):
 
 
 class VerificationError(AtomcError):
-    """A compiled schedule failed the independent verifier (build-failing event)."""
+    """A compiled schedule failed the independent verifier (build-failing event).
 
-    def __init__(self, message: str, report=None):
+    The message names what failed (`what`) and the report's first five
+    violations; the full report stays on the exception.
+    """
+
+    def __init__(self, what: str, report):
         self.report = report
-        super().__init__(message)
+        super().__init__(f"{what}: " + "; ".join(
+            f"{v.rule}@{v.stage}: {v.detail}" for v in report.violations[:5]))

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .arrays import ArraySpec, Region, full_region, split_plane
+from .arrays import ArraySpec, full_region, split_plane
 from .circuits import Circuit
 from .compiler import SolverOptions, compile_circuit
 from .division import (DivisionOptions, Partition, initial_partition, refine,
@@ -65,20 +65,6 @@ class GlobalDirectives:
 
 def _local_ids(qubits: frozenset[int]) -> dict[int, int]:
     return {q: i for i, q in enumerate(sorted(qubits))}
-
-
-def build_local_constraints(p: Partition, side: int) -> frozenset[int]:
-    """Qubits (global ids) the side must park in static traps at the end.
-
-    Resolved qubits must not occupy lines the global phase may need, and
-    active qubits ending static gives the global phase a line-free start;
-    so the whole side parks.
-    """
-    if side == 1:
-        return frozenset(p.qr1 | p.qa1)
-    if side == 2:
-        return frozenset(p.qr2 | p.qa2)
-    raise ValueError(f"side must be 1 or 2, got {side}")
 
 
 def _last_held(schedule: Schedule, local: int) -> tuple[int, int] | None:
@@ -260,13 +246,13 @@ def pac_compile(c: Circuit, a: ArraySpec,
                 f"community {side} has {len(qs)} qubits, more than its "
                 f"region's {region.num_sites} sites")
     qc1, qc2, qc3 = split_circuit(c, partition)
-    map1, map2 = _local_ids(partition.q1), _local_ids(partition.q2)
-    park1 = frozenset(map1[q] for q in build_local_constraints(partition, 1))
-    park2 = frozenset(map2[q] for q in build_local_constraints(partition, 2))
 
     def run_local(side: int):
-        qc, region, park = ((qc1, region1, park1) if side == 1
-                            else (qc2, region2, park2))
+        qc, region = (qc1, region1) if side == 1 else (qc2, region2)
+        # every local qubit parks in a static trap at the end: resolved
+        # qubits must not occupy lines the global phase may need, and
+        # actives ending static give the global phase a line-free start
+        park = frozenset(range(qc.num_qubits))
         try:
             return compile_circuit(qc, region, final_stage_slm=park,
                                    opts=opts.solver)
@@ -296,15 +282,9 @@ def pac_compile(c: Circuit, a: ArraySpec,
     merged = merge(phases)
     report = verify(merged, c, a)
     if not report.ok:
-        raise VerificationError(
-            "merged schedule failed verification: "
-            + "; ".join(f"{v.rule}@{v.stage}: {v.detail}"
-                        for v in report.violations[:5]), report=report)
+        raise VerificationError("merged schedule failed verification", report)
     phase_report = verify_phases(phases, c, a)
     if not phase_report.ok:
-        raise VerificationError(
-            "phase hand-off failed verification: "
-            + "; ".join(f"{v.rule}@{v.stage}: {v.detail}"
-                        for v in phase_report.violations[:5]),
-            report=phase_report)
+        raise VerificationError("phase hand-off failed verification",
+                                phase_report)
     return merged, phases

@@ -1,13 +1,15 @@
-"""The constraint solver: formula trees compiled to one MILP.
+"""The constraint solver: clauses compiled to one MILP.
 
-Constraints are built as small formula trees over bounded integer and boolean
-variables.  MilpBackend compiles them in process to exact big-M
+Constraints are clauses over bounded integer and boolean variables: each
+asserts that at least one of its items holds, an item being a literal or a
+linear comparison.  MilpBackend compiles them in process to exact big-M
 integer-linear rows and answers each check (with an optional maximization
 objective) with scipy's HiGHS MILP engine.  The compiler calls reset()
 before encoding each window.
 
-All integer variables are finite-domain, negation of comparisons stays exact
-(integer arithmetic), and identical call sequences give identical models.
+All integer variables are finite-domain, so every comparison is exact
+(integer arithmetic: a strict bound is the non-strict one shifted by 1), and
+identical call sequences give identical models.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def total(xs: Iterable[Var]) -> LinExpr:
 
 
 # ---------------------------------------------------------------------------
-# formulas
+# clause items
 
 
 @dataclass(frozen=True)
@@ -92,30 +94,6 @@ class Cmp:
 class Lit:
     var: BoolVar
     neg: bool = False
-
-
-@dataclass(frozen=True)
-class And:
-    items: tuple
-
-
-@dataclass(frozen=True)
-class Or:
-    items: tuple
-
-
-@dataclass(frozen=True)
-class Not:
-    item: object
-
-
-@dataclass(frozen=True)
-class Implies:
-    if_: object
-    then: object
-
-
-Formula = Union[Cmp, Lit, And, Or, Not, Implies]
 
 
 def LE(a, b) -> Cmp:
@@ -140,24 +118,9 @@ def EQ(a, b) -> Cmp:
     return Cmp("==", LinExpr(e.terms), -e.const)
 
 
-def NE(a, b) -> Or:
-    return Or((LT(a, b), GT(a, b)))
-
-
-def AND(*items) -> And:
-    return And(tuple(items))
-
-
-def OR(*items) -> Or:
-    return Or(tuple(items))
-
-
-def NOT(f) -> Not:
-    return Not(f)
-
-
-def IMP(if_, then) -> Implies:
-    return Implies(if_, then)
+def NE(a, b) -> tuple[Cmp, Cmp]:
+    """a != b as two clause items, to splat into a clause."""
+    return LT(a, b), GT(a, b)
 
 
 def pos(v: BoolVar) -> Lit:
@@ -166,85 +129,6 @@ def pos(v: BoolVar) -> Lit:
 
 def neg(v: BoolVar) -> Lit:
     return Lit(v, True)
-
-
-# ---------------------------------------------------------------------------
-# normalization to clauses of leaves (Lit | Cmp); exact for integer atoms
-
-
-def _negate(f):
-    if isinstance(f, Lit):
-        return Lit(f.var, not f.neg)
-    if isinstance(f, Cmp):
-        if f.op == "<=":
-            e = lin(0) - f.expr
-            return Cmp("<=", LinExpr(e.terms), -f.k - 1)
-        return Or((Cmp("<=", f.expr, f.k - 1),
-                   _negate(Cmp("<=", f.expr, f.k))))
-    if isinstance(f, Not):
-        return f.item
-    if isinstance(f, And):
-        return Or(tuple(Not(i) for i in f.items))
-    if isinstance(f, Or):
-        return And(tuple(Not(i) for i in f.items))
-    if isinstance(f, Implies):
-        return And((f.if_, Not(f.then)))
-    if isinstance(f, BoolVar):
-        return Lit(f, True)
-    raise BackendError(f"cannot negate {f!r}")
-
-
-def _nnf(f):
-    if isinstance(f, BoolVar):
-        return Lit(f)
-    if isinstance(f, (Lit, Cmp)):
-        return f
-    if isinstance(f, Not):
-        return _nnf(_negate(_nnf(f.item)))
-    if isinstance(f, Implies):
-        return _nnf(Or((Not(f.if_), f.then)))
-    if isinstance(f, And):
-        return And(tuple(_nnf(i) for i in f.items))
-    if isinstance(f, Or):
-        return Or(tuple(_nnf(i) for i in f.items))
-    raise BackendError(f"unsupported formula node {f!r}")
-
-
-def _split_eq(f):
-    # equality is conjunctive; expand so clause distribution stays exact
-    if isinstance(f, Cmp) and f.op == "==":
-        e = lin(0) - f.expr
-        return And((Cmp("<=", f.expr, f.k),
-                    Cmp("<=", LinExpr(e.terms), -f.k)))
-    return f
-
-
-def to_clauses(f) -> list[list[Union[Lit, Cmp]]]:
-    """CNF over Lit/Cmp leaves.  Or-of-And distributes (kept shallow by
-    construction); top-level equalities become two rows."""
-    f = _nnf(f)
-
-    def expand(node) -> list[list]:
-        node = _split_eq(node)
-        if isinstance(node, (Lit, Cmp)):
-            return [[node]]
-        if isinstance(node, And):
-            out: list[list] = []
-            for i in node.items:
-                out.extend(expand(i))
-            return out
-        if isinstance(node, Or):
-            branches = [expand(i) for i in node.items]
-            clauses: list[list] = [[]]
-            for branch in branches:
-                if len(branch) == 1:
-                    clauses = [c + branch[0] for c in clauses]
-                else:
-                    clauses = [c + bc for c in clauses for bc in branch]
-            return clauses
-        raise BackendError(f"unsupported node {node!r}")
-
-    return expand(f)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +230,24 @@ class MilpBackend:
             self._lo[pidx] = 1
         return Lit(p)
 
-    def add(self, f: Formula) -> None:
-        for clause in to_clauses(f):
+    def add(self, *items: Lit | Cmp) -> None:
+        """Assert one clause: at least one item holds.
+
+        An EQ item is the conjunction of its two <= sides, so the clause
+        splits into one clause per side (per combination of sides when it
+        holds several EQ items).
+        """
+        clauses: list[list[Lit | Cmp]] = [[]]
+        for item in items:
+            if isinstance(item, Cmp) and item.op == "==":
+                flip = lin(0) - item.expr
+                sides = (Cmp("<=", item.expr, item.k),
+                         Cmp("<=", LinExpr(flip.terms), -item.k))
+                clauses = [c + [side] for c in clauses for side in sides]
+            else:
+                for c in clauses:
+                    c.append(item)
+        for clause in clauses:
             self._compile_clause(clause)
 
     def _fix_lit(self, l: Lit) -> None:
@@ -357,7 +257,7 @@ class MilpBackend:
         else:
             self._lo[idx] = max(self._lo[idx], 1)
 
-    def _compile_clause(self, clause: list[Union[Lit, Cmp]]) -> None:
+    def _compile_clause(self, clause: list[Lit | Cmp]) -> None:
         lits = [c for c in clause if isinstance(c, Lit)]
         cmps = [c for c in clause if isinstance(c, Cmp)]
         # comparisons decided by the variable domains leave the clause

@@ -62,7 +62,7 @@ def greedy_windows(c, region, count):
         spec = _window_spec(boundary, 1, list(range(c.num_qubits)),
                             dict(pending), region, frozenset())
         specs.append(spec)
-        res = solve_window(pending, 1, spec, backend=backend, stats=stats)
+        res = solve_window(spec, backend=backend, stats=stats)
         assert res is not None
         done.append(res)
         for g in res.fired:

@@ -1,0 +1,67 @@
+"""Every name a program module imports is read somewhere in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "atomc"
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line of the import that binds it."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.returns is not None:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names loaded anywhere, in quoted annotations, or listed in __all__."""
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for annotation in _annotations(tree):
+        for const in ast.walk(annotation):
+            if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                quoted = ast.parse(const.value, mode="eval")
+                read |= {n.id for n in ast.walk(quoted)
+                         if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return read
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = {name: line for name, line in imported_names(tree).items()
+              if name not in read_names(tree)}
+    assert not unused, f"{path.name}: imported and never read: {unused}"
+
+
+def test_guard_sees_quoted_annotations_and_all():
+    tree = ast.parse(
+        "from a import B, C, D, E\n"
+        "__all__ = ['C']\n"
+        "def f(x: 'B') -> 'list[D]': pass\n")
+    assert set(imported_names(tree)) - read_names(tree) == {"E"}

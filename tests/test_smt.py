@@ -3,33 +3,25 @@ import random
 
 import pytest
 
-from atomc.smt import (AND, EQ, GE, GT, IMP, LE, LT, NE, NOT, OR, IntVar, Lit,
-                       MilpBackend, lin, total)
+from atomc.smt import (EQ, GE, GT, LE, LT, NE, IntVar, Lit, MilpBackend, lin,
+                       total)
 
 
-def evaluate(f, env):
-    """Brute-force truth of a formula under an assignment (test oracle)."""
-    from atomc import smt
-    if isinstance(f, smt.Lit):
-        val = bool(env[f.var.name])
-        return (not val) if f.neg else val
-    if isinstance(f, smt.BoolVar):
-        return bool(env[f.name])
-    if isinstance(f, smt.Cmp):
-        s = f.expr.const + sum(k * env[v.name] for k, v in f.expr.terms)
-        return s <= f.k if f.op == "<=" else s == f.k
-    if isinstance(f, smt.And):
-        return all(evaluate(i, env) for i in f.items)
-    if isinstance(f, smt.Or):
-        return any(evaluate(i, env) for i in f.items)
-    if isinstance(f, smt.Not):
-        return not evaluate(f.item, env)
-    if isinstance(f, smt.Implies):
-        return (not evaluate(f.if_, env)) or evaluate(f.then, env)
-    raise TypeError(f)
+def _holds(item, env):
+    if isinstance(item, Lit):
+        val = bool(env[item.var.name])
+        return (not val) if item.neg else val
+    s = item.expr.const + sum(k * env[v.name] for k, v in item.expr.terms)
+    return s <= item.k if item.op == "<=" else s == item.k
 
 
-def brute_force_sat(variables, formulas):
+def evaluate(clause, env):
+    """Brute-force truth of one clause under an assignment (test oracle):
+    at least one item holds."""
+    return any(_holds(item, env) for item in clause)
+
+
+def brute_force_sat(variables, clauses):
     domains = []
     for v in variables:
         if isinstance(v, IntVar):
@@ -38,32 +30,25 @@ def brute_force_sat(variables, formulas):
             domains.append((0, 1))
     for values in itertools.product(*domains):
         env = {v.name: val for v, val in zip(variables, values)}
-        if all(evaluate(f, env) for f in formulas):
+        if all(evaluate(c, env) for c in clauses):
             return env
     return None
 
 
-def random_formula(rng, ints, bools, depth=2):
-    if depth == 0 or rng.random() < 0.4:
-        kind = rng.random()
-        if kind < 0.3 and bools:
-            b = rng.choice(bools)
-            return Lit(b, rng.random() < 0.5)
+def random_clause(rng, ints, bools):
+    """One to three draws, each a literal of either sign or a comparison of
+    a variable with a constant or with another variable (NE adds its two
+    items)."""
+    clause = []
+    for _ in range(rng.choice((1, 2, 2, 3))):
+        if rng.random() < 0.35:
+            clause.append(Lit(rng.choice(bools), rng.random() < 0.5))
+            continue
         op = rng.choice([LE, LT, EQ, NE, GE, GT])
         u, v = rng.sample(ints, 2)
-        if rng.random() < 0.3:
-            return op(u, rng.randrange(-1, 4))
-        return op(u, v)
-    parts = [random_formula(rng, ints, bools, depth - 1)
-             for _ in range(rng.randrange(2, 4))]
-    node = rng.random()
-    if node < 0.35:
-        return AND(*parts)
-    if node < 0.7:
-        return OR(*parts)
-    if node < 0.85:
-        return IMP(parts[0], parts[1])
-    return NOT(parts[0])
+        item = op(u, rng.randrange(-1, 5) if rng.random() < 0.7 else v)
+        clause.extend(item if op is NE else (item,))
+    return tuple(clause)
 
 
 @pytest.fixture(params=["milp"], scope="module")
@@ -93,8 +78,8 @@ def test_bool_logic(backend):
     b = fresh(backend)
     p = b.bool_var("p")
     q = b.bool_var("q")
-    b.add(OR(Lit(p), Lit(q)))
-    b.add(NOT(AND(Lit(p), Lit(q))))
+    b.add(Lit(p), Lit(q))
+    b.add(Lit(p, neg=True), Lit(q, neg=True))
     b.add(Lit(p, neg=True))
     assert b.check() == "sat"
     assert b.model() == {"p": 0, "q": 1}
@@ -104,7 +89,7 @@ def test_implication_with_comparison(backend):
     b = fresh(backend)
     p = b.bool_var("p")
     x = b.int_var("x", 0, 9)
-    b.add(IMP(Lit(p), EQ(x, 7)))
+    b.add(Lit(p, neg=True), EQ(x, 7))
     b.add(Lit(p))
     assert b.check() == "sat"
     assert b.model()["x"] == 7
@@ -131,12 +116,29 @@ def test_negative_values_roundtrip(backend):
     assert b.model()["x"] <= -3
 
 
+@pytest.mark.parametrize("negated", [False, True])
+def test_true_guard_frees_the_comparison(negated):
+    # a true guard admits the guarded expression up to its domain bound:
+    # x - y reaches 3 here
+    b = MilpBackend()
+    p = b.bool_var("p")
+    x = b.int_var("x", 0, 3)
+    y = b.int_var("y", 0, 3)
+    guard = Lit(p, neg=negated)
+    b.add(guard, LE(x, y))
+    b.add(guard)
+    b.add(GE(x, 3))
+    b.add(LE(y, 0))
+    assert b.check() == "sat"
+    assert b.model() == {"p": int(not negated), "x": 3, "y": 0}
+
+
 def test_maximize_on_milp():
     b = MilpBackend()
     fs = [b.bool_var(f"f{i}") for i in range(4)]
     x = b.int_var("x", 0, 10)
-    b.add(IMP(Lit(fs[0]), GE(x, 9)))
-    b.add(IMP(Lit(fs[1]), LE(x, 2)))  # f0 and f1 conflict
+    b.add(Lit(fs[0], neg=True), GE(x, 9))
+    b.add(Lit(fs[1], neg=True), LE(x, 2))  # f0 and f1 conflict
     assert b.check(maximize=total(fs)) == "sat"
     m = b.model()
     assert sum(m[f"f{i}"] for i in range(4)) == 3
@@ -149,18 +151,18 @@ def test_differential_against_bruteforce():
         milp.reset()
         ints = [milp.int_var(f"x{i}", 0, 3) for i in range(3)]
         bools = [milp.bool_var(f"b{i}") for i in range(2)]
-        formulas = [random_formula(rng, ints, bools) for _ in range(3)]
-        for f in formulas:
-            milp.add(f)
+        clauses = [random_clause(rng, ints, bools) for _ in range(6)]
+        for clause in clauses:
+            milp.add(*clause)
         got = milp.check()
-        expected = brute_force_sat(ints + bools, formulas)
+        expected = brute_force_sat(ints + bools, clauses)
         assert got == ("sat" if expected is not None else "unsat"), \
-            f"trial {trial}: formulas {formulas}"
+            f"trial {trial}: clauses {clauses}"
         if expected is not None:
-            # the model the backend returns must satisfy the formulas
+            # the model the backend returns must satisfy the clauses
             m = milp.model()
             env = {v.name: m[v.name] for v in ints + bools}
-            assert all(evaluate(f, env) for f in formulas)
+            assert all(evaluate(c, env) for c in clauses)
 
 
 def test_linexpr_bounds():
