@@ -9,6 +9,13 @@ refinement repeatedly exchanges one qubit per side to minimize
 
 committing only strictly improving swaps, so the loss sequence is strictly
 decreasing and the refinement terminates.
+
+The refinement keeps per-qubit cross-gate counts, so pricing a trial swap
+(u, v) reads only the gates at u and v: O(deg u + deg v), not the O(|gates| +
+|qubits|) of re-classifying the whole split.  Each step then costs
+O(|Qs1| * |Qs2| * degree + |qubits|).  The counts are exact integers and the
+loss is the same float expression over them, so every step, tie and result
+is identical to exhaustive re-classification of every trial.
 """
 
 from __future__ import annotations
@@ -90,31 +97,90 @@ def initial_partition(c: Circuit, seed: int) -> Partition:
 
 def loss(p: Partition, k: float) -> float:
     """L = k * (|qa1| + |qa2|) + (1 - k) * |e3|."""
-    return k * (len(p.qa1) + len(p.qa2)) + (1.0 - k) * len(p.e3)
+    return _loss(len(p.qa1) + len(p.qa2), len(p.e3), k)
 
 
-def _incidence(c: Circuit, q: int, gate_ids: frozenset[int]) -> int:
-    return sum(1 for i in gate_ids if q in c.gates[i])
+def _loss(active: int, cross_gates: int, k: float) -> float:
+    return k * active + (1.0 - k) * cross_gates
+
+
+class _Counts:
+    """Per-qubit bookkeeping of a balanced split, for pricing swaps locally.
+
+    adj[q] lists q's gate partners (a duplicate gate repeats its partner),
+    side[q] is True for q1, cross[q] counts q's cross gates; e3 and active
+    are |e3| and |qa1| + |qa2|.  A qubit's internal incidence is
+    len(adj[q]) - cross[q].
+    """
+
+    def __init__(self, c: Circuit, q1: frozenset[int]):
+        self.adj: list[list[int]] = [[] for _ in range(c.num_qubits)]
+        for u, v in c.gates:
+            self.adj[u].append(v)
+            self.adj[v].append(u)
+        self.side = [q in q1 for q in range(c.num_qubits)]
+        self.cross = [sum(self.side[w] != self.side[q] for w in partners)
+                      for q, partners in enumerate(self.adj)]
+        self.e3 = sum(self.cross) // 2
+        self.active = sum(1 for n in self.cross if n)
+
+    def q1(self) -> frozenset[int]:
+        return frozenset(q for q, in_q1 in enumerate(self.side) if in_q1)
+
+    def candidates(self) -> tuple[frozenset[int], frozenset[int]]:
+        """The swap-candidate rule; see swap_candidates."""
+        active: dict[bool, list[int]] = {True: [], False: []}
+        chosen: dict[bool, list[int]] = {True: [], False: []}
+        for q, n in enumerate(self.cross):
+            if n:
+                active[self.side[q]].append(q)
+                if n >= len(self.adj[q]) - n:
+                    chosen[self.side[q]].append(q)
+        qs1, qs2 = frozenset(chosen[True]), frozenset(chosen[False])
+        if qs1 and not qs2 and active[False]:
+            qs2 = frozenset(active[False])
+        elif qs2 and not qs1 and active[True]:
+            qs1 = frozenset(active[True])
+        return qs1, qs2
+
+    def trade(self, u: int, v: int) -> tuple[dict[int, int], int, int]:
+        """If u and v trade sides: the change to each qubit's cross count
+        that changes, and the new (active, e3).
+
+        Only gates at u or v change class, and the u-v gates stay cross, so
+        this reads adj[u] and adj[v] alone.
+        """
+        side, cross, moved = self.side, self.cross, {}
+        for a, b in ((u, v), (v, u)):
+            after = 0
+            for w in self.adj[a]:
+                if w == b:
+                    after += 1
+                elif side[w] == side[a]:
+                    after += 1
+                    moved[w] = moved.get(w, 0) + 1
+                else:
+                    moved[w] = moved.get(w, 0) - 1
+            moved[a] = after - cross[a]
+        da = sum((cross[q] + d > 0) - (cross[q] > 0) for q, d in moved.items())
+        return moved, self.active + da, self.e3 + moved[u] + moved[v]
+
+    def swap(self, u: int, v: int) -> None:
+        moved, self.active, self.e3 = self.trade(u, v)
+        for q, d in moved.items():
+            self.cross[q] += d
+        self.side[u], self.side[v] = self.side[v], self.side[u]
 
 
 def swap_candidates(c: Circuit, p: Partition) -> tuple[frozenset[int], frozenset[int]]:
     """Active qubits whose cross incidence is not below their internal one.
 
-    If exactly one side's candidate set comes out empty, that side falls back
+    Incidences count gates, so a duplicate gate counts once per copy.  If
+    exactly one side's candidate set comes out empty, that side falls back
     to its full active set so the other side's surplus can still be traded;
     if both are empty the refinement is done.
     """
-    qs1 = frozenset(
-        q for q in p.qa1
-        if _incidence(c, q, p.e3) >= _incidence(c, q, p.e1))
-    qs2 = frozenset(
-        q for q in p.qa2
-        if _incidence(c, q, p.e3) >= _incidence(c, q, p.e2))
-    if qs1 and not qs2 and p.qa2:
-        qs2 = p.qa2
-    elif qs2 and not qs1 and p.qa1:
-        qs1 = p.qa1
-    return qs1, qs2
+    return _Counts(c, p.q1).candidates()
 
 
 @dataclass(frozen=True)
@@ -132,24 +198,26 @@ def refine_trace(c: Circuit, p: Partition,
     """refine() plus a step-by-step trace (used by the oracle tests)."""
     budget = opts.swap_budget(c)
     steps: list[RefineStep] = []
-    current = loss(p, opts.k)
+    counts = _Counts(c, p.q1)
+    current = _loss(counts.active, counts.e3, opts.k)
     while len(steps) < budget:
-        qs1, qs2 = swap_candidates(c, p)
+        qs1, qs2 = counts.candidates()
         if not qs1 and not qs2:
             break
-        best: tuple[float, int, int] | None = None
+        best: tuple[int, int] | None = None
+        best_loss = current
         for u in sorted(qs1):
             for v in sorted(qs2):
-                q1_new = (p.q1 - {u}) | {v}
-                trial = loss(classify(c, q1_new), opts.k)
-                if trial < current and (best is None or (trial, u, v) < best):
-                    best = (trial, u, v)
+                _, active, e3 = counts.trade(u, v)
+                trial = _loss(active, e3, opts.k)
+                if trial < best_loss:
+                    best, best_loss = (u, v), trial
         if best is None:
             break
-        current, u, v = best
-        p = classify(c, (p.q1 - {u}) | {v})
-        steps.append(RefineStep(qs1, qs2, (u, v), current))
-    return p, steps
+        counts.swap(*best)
+        current = best_loss
+        steps.append(RefineStep(qs1, qs2, best, current))
+    return classify(c, counts.q1()), steps
 
 
 def refine(c: Circuit, p: Partition, opts: DivisionOptions) -> Partition:
@@ -158,6 +226,10 @@ def refine(c: Circuit, p: Partition, opts: DivisionOptions) -> Partition:
     Termination: (a) both candidate sets empty, (b) no pair strictly lowers
     the loss, or (c) the swap budget is spent.  Ties on equal loss break to
     the lexicographically smallest (u, v), so the result is deterministic.
+
+    Each trial swap (u, v) is priced from per-qubit cross counts in
+    O(deg u + deg v); the result is identical to re-classifying the whole
+    split for every trial, and the returned Partition is built by classify.
     """
     refined, _ = refine_trace(c, p, opts)
     return refined

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomc.circuits import Circuit, generate_rand3reg
-from atomc.division import (DivisionOptions, classify, initial_partition, loss,
-                            refine, refine_trace, split_circuit,
-                            swap_candidates)
+from atomc.division import (DivisionOptions, RefineStep, classify,
+                            initial_partition, loss, refine, refine_trace,
+                            split_circuit, swap_candidates)
 
 K4 = Circuit(4, tuple(itertools.combinations(range(4), 2)), name="k4")
 SIX_CYCLE = Circuit(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)),
@@ -191,6 +191,138 @@ def test_refine_preserves_balance_and_classification():
         assert (p.e1, p.e2, p.e3) == (frozenset(e1), frozenset(e2), frozenset(e3))
         assert (p.qa1, p.qa2) == (frozenset(qa1), frozenset(qa2))
         assert p.qr1 == p.q1 - p.qa1 and p.qr2 == p.q2 - p.qa2
+
+
+def test_swap_candidates_count_duplicate_gates():
+    # qubit 0: two cross copies of (0, 2) against one internal gate
+    c = Circuit(4, ((0, 2), (0, 2), (0, 1)))
+    qs1, qs2 = swap_candidates(c, classify(c, frozenset({0, 1})))
+    assert qs1 == frozenset({0}) and qs2 == frozenset({2})
+    # qubit 0: one cross gate against two internal copies of (0, 1), so it
+    # is out; per distinct partner it would tie at 1 and be in
+    c = Circuit(4, ((0, 1), (0, 1), (0, 2), (1, 2), (1, 3)))
+    qs1, qs2 = swap_candidates(c, classify(c, frozenset({0, 1})))
+    assert qs1 == frozenset({1}) and qs2 == frozenset({2, 3})
+
+
+def _incidence(c, q, gate_ids):
+    return sum(1 for i in gate_ids if q in c.gates[i])
+
+
+def reference_swap_candidates(c, p):
+    """The candidate rule, counted from the gate sets."""
+    qs1 = frozenset(
+        q for q in p.qa1
+        if _incidence(c, q, p.e3) >= _incidence(c, q, p.e1))
+    qs2 = frozenset(
+        q for q in p.qa2
+        if _incidence(c, q, p.e3) >= _incidence(c, q, p.e2))
+    if qs1 and not qs2 and p.qa2:
+        qs2 = p.qa2
+    elif qs2 and not qs1 and p.qa1:
+        qs1 = p.qa1
+    return qs1, qs2
+
+
+def reference_loss(p, k):
+    return k * (len(p.qa1) + len(p.qa2)) + (1.0 - k) * len(p.e3)
+
+
+def reference_refine_trace(c, p, opts):
+    """refine_trace by exhaustive re-classification of every trial swap."""
+    budget = opts.swap_budget(c)
+    steps = []
+    current = reference_loss(p, opts.k)
+    while len(steps) < budget:
+        qs1, qs2 = reference_swap_candidates(c, p)
+        if not qs1 and not qs2:
+            break
+        best = None
+        for u in sorted(qs1):
+            for v in sorted(qs2):
+                q1_new = (p.q1 - {u}) | {v}
+                trial = reference_loss(classify(c, q1_new), opts.k)
+                if trial < current and (best is None or (trial, u, v) < best):
+                    best = (trial, u, v)
+        if best is None:
+            break
+        current, u, v = best
+        p = classify(c, (p.q1 - {u}) | {v})
+        steps.append(RefineStep(qs1, qs2, (u, v), current))
+    return p, steps
+
+
+def random_multigraph(rng):
+    """Odd and even qubit counts; gates drawn with replacement, so repeats."""
+    n = rng.randrange(2, 14)
+    gates = []
+    for _ in range(rng.randrange(1, 3 * n)):
+        u, v = rng.sample(range(n), 2)
+        gates.append((u, v))
+        if rng.random() < 0.2:
+            gates.append((v, u) if rng.random() < 0.5 else (u, v))
+    return Circuit(n, tuple(gates))
+
+
+def test_refine_trace_matches_exhaustive_reclassification():
+    rng = random.Random(7)
+    committed = 0
+    for trial in range(200):
+        c = random_multigraph(rng)
+        p0 = initial_partition(c, seed=trial)
+        assert swap_candidates(c, p0) == reference_swap_candidates(c, p0)
+        for k, max_iter in itertools.product((0.0, 0.25, 0.5, 1.0),
+                                             (None, 0, 1, 3)):
+            opts = DivisionOptions(k=k, max_iter=max_iter)
+            got = refine_trace(c, p0, opts)
+            assert got == reference_refine_trace(c, p0, opts)
+            committed += len(got[1])
+    assert committed > 500
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", range(40, 121, 20))
+def test_refine_trace_matches_exhaustive_reclassification_rand3reg(n):
+    for seed in (1, 2, 3):
+        c = generate_rand3reg(n, seed)
+        p0 = initial_partition(c, seed)
+        opts = DivisionOptions()
+        assert refine_trace(c, p0, opts) == reference_refine_trace(c, p0, opts)
+
+
+# refine(rand3reg(n, 1)) from initial_partition(c, 0), default options, as
+# computed by exhaustive re-classification: (n, loss, swaps, q1)
+PINNED = (
+    (160, 52.5, 24, frozenset((
+        2, 7, 8, 10, 14, 15, 18, 19, 23, 24, 26, 27, 28, 37, 38, 39, 43,
+        46, 52, 54, 57, 59, 61, 62, 63, 64, 65, 68, 70, 71, 72, 74, 75,
+        79, 80, 84, 85, 86, 87, 88, 92, 96, 97, 98, 100, 101, 103, 105,
+        107, 111, 113, 116, 117, 118, 120, 122, 123, 124, 125, 129, 130,
+        131, 132, 133, 134, 135, 136, 138, 139, 140, 143, 144, 145, 146,
+        149, 151, 154, 156, 157, 158))),
+    (300, 88.5, 50, frozenset((
+        3, 5, 9, 11, 12, 13, 14, 15, 18, 20, 23, 24, 27, 28, 32, 33, 34,
+        35, 36, 37, 38, 39, 46, 47, 48, 51, 52, 56, 57, 60, 61, 64, 70,
+        73, 75, 77, 78, 80, 85, 89, 91, 94, 95, 96, 100, 102, 105, 107,
+        113, 114, 115, 124, 125, 129, 130, 132, 133, 134, 135, 139, 140,
+        143, 144, 145, 146, 148, 150, 152, 153, 154, 158, 160, 161, 164,
+        165, 166, 167, 168, 173, 177, 178, 179, 180, 181, 182, 183, 187,
+        188, 189, 190, 192, 193, 194, 196, 199, 201, 203, 204, 205, 207,
+        208, 210, 213, 214, 221, 222, 224, 227, 228, 229, 231, 233, 234,
+        235, 236, 238, 239, 241, 245, 246, 248, 249, 252, 253, 254, 255,
+        258, 260, 261, 262, 264, 265, 266, 269, 272, 273, 274, 278, 281,
+        282, 283, 284, 287, 289, 291, 292, 294, 295, 297, 298))),
+)
+
+
+@pytest.mark.parametrize("n, expected_loss, swaps, q1", PINNED,
+                         ids=[f"rand3reg_{pin[0]}_1" for pin in PINNED])
+def test_refine_pinned_at_scale(n, expected_loss, swaps, q1):
+    c = generate_rand3reg(n, 1)
+    p, steps = refine_trace(c, initial_partition(c, 0), DivisionOptions())
+    assert loss(p, 0.5) == expected_loss
+    assert len(steps) == swaps
+    assert p == classify(c, q1)
 
 
 @given(st.integers(0, 500))

@@ -1,4 +1,6 @@
-"""Every name a program module imports is read somewhere in that module."""
+"""Every name a program module imports is read somewhere in that module, and
+every module-level private function or class is read somewhere in the
+package."""
 
 import ast
 from pathlib import Path
@@ -65,3 +67,37 @@ def test_guard_sees_quoted_annotations_and_all():
         "__all__ = ['C']\n"
         "def f(x: 'B') -> 'list[D]': pass\n")
     assert set(imported_names(tree)) - read_names(tree) == {"E"}
+
+
+def unread_private_definitions(trees: dict[str, ast.Module]) -> set[str]:
+    """module:name for each module-level private def or class that no tree
+    reads, as a name or as an attribute."""
+    read = set()
+    for tree in trees.values():
+        read |= read_names(tree)
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return {f"{module}:{node.name}"
+            for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")
+            and node.name not in read}
+
+
+def test_no_unread_private_definitions():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    unread = unread_private_definitions(trees)
+    assert not unread, f"defined and never read: {sorted(unread)}"
+
+
+def test_private_guard_sees_names_and_attributes():
+    trees = {
+        "a.py": ast.parse("def _used(): pass\n"
+                          "def _unused(): pass\n"
+                          "class _Reached: pass\n"
+                          "def __getattr__(name): pass\n"),
+        "b.py": ast.parse("from . import a\n"
+                          "a._used(a._Reached)\n"),
+    }
+    assert unread_private_definitions(trees) == {"a.py:_unused"}
