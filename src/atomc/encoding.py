@@ -16,7 +16,7 @@ is an independent generator of clauses, so it can be switched off and tested
 in isolation.  A clause is a tuple of literals and comparisons of which at
 least one holds; an implication p => q is written as the clause (not p, q).
 
-One family, static_lines, removes symmetry instead of encoding a rule.  The
+Two families add no rule of their own.  static_lines removes symmetry.  The
 line indices c/r of a statically trapped qubit mean nothing: line_order, C5
 and prev_traps read them only under a[q,t], trap_transfer only under
 a[q,t-1], and extraction drops them.  So a qubit static at t-1 and t (or
@@ -25,12 +25,22 @@ and the solver no longer searches relabelings that change nothing.  The
 one exception is the stage-0 col_order/row_order directives, which bind
 their qubits' indices unconditionally; those qubits keep free stage-0
 indices.
+
+matching_bound is a valid cut: it removes no integer solution, only
+fractional ones.  C8 already makes each stage's fired set a matching of the
+pending-gate graph, so at most nu gates fire per stage, nu being that graph's
+maximum matching size.  The LP relaxation does not see this (it can fire
+half of every gate of a triangle), so the row tightens the bound HiGHS must
+close when it maximizes the fired count.  It is emitted only when nu is
+below the pending-gate count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import networkx as nx
 
 from .arrays import Region
 from .smt import (EQ, GE, GT, LE, LT, NE, BoolVar, Cmp, IntVar, LinExpr, Lit,
@@ -247,6 +257,19 @@ def c8_coverage(v: Vars, w: WindowSpec) -> Iterator[Clause]:
                 yield (LE(total([v.f[g, s] for g in incident]), 1),)
 
 
+def matching_bound(v: Vars, w: WindowSpec) -> Iterator[Clause]:
+    """At most nu gates fire per stage, nu being the size of a maximum
+    matching of the pending-gate graph (a valid cut; see the module
+    docstring).  No row when every gate could fire at once."""
+    graph = nx.Graph()
+    graph.add_edges_from(w.gates.values())
+    nu = len(nx.max_weight_matching(graph))
+    if nu >= len(w.gates):
+        return
+    for s in w.fire_stages:
+        yield (LE(total([v.f[g, s] for g in sorted(w.gates)]), nu),)
+
+
 def _site_id(v: Vars, w: WindowSpec, q: int, t: int) -> LinExpr:
     width = w.region.y_range.stop
     return LinExpr(((width, v.x[q, t]), (1, v.y[q, t])))
@@ -292,7 +315,10 @@ def boundary_rows(v: Vars, w: WindowSpec) -> Iterator[Clause]:
 
 # Family order does not fold pinned stages: single-variable pins tighten the
 # backend's bounds, but big-M sizing and clause pruning use the declared
-# domains (LinExpr.bounds).  HiGHS presolve does that folding.
+# domains (LinExpr.bounds).  HiGHS presolve does that folding.  Family order
+# is row order, and HiGHS's search is sensitive to it: with matching_bound
+# first instead of beside c8, the direct rand3reg(6, 1..13) and (8, 1..2)
+# sweep took twice as long.
 ALL_FAMILIES = (
     boundary_rows,
     final_slm_rows,
@@ -303,6 +329,7 @@ ALL_FAMILIES = (
     c5_occupancy,
     c6_gate_cosite,
     c7_isolation,
+    matching_bound,
     c8_coverage,
     avoid_rows,
 )

@@ -7,9 +7,11 @@ local qubit parking in a static trap at the local final stage.  The cross
 gates then compile on the full array, inheriting the local outcome: parked
 sites are avoided, every active qubit starts at its local final position,
 and stage-0 line indices respect the order of the lines each active qubit
-last held.  Merging zips the two local stage lists firing-round by
-firing-round (padding with stages that fire nothing) and appends the global
-stages, so the merged depth is exactly max(d1, d2) + d3.
+last held.  Merging zips the two local stage lists slot by slot, holding
+only stages that fire nothing, with as few firing slots as such an alignment
+allows, and appends the global stages.  The merged depth is max(d1, d2) + d3
+whenever the local sides' firing stages can pair up round by round (see
+`_zip_local`).
 """
 
 from __future__ import annotations
@@ -129,61 +131,49 @@ def _remap_schedule(schedule: Schedule, qubit_ids: Sequence[int],
     return out
 
 
-def _blocks(stages: Sequence[Stage]) -> tuple[list[list[Stage]], list[Stage]]:
-    """Split into firing rounds (each ends with its firing stage) and the
-    movement-only tail."""
-    rounds: list[list[Stage]] = []
-    cur: list[Stage] = []
-    for st in stages:
-        cur.append(st)
-        if st.fired:
-            rounds.append(cur)
-            cur = []
-    return rounds, cur
-
-
-def _timeline(stages: list[Stage], lengths: Sequence[int]) -> list[Stage]:
-    """One side's stages, slot by slot, with round k stretched to lengths[k].
-
-    A side never repeats a firing stage, since its co-sited pairs would sit
-    unfired while the other side fires.  A round pads in front by repeating
-    its first stage, which fires nothing when the round has more than one
-    stage.  In the rounds a side sits out it runs its movement-only tail
-    (the separating and parking stages) and then repeats its final stage,
-    where every qubit is parked apart.  The one case with no legal pad is a
-    one-stage round that waits for a longer round on the other side: its pad
-    holds a firing stage's positions without firing, and the merged
-    verification rejects the schedule.
-    """
-    rounds, tail = _blocks(stages)
-    out: list[Stage] = []
-    for k, n in enumerate(lengths):
-        if k < len(rounds):
-            blk = rounds[k]
-            pad = out[-1] if len(blk) == 1 and out else blk[0]
-            out.extend([Stage(pad.states)] * (n - len(blk)) + blk)
-        else:
-            run, tail = tail[:n], tail[n:]
-            out.extend(run + [Stage(stages[-1].states)] * (n - len(run)))
-    return out + tail
-
-
 def _zip_local(s1: list[Stage], s2: list[Stage]) -> list[Stage]:
-    """Zip two region-disjoint stage lists, aligning firing rounds.
+    """Zip two region-disjoint stage lists slot by slot.
 
-    The k-th firing stages coincide, so the joint depth is max(d1, d2); see
-    `_timeline` for how each side fills the slots it does not fire in.  The
-    shorter timeline ends by repeating its final stage.
+    Each slot shows one stage of each side; both sides start at their first
+    stage, end at their last, and at each slot at least one side moves on to
+    its next stage.  A side may hold a stage for extra slots only if that
+    stage fires nothing: a repeated firing stage would leave its co-sited
+    pairs unfired while the other side fires.  Among these alignments a
+    dynamic program over the two lists picks the one with the fewest firing
+    slots, then the fewest slots.  The merged local depth is therefore
+    max(d1, d2) whenever the two sides' k-th firing stages can share a slot
+    for every k: a side that reaches its k-th firing stage first waits on
+    the stage before it, which works unless that stage fires too or there
+    is none.  Otherwise it is the least depth any legal alignment has.
     """
-    rounds1, rounds2 = _blocks(s1)[0], _blocks(s2)[0]
-    lengths = [max(len(r[k]) if k < len(r) else 0 for r in (rounds1, rounds2))
-               for k in range(max(len(rounds1), len(rounds2)))]
-    t1, t2 = _timeline(s1, lengths), _timeline(s2, lengths)
-    n = max(len(t1), len(t2))
-    t1 += [Stage(s1[-1].states)] * (n - len(t1))
-    t2 += [Stage(s2[-1].states)] * (n - len(t2))
-    return [Stage({**a.states, **b.states}, a.fired + b.fired)
-            for a, b in zip(t1, t2)]
+    best: dict[tuple[int, int], tuple[int, int]] = {}  # firing slots, slots
+    back: dict[tuple[int, int], tuple[int, int] | None] = {}
+    for i, st1 in enumerate(s1):
+        for j, st2 in enumerate(s2):
+            if i == j == 0:
+                base, prev = (0, 0), None
+            else:
+                moves = [(i - 1, j - 1)]
+                if not st2.fired:
+                    moves.append((i - 1, j))  # side 2 holds stage j
+                if not st1.fired:
+                    moves.append((i, j - 1))  # side 1 holds stage i
+                reached = [(best[m], m) for m in moves if m in best]
+                if not reached:
+                    continue
+                base, prev = min(reached)
+            best[i, j] = (base[0] + bool(st1.fired or st2.fired), base[1] + 1)
+            back[i, j] = prev
+    cell = (len(s1) - 1, len(s2) - 1)
+    if cell not in best:
+        raise MergeError("no alignment of the local phases holds only "
+                         "stages that fire nothing")
+    slots = []
+    while cell is not None:
+        slots.append(cell)
+        cell = back[cell]
+    return [Stage({**s1[i].states, **s2[j].states}, s1[i].fired + s2[j].fired)
+            for i, j in reversed(slots)]
 
 
 def merge(pr: PhaseResults) -> Schedule:
@@ -196,8 +186,6 @@ def merge(pr: PhaseResults) -> Schedule:
     s3 = _remap_schedule(pr.r3.schedule, side3, sorted(p.e3))
 
     joint = _zip_local(s1, s2)
-    if not joint:
-        return Schedule(list(s3))
     junction = joint[-1].states
     parked = {}
     for q in sorted(p.qr1 | p.qr2):

@@ -7,6 +7,12 @@ integer-linear rows and answers each check (with an optional maximization
 objective) with scipy's HiGHS MILP engine.  The compiler calls reset()
 before encoding each window.
 
+A comparison inside a multi-item clause is reified: a binary equivalent to
+it, tied by two big-M rows.  Reified comparisons are shared: a repeat gets
+the same binary, and a comparison whose complement is already reified (x <=
+y against x > y, say) gets that binary negated, so a pair and its complement
+cost one binary and two rows.
+
 All integer variables are finite-domain, so every comparison is exact
 (integer arithmetic: a strict bound is the non-strict one shifted by 1), and
 identical call sequences give identical models.
@@ -200,12 +206,24 @@ class MilpBackend:
         return True
 
     def _reified(self, cmp: Cmp) -> Lit:
-        """Fresh p with p <-> (terms <= rhs), two-sided big-M; hash-consed."""
+        """A literal equivalent to (terms <= rhs), hash-consed.
+
+        A miss whose complement (terms >= rhs + 1, keyed as -terms <=
+        -rhs - 1) is already reified returns that binary negated: its two
+        big-M rows tie it to its comparison both ways, so not p is exactly
+        this one.  Otherwise a fresh p gets p <-> (terms <= rhs) as two
+        big-M rows.
+        """
         rhs = cmp.k - cmp.expr.const
-        key = (tuple(sorted((k, v.name) for k, v in cmp.expr.terms)), rhs)
+        terms = sorted((k, v.name) for k, v in cmp.expr.terms)
+        key = (tuple(terms), rhs)
         hit = self._reify.get(key)
         if hit is not None:
             return Lit(hit)
+        hit = self._reify.get(
+            (tuple(sorted((-k, name) for k, name in terms)), -rhs - 1))
+        if hit is not None:
+            return Lit(hit, neg=True)
         p = self.bool_var(f"__r{len(self._reify)}")
         self._reify[key] = p
         e = LinExpr(cmp.expr.terms)

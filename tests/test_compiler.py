@@ -6,7 +6,8 @@ from atomc.arrays import ArraySpec, full_region
 from atomc.circuits import Circuit, generate_rand3reg
 from atomc.compiler import SolverOptions, compile_circuit
 from atomc.errors import InfeasibleError
-from atomc.orchestrator import pac_compile
+from atomc.orchestrator import _zip_local, pac_compile
+from atomc.schedule import SLM, QubitState, Stage
 from atomc.smt import MilpBackend
 from atomc.verifier import verify, verify_phases
 
@@ -133,9 +134,54 @@ def test_pac_merge_pads_a_side_that_ran_out_of_rounds():
 
 @pytest.mark.slow
 @pytest.mark.parametrize("q,seed", [(12, 1), (12, 3), (12, 4), (12, 5),
-                                    (12, 6), (16, 1)])
+                                    (12, 6), (16, 1), (20, 1), (20, 2)])
 def test_pac_seed_sweep_verifies(q, seed):
     _pac_verifies(generate_rand3reg(q, seed), 8)
+
+
+def _side(qubit, fired):
+    """Hand-built stages of one side: stage t puts `qubit` at (t, qubit) and
+    fires fired[t] (a tuple of gate ids)."""
+    return [Stage({qubit: QubitState(x=t, y=qubit, a=SLM)}, gates)
+            for t, gates in enumerate(fired)]
+
+
+def _shown(merged, side, qubit):
+    """The index of the side's stage each merged slot shows."""
+    return [next(t for t, st in enumerate(side)
+                 if st.states[qubit] == slot.states[qubit])
+            for slot in merged]
+
+
+@pytest.mark.parametrize("fired1,fired2,depth", [
+    # round 2 is one stage on side 1 and two on side 2: side 1 cannot wait
+    # on its round-1 firing stage, so the rounds cannot share slots
+    (((), (0,), (1,), ()), ((), (2,), (), (3,), ()), 3),
+    # one side fires at its first two stages, so it can never wait
+    (((), (0,), (1,), ()), ((2,), (3,), ()), 3),
+    (((2,), (3,), ()), ((), (0,), (1,), ()), 3),
+    # round 2 is two stages on side 1: it waits on its first stage
+    (((), (0,), (), (1,), ()), ((), (2,), (), (), (3,), ()), 2),
+    # side 2 fires one round fewer and waits on its final stage
+    (((), (0,), (), (1,), ()), ((), (2,), ()), 2),
+], ids=["one-stage-round-waits", "no-wait-2", "no-wait-1", "rounds-align",
+        "side-runs-out"])
+def test_zip_local_holds_only_stages_that_fire_nothing(fired1, fired2,
+                                                       depth):
+    s1, s2 = _side(0, fired1), _side(1, fired2)
+    merged = _zip_local(s1, s2)
+    assert sum(1 for st in merged if st.fired) == depth
+    assert sorted(g for st in merged for g in st.fired) == sorted(
+        g for gates in fired1 + fired2 for g in gates)
+    for side, qubit in ((s1, 0), (s2, 1)):
+        shown = _shown(merged, side, qubit)
+        assert shown[0] == 0 and shown[-1] == len(side) - 1
+        assert all(b - a in (0, 1) for a, b in zip(shown, shown[1:]))
+        for slot, t in zip(merged, shown):
+            # a slot that shows a firing stage fires its gates, once
+            assert set(side[t].fired) <= set(slot.fired)
+            if side[t].fired:
+                assert shown.count(t) == 1
 
 
 def _compiles_and_verifies(c, n):

@@ -1,13 +1,16 @@
+import dataclasses
 import itertools
 
 import pytest
 
+from atomc import compiler
 from atomc.arrays import ArraySpec, full_region, split_plane
 from atomc.circuits import Circuit, generate_rand3reg
 from atomc.compiler import (_internal_boundary, _Stats, _window_spec,
-                            extract_schedule, solve_window)
+                            compile_circuit, extract_schedule, solve_window)
 from atomc.encoding import (ALL_FAMILIES, Boundary, WindowSpec, encode_window,
-                            line_order, make_vars, static_lines)
+                            line_order, make_vars, matching_bound,
+                            static_lines)
 from atomc.schedule import AOD, SLM, QubitState, Schedule, Stage
 from atomc.smt import MilpBackend
 from atomc.verifier import verify
@@ -15,6 +18,7 @@ from test_smt import evaluate
 
 K4 = Circuit(4, tuple(itertools.combinations(range(4), 2)), name="k4")
 NO_PIN = tuple(f for f in ALL_FAMILIES if f is not static_lines)
+NO_MATCHING = tuple(f for f in ALL_FAMILIES if f is not matching_bound)
 
 
 def window(c, region, horizon=1, boundary=Boundary(), **kw):
@@ -148,3 +152,44 @@ def test_line_order_admits_exactly_what_c3_and_c4_admit():
         admitted += holds
         cases += 1
     assert cases == 4 * 2 ** 12 and 0 < admitted < cases
+
+
+@pytest.mark.parametrize("gates,bound", [
+    ({0: (0, 1), 1: (1, 2), 2: (0, 2), 3: (3, 4), 4: (4, 5), 5: (3, 5)}, 2),
+    ({0: (0, 1), 1: (2, 3), 2: (4, 5)}, None),
+], ids=["two-triangles", "perfect-matching"])
+def test_matching_bound_rows(gates, bound):
+    spec = WindowSpec(qubits=list(range(6)), gates=gates, stages=3,
+                      fire_from=1, region=full_region(ArraySpec(3)),
+                      boundary=Boundary())
+    v = make_vars(MilpBackend(), spec)
+    rows = list(matching_bound(v, spec))
+    if bound is None:
+        assert rows == []
+        return
+    assert len(rows) == len(spec.fire_stages)
+    for s, (row,) in zip(spec.fire_stages, rows):
+        assert row.op == "<=" and row.k == bound
+        assert sorted(var.name for _, var in row.expr.terms) == sorted(
+            v.f[g, s].name for g in gates)
+
+
+def test_matching_bound_keeps_the_optimal_fired_count(monkeypatch):
+    # every window the greedy compile solves, re-solved with and without
+    # the family (a copy of each: the compiler deletes fired gates from the
+    # pending map it passes)
+    specs = []
+
+    def recording(spec, **kwargs):
+        specs.append(dataclasses.replace(spec, gates=dict(spec.gates)))
+        return solve_window(spec, **kwargs)
+
+    monkeypatch.setattr(compiler, "solve_window", recording)
+    for seed in (1, 2, 3):
+        compile_circuit(generate_rand3reg(6, seed), full_region(ArraySpec(3)))
+    cut = [spec for spec in specs
+           if list(matching_bound(make_vars(MilpBackend(), spec), spec))]
+    assert cut
+    for spec in cut:
+        with_cut, without = solve(spec), solve(spec, NO_MATCHING)
+        assert with_cut[0] == without[0]

@@ -35,18 +35,28 @@ def brute_force_sat(variables, clauses):
     return None
 
 
-def random_clause(rng, ints, bools):
+COMPLEMENT = {LE: GT, GT: LE, LT: GE, GE: LT, EQ: NE, NE: EQ}
+
+
+def random_clause(rng, ints, bools, drawn):
     """One to three draws, each a literal of either sign or a comparison of
     a variable with a constant or with another variable (NE adds its two
-    items)."""
+    items).  Comparisons are recorded in `drawn`, and a third of them
+    repeat the complement of an earlier one of the clause set."""
     clause = []
     for _ in range(rng.choice((1, 2, 2, 3))):
         if rng.random() < 0.35:
             clause.append(Lit(rng.choice(bools), rng.random() < 0.5))
             continue
-        op = rng.choice([LE, LT, EQ, NE, GE, GT])
-        u, v = rng.sample(ints, 2)
-        item = op(u, rng.randrange(-1, 5) if rng.random() < 0.7 else v)
+        if drawn and rng.random() < 0.33:
+            op, u, rhs = rng.choice(drawn)
+            op = COMPLEMENT[op]
+        else:
+            op = rng.choice([LE, LT, EQ, NE, GE, GT])
+            u, v = rng.sample(ints, 2)
+            rhs = rng.randrange(-1, 5) if rng.random() < 0.7 else v
+        drawn.append((op, u, rhs))
+        item = op(u, rhs)
         clause.extend(item if op is NE else (item,))
     return tuple(clause)
 
@@ -151,7 +161,8 @@ def test_differential_against_bruteforce():
         milp.reset()
         ints = [milp.int_var(f"x{i}", 0, 3) for i in range(3)]
         bools = [milp.bool_var(f"b{i}") for i in range(2)]
-        clauses = [random_clause(rng, ints, bools) for _ in range(6)]
+        drawn = []
+        clauses = [random_clause(rng, ints, bools, drawn) for _ in range(6)]
         for clause in clauses:
             milp.add(*clause)
         got = milp.check()
@@ -182,3 +193,37 @@ def test_reset_discards_variables_and_constraints():
     assert b.check() == "sat"
     m = b.model()
     assert set(m) == {"x"} and m["x"] >= 4
+
+
+@pytest.mark.parametrize("x_at,y_at,z_range", [(3, 0, (2, 3)),
+                                               (0, 3, (0, 1))])
+def test_a_comparison_and_its_complement_share_one_binary(x_at, y_at,
+                                                          z_range):
+    # (x <= y or z >= 2) and (x > y or z <= 1): each clause reifies both of
+    # its comparisons, and the second clause's are the first's complements
+    b = MilpBackend()
+    x = b.int_var("x", 0, 3)
+    y = b.int_var("y", 0, 3)
+    z = b.int_var("z", 0, 3)
+    b.add(LE(x, y), GE(z, 2))
+    b.add(GT(x, y), LE(z, 1))
+    b.add(EQ(x, x_at))
+    b.add(EQ(y, y_at))
+    assert b.check() == "sat"
+    assert sum(1 for name in b.model() if name.startswith("__r")) == 2
+    lo, hi = z_range
+    assert lo <= b.model()["z"] <= hi
+
+
+def test_a_negated_binary_is_the_strict_complement():
+    # x > y is read as the negation of the binary for x <= y, so x == y
+    # with z pinned to 2 leaves the second clause unsatisfiable
+    b = MilpBackend()
+    x = b.int_var("x", 0, 3)
+    y = b.int_var("y", 0, 3)
+    z = b.int_var("z", 0, 3)
+    b.add(LE(x, y), GE(z, 2))
+    b.add(GT(x, y), LE(z, 1))
+    b.add(EQ(x, y))
+    b.add(EQ(z, 2))
+    assert b.check() == "unsat"
