@@ -86,12 +86,11 @@ class _Stats:
     def wall(self) -> float:
         return time.perf_counter() - self.t0
 
-    def remaining(self, phase: str | None = None) -> float:
+    def remaining(self) -> float:
         left = self.deadline - time.perf_counter()
         if left <= 0:
             raise CompileTimeout("solver budget exhausted",
-                                 wall_time=self.wall(), solver_calls=self.calls,
-                                 phase=phase)
+                                 wall_time=self.wall(), solver_calls=self.calls)
         return left
 
 
@@ -344,8 +343,9 @@ def _run(circuit, region, init_xy, stage0_aod_order, avoid, final_slm,
         commit(result)
     else:
         while pending:
+            # a snapshot: fired gates leave `pending`, not the window's spec
             result = grow(boundary, range(opts.window, opts.max_horizon + 1),
-                          pending)
+                          dict(pending))
             if result is None:
                 raise InfeasibleError(
                     f"no gate fireable within {opts.max_horizon} stages")

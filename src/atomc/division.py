@@ -10,12 +10,21 @@ refinement repeatedly exchanges one qubit per side to minimize
 committing only strictly improving swaps, so the loss sequence is strictly
 decreasing and the refinement terminates.
 
-The refinement keeps per-qubit cross-gate counts, so pricing a trial swap
-(u, v) reads only the gates at u and v: O(deg u + deg v), not the O(|gates| +
-|qubits|) of re-classifying the whole split.  Each step then costs
-O(|Qs1| * |Qs2| * degree + |qubits|).  The counts are exact integers and the
-loss is the same float expression over them, so every step, tie and result
-is identical to exhaustive re-classification of every trial.
+The refinement keeps per-qubit cross-gate counts (Fiduccia and Mattheyses,
+1982), so moving a qubit changes only the cross counts of the qubit and its
+gate partners, and is priced in O(degree).  A swap (u, v) with u and v more
+than two hops apart in the gate graph is separable: no gate joins u and v,
+and u with its partners and v with its partners are disjoint sets, so no
+qubit's cross count hears from both moves.  The swap's (delta active,
+delta |e3|) is then exactly the sum of the two solo moves'.  Each step
+prices every candidate's solo move once, groups each side's candidates by
+that pair of deltas, and prices exactly only the pairs within two hops.
+With d the maximum degree, a step costs O(|qubits| + (|Qs1| + |Qs2|) * d^3)
+plus O(|Qs1|) per class of Qs2 to find the best separable pair; the number
+of classes depends on d alone, not on |Qs1| * |Qs2|.  The counts are exact
+integers and the loss is the same float expression over them, so every
+step, tie and result is identical to exhaustive re-classification of every
+trial.
 """
 
 from __future__ import annotations
@@ -143,27 +152,39 @@ class _Counts:
             qs1 = frozenset(active[True])
         return qs1, qs2
 
-    def trade(self, u: int, v: int) -> tuple[dict[int, int], int, int]:
-        """If u and v trade sides: the change to each qubit's cross count
-        that changes, and the new (active, e3).
+    def near(self, q: int) -> set[int]:
+        """The qubits within two hops of q in the gate graph."""
+        out = set(self.adj[q])
+        for w in set(self.adj[q]):
+            out.update(self.adj[w])
+        return out
 
-        Only gates at u or v change class, and the u-v gates stay cross, so
-        this reads adj[u] and adj[v] alone.
+    def trade(self, *movers: int) -> tuple[dict[int, int], int, int]:
+        """If `movers` change sides (one qubit, or a swap of one qubit per
+        side): the change to each qubit's cross count that changes, and the
+        new (active, e3).
+
+        Only gates at a mover change class, and a gate joining the two
+        movers of a swap stays cross, so this reads their adj alone.
         """
         side, cross, moved = self.side, self.cross, {}
-        for a, b in ((u, v), (v, u)):
-            after = 0
+        e3 = self.e3
+        for a in movers:
+            after, here = 0, side[a]
             for w in self.adj[a]:
-                if w == b:
+                if w in movers:
                     after += 1
-                elif side[w] == side[a]:
+                elif side[w] == here:
                     after += 1
                     moved[w] = moved.get(w, 0) + 1
                 else:
                     moved[w] = moved.get(w, 0) - 1
             moved[a] = after - cross[a]
-        da = sum((cross[q] + d > 0) - (cross[q] > 0) for q, d in moved.items())
-        return moved, self.active + da, self.e3 + moved[u] + moved[v]
+            e3 += moved[a]
+        active = self.active
+        for q, d in moved.items():
+            active += (cross[q] + d > 0) - (cross[q] > 0)
+        return moved, active, e3
 
     def swap(self, u: int, v: int) -> None:
         moved, self.active, self.e3 = self.trade(u, v)
@@ -204,20 +225,61 @@ def refine_trace(c: Circuit, p: Partition,
         qs1, qs2 = counts.candidates()
         if not qs1 and not qs2:
             break
-        best: tuple[int, int] | None = None
-        best_loss = current
-        for u in sorted(qs1):
-            for v in sorted(qs2):
-                _, active, e3 = counts.trade(u, v)
-                trial = _loss(active, e3, opts.k)
-                if trial < best_loss:
-                    best, best_loss = (u, v), trial
+        best = _best_swap(counts, qs1, qs2, current, opts.k)
         if best is None:
             break
-        counts.swap(*best)
-        current = best_loss
-        steps.append(RefineStep(qs1, qs2, best, current))
+        current, u, v = best
+        counts.swap(u, v)
+        steps.append(RefineStep(qs1, qs2, (u, v), current))
     return classify(c, counts.q1()), steps
+
+
+def _best_swap(counts: _Counts, qs1: frozenset[int], qs2: frozenset[int],
+               current: float, k: float) -> tuple[float, int, int] | None:
+    """The least (loss, u, v) over u in qs1 and v in qs2 whose loss is below
+    `current`, or None: the first pair in (u, v) order among those with the
+    least loss, as a scan of every pair would pick.
+
+    A pair within two hops is priced by trade.  Every other pair's deltas
+    are the sum of its solo moves', so its loss is the same float of the
+    same integers; per pair of solo-move classes only the smallest such
+    pair can win.
+    """
+    near = {u: counts.near(u) & qs2 for u in qs1}
+    best = (current, -1, -1)  # any strictly improving pair sorts first
+    for u, vs in near.items():
+        for v in vs:
+            _, active, e3 = counts.trade(u, v)
+            best = min(best, (_loss(active, e3, k), u, v))
+    ones, twos = _solo_classes(counts, qs1), _solo_classes(counts, qs2)
+    prices = []
+    for m1 in ones:
+        for m2 in twos:
+            active = counts.active + m1[0] + m2[0]
+            e3 = counts.e3 + m1[1] + m2[1]
+            prices.append((_loss(active, e3, k), m1, m2))
+    prices.sort()
+    for trial, m1, m2 in prices:
+        if trial > best[0] or trial >= current:
+            break
+        # the smallest pair of these classes that is not near
+        pair = next(((u, v) for u in ones[m1] for v in twos[m2]
+                     if v not in near[u]), None)
+        if pair is not None:
+            best = min(best, (trial, *pair))
+    return None if best[1] < 0 else best
+
+
+def _solo_classes(counts: _Counts, qs: frozenset[int]
+                  ) -> dict[tuple[int, int], list[int]]:
+    """The qubits of qs, sorted, by the (delta active, delta e3) of moving
+    each alone."""
+    by_move: dict[tuple[int, int], list[int]] = {}
+    for q in sorted(qs):
+        _, active, e3 = counts.trade(q)
+        by_move.setdefault((active - counts.active, e3 - counts.e3),
+                           []).append(q)
+    return by_move
 
 
 def refine(c: Circuit, p: Partition, opts: DivisionOptions) -> Partition:
@@ -227,9 +289,13 @@ def refine(c: Circuit, p: Partition, opts: DivisionOptions) -> Partition:
     the loss, or (c) the swap budget is spent.  Ties on equal loss break to
     the lexicographically smallest (u, v), so the result is deterministic.
 
-    Each trial swap (u, v) is priced from per-qubit cross counts in
-    O(deg u + deg v); the result is identical to re-classifying the whole
-    split for every trial, and the returned Partition is built by classify.
+    Swaps are priced from per-qubit cross counts without a scan of
+    Qs1 x Qs2: pairs within two hops exactly, every other pair as the sum
+    of two solo moves, which is exact because their neighbourhoods are
+    disjoint (see the module docstring).  With d the maximum degree a step
+    costs O(|qubits| + (|Qs1| + |Qs2|) * d^3) plus O(|Qs1|) per solo-move
+    class of Qs2.  The result is identical to re-classifying the whole split
+    for every trial, and the returned Partition is built by classify.
     """
     refined, _ = refine_trace(c, p, opts)
     return refined

@@ -1,11 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from atomc import compiler
 from atomc.arrays import ArraySpec, full_region
 from atomc.circuits import Circuit, generate_rand3reg
 from atomc.compiler import SolverOptions, compile_circuit
-from atomc.errors import InfeasibleError
+from atomc.errors import InfeasibleError, MergeError
 from atomc.orchestrator import _zip_local, pac_compile
 from atomc.schedule import SLM, QubitState, Stage
 from atomc.smt import MilpBackend
@@ -29,6 +32,27 @@ def test_budget_history_skips_given_stage0():
     stage0 = res.schedule.stages[0].states
     assert {q: (st.x, st.y) for q, st in stage0.items()} == init_xy
     assert sum(res.stage_budget_history) == len(res.schedule.stages) - 1
+
+
+def test_window_specs_keep_the_gates_pending_when_solved(monkeypatch):
+    solved = []
+    solve = compiler.solve_window
+
+    def recording(spec, **kwargs):
+        result = solve(spec, **kwargs)
+        solved.append((spec, result))
+        return result
+
+    monkeypatch.setattr(compiler, "solve_window", recording)
+    compile_circuit(K4, full_region(ArraySpec(2)))
+    assert len(solved) > 1
+    pending = dict(enumerate(K4.gates))
+    for spec, result in solved:
+        assert spec.gates == pending
+        if result is not None:
+            for g in result.fired:
+                del pending[g]
+    assert not pending
 
 
 def test_max_horizon_below_window_is_rejected():
@@ -182,6 +206,47 @@ def test_zip_local_holds_only_stages_that_fire_nothing(fired1, fired2,
             assert set(side[t].fired) <= set(slot.fired)
             if side[t].fired:
                 assert shown.count(t) == 1
+
+
+def _paths(n1, n2):
+    """Every monotone path of slots from (0, 0) to (n1 - 1, n2 - 1)."""
+    def walk(path):
+        i, j = path[-1]
+        if (i, j) == (n1 - 1, n2 - 1):
+            yield path
+            return
+        for di, dj in ((1, 1), (1, 0), (0, 1)):
+            if i + di < n1 and j + dj < n2:
+                yield from walk(path + [(i + di, j + dj)])
+    yield from walk([(0, 0)])
+
+
+def _legal(path, fires1, fires2):
+    """A side shows a stage in two slots only if that stage fires nothing."""
+    return all(not fires[shown[t]]
+               for fires, shown in ((fires1, [i for i, _ in path]),
+                                    (fires2, [j for _, j in path]))
+               for t in range(1, len(path)) if shown[t] == shown[t - 1])
+
+
+@given(st.lists(st.booleans(), min_size=1, max_size=6),
+       st.lists(st.booleans(), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_zip_local_matches_brute_force_alignment(fires1, fires2):
+    s1 = _side(0, [(2 * t,) if f else () for t, f in enumerate(fires1)])
+    s2 = _side(1, [(2 * t + 1,) if f else () for t, f in enumerate(fires2)])
+    legal = [path for path in _paths(len(s1), len(s2))
+             if _legal(path, fires1, fires2)]
+    if not legal:
+        with pytest.raises(MergeError):
+            _zip_local(s1, s2)
+        return
+    merged = _zip_local(s1, s2)
+    path = list(zip(_shown(merged, s1, 0), _shown(merged, s2, 1)))
+    assert path in legal
+    assert (sum(1 for slot in merged if slot.fired), len(merged)) == min(
+        (sum(1 for i, j in p if fires1[i] or fires2[j]), len(p))
+        for p in legal)
 
 
 def _compiles_and_verifies(c, n):

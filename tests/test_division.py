@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atomc import division
 from atomc.circuits import Circuit, generate_rand3reg
 from atomc.division import (DivisionOptions, RefineStep, classify,
                             initial_partition, loss, refine, refine_trace,
@@ -280,6 +281,56 @@ def test_refine_trace_matches_exhaustive_reclassification():
     assert committed > 500
 
 
+def sparse_multigraph(rng):
+    """30-80 qubits and about one gate per qubit, gates drawn with
+    replacement: most candidate pairs are more than two hops apart, so
+    their swaps are priced as two solo moves."""
+    n = rng.randrange(30, 81)
+    gates = []
+    for _ in range(rng.randrange(n // 2, 3 * n // 2)):
+        u, v = rng.sample(range(n), 2)
+        gates.append((u, v))
+        if rng.random() < 0.2:
+            gates.append((v, u) if rng.random() < 0.5 else (u, v))
+    return Circuit(n, tuple(gates))
+
+
+@pytest.mark.parametrize("seed, trials", [
+    (11, 10),
+    *(pytest.param(seed, 20, marks=pytest.mark.slow) for seed in range(12, 16))])
+def test_refine_trace_matches_exhaustive_reclassification_sparse(seed, trials):
+    rng = random.Random(seed)
+    committed = 0
+    for trial in range(trials):
+        c = sparse_multigraph(rng)
+        p0 = initial_partition(c, seed=trial)
+        for k in (0.0, 0.25, 0.5, 1.0, 1 / 3):
+            opts = DivisionOptions(k=k)
+            got = refine_trace(c, p0, opts)
+            assert got == reference_refine_trace(c, p0, opts)
+            committed += len(got[1])
+    assert committed > 30 * trials
+
+
+def test_refine_prices_few_pairs_exactly(monkeypatch):
+    # a swap is priced exactly only when its qubits are within two hops;
+    # on a 3-regular graph that is a few percent of Qs1 x Qs2
+    pairs = 0
+    trade = division._Counts.trade
+
+    def counting(self, *movers):
+        nonlocal pairs
+        pairs += len(movers) == 2
+        return trade(self, *movers)
+
+    monkeypatch.setattr(division._Counts, "trade", counting)
+    c = generate_rand3reg(300, 1)
+    _, steps = refine_trace(c, initial_partition(c, 0), DivisionOptions())
+    scanned = sum(len(step.qs1) * len(step.qs2) for step in steps)
+    priced = pairs - len(steps)  # each committed swap calls trade once
+    assert steps and priced < 0.1 * scanned
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("n", range(40, 121, 20))
 def test_refine_trace_matches_exhaustive_reclassification_rand3reg(n):
@@ -313,10 +364,50 @@ PINNED = (
         258, 260, 261, 262, 264, 265, 266, 269, 272, 273, 274, 278, 281,
         282, 283, 284, 287, 289, 291, 292, 294, 295, 297, 298))),
 )
+# the same at 1000 qubits, computed by scanning every pair of Qs1 x Qs2
+# with per-qubit counts (re-classifying every trial is too slow here)
+PINNED_1000 = (1000, 293.0, 180, frozenset((
+    0, 1, 3, 4, 9, 14, 16, 17, 19, 23, 25, 26, 27, 32, 36, 37, 38, 40, 42,
+    43, 44, 45, 46, 47, 48, 50, 51, 52, 55, 56, 57, 60, 61, 62, 64, 71,
+    72, 80, 85, 86, 88, 90, 91, 92, 94, 96, 97, 102, 106, 108, 109, 111,
+    112, 114, 116, 117, 119, 123, 127, 128, 129, 132, 135, 136, 138, 141,
+    142, 143, 146, 148, 150, 152, 153, 154, 155, 156, 157, 158, 159, 160,
+    161, 163, 164, 167, 168, 170, 172, 174, 177, 179, 182, 183, 186, 188,
+    189, 190, 191, 192, 193, 195, 196, 197, 199, 200, 201, 202, 209, 210,
+    212, 218, 219, 220, 221, 222, 225, 227, 228, 231, 233, 234, 236, 240,
+    241, 243, 244, 246, 247, 248, 249, 250, 251, 254, 255, 259, 260, 262,
+    264, 266, 271, 272, 276, 277, 278, 280, 281, 282, 283, 285, 286, 287,
+    288, 289, 290, 293, 296, 297, 298, 300, 303, 304, 305, 306, 308, 309,
+    310, 311, 317, 318, 319, 321, 323, 324, 325, 326, 327, 328, 332, 336,
+    338, 339, 340, 342, 343, 345, 346, 348, 356, 357, 359, 360, 363, 365,
+    366, 367, 369, 373, 376, 377, 379, 380, 381, 382, 383, 385, 387, 389,
+    394, 398, 400, 401, 403, 408, 409, 410, 411, 412, 413, 414, 416, 418,
+    419, 424, 427, 428, 429, 431, 435, 437, 442, 446, 449, 450, 452, 453,
+    454, 455, 458, 459, 461, 462, 463, 465, 468, 469, 471, 475, 480, 481,
+    482, 483, 484, 486, 488, 489, 490, 491, 492, 498, 501, 504, 505, 507,
+    508, 511, 514, 515, 516, 517, 520, 523, 533, 534, 535, 540, 541, 543,
+    544, 545, 546, 547, 548, 550, 553, 557, 559, 562, 563, 564, 574, 578,
+    579, 582, 585, 586, 587, 593, 594, 595, 601, 602, 603, 604, 606, 608,
+    609, 610, 611, 614, 616, 617, 618, 619, 623, 624, 625, 626, 627, 628,
+    629, 630, 633, 635, 636, 637, 639, 640, 645, 650, 651, 655, 656, 659,
+    662, 663, 664, 666, 668, 671, 672, 673, 675, 676, 678, 681, 682, 684,
+    685, 689, 690, 694, 695, 696, 697, 698, 699, 701, 702, 707, 709, 710,
+    711, 717, 718, 721, 723, 725, 728, 730, 731, 734, 735, 736, 737, 738,
+    742, 743, 744, 746, 747, 748, 749, 751, 753, 754, 757, 761, 764, 766,
+    768, 770, 773, 774, 775, 776, 777, 778, 779, 780, 783, 785, 788, 794,
+    797, 799, 802, 810, 813, 814, 816, 818, 819, 820, 821, 822, 824, 825,
+    828, 829, 830, 834, 836, 838, 839, 841, 843, 847, 848, 850, 851, 852,
+    854, 856, 857, 858, 860, 864, 866, 868, 869, 871, 872, 874, 876, 878,
+    879, 880, 883, 884, 887, 888, 889, 890, 891, 892, 893, 894, 895, 901,
+    902, 903, 906, 907, 908, 910, 911, 917, 919, 924, 926, 929, 934, 935,
+    936, 937, 939, 949, 951, 955, 956, 957, 959, 960, 961, 962, 965, 967,
+    969, 971, 976, 981, 983, 984, 986, 988, 992, 993, 994, 995, 997, 998)))
 
 
-@pytest.mark.parametrize("n, expected_loss, swaps, q1", PINNED,
-                         ids=[f"rand3reg_{pin[0]}_1" for pin in PINNED])
+@pytest.mark.parametrize(
+    "n, expected_loss, swaps, q1",
+    [*PINNED, pytest.param(*PINNED_1000, marks=pytest.mark.slow)],
+    ids=[f"rand3reg_{pin[0]}_1" for pin in (*PINNED, PINNED_1000)])
 def test_refine_pinned_at_scale(n, expected_loss, swaps, q1):
     c = generate_rand3reg(n, 1)
     p, steps = refine_trace(c, initial_partition(c, 0), DivisionOptions())
