@@ -26,14 +26,6 @@ class ArraySpec:
             raise ValueError(f"array side must be >= 2, got {self.n}")
 
     @property
-    def aod_rows(self) -> int:
-        return self.n
-
-    @property
-    def aod_cols(self) -> int:
-        return self.n
-
-    @property
     def num_sites(self) -> int:
         return self.n * self.n
 

@@ -11,9 +11,9 @@ Between windows the committed final stage is replayed as the next window's
 stage 0: positions are pinned, trap fields are re-decided (a qubit that was
 in a movable line immediately before the boundary may only stay in or return
 to that same line), which lets a pickup happen at the boundary instant
-instead of costing a stage.  Each window is stitched once onto the running
-list of committed stages that the next boundary reads; `extract_schedule`
-builds the returned schedule from the window results in one pass.
+instead of costing a stage.  The next boundary reads the last window's
+final two stages, which stitching leaves as they are; `extract_schedule`
+stitches the window results into the returned schedule in one pass.
 
 Qubits listed to end in static traps that finish in a movable trap are
 dropped where they stand, or, when some site holds two qubits, separated and
@@ -146,35 +146,27 @@ def solve_window(context: WindowSpec, *, backend, stats: _Stats
                     context.stages - context.fire_from)
 
 
-def _stitch(acc: list[Stage], res: WindowResult) -> None:
-    """Append one window's stages to the committed stages `acc`.
+def extract_schedule(windows: Sequence[WindowResult]) -> Schedule:
+    """Stitch window results into one schedule.
 
-    Every window after the first replays the last committed stage as its
+    Every window after the first replays the last stitched stage as its
     stage 0.  The replay must sit exactly where the previous window ended;
-    its re-decided trap fields replace the committed ones (the fired set is
+    its re-decided trap fields replace the stitched ones (the fired set is
     kept).
     """
-    if not acc:
-        acc.extend(res.stages)
-        return
-    replay, last = res.stages[0], acc[-1]
-    for q, st in replay.states.items():
-        prev = last.states[q]
-        if (st.x, st.y) != (prev.x, prev.y):
-            raise ConsistencyError(
-                f"qubit {q} moved across a window boundary: "
-                f"({prev.x},{prev.y}) -> ({st.x},{st.y})")
-    if replay.fired:
-        raise ConsistencyError("gates fired at a replayed boundary stage")
-    acc[-1] = Stage(replay.states, last.fired)
-    acc.extend(res.stages[1:])
-
-
-def extract_schedule(windows: Sequence[WindowResult]) -> Schedule:
-    """Stitch window results into one schedule (see `_stitch`)."""
-    acc: list[Stage] = []
-    for res in windows:
-        _stitch(acc, res)
+    acc: list[Stage] = list(windows[0].stages)
+    for res in windows[1:]:
+        replay, last = res.stages[0], acc[-1]
+        for q, st in replay.states.items():
+            prev = last.states[q]
+            if (st.x, st.y) != (prev.x, prev.y):
+                raise ConsistencyError(
+                    f"qubit {q} moved across a window boundary: "
+                    f"({prev.x},{prev.y}) -> ({st.x},{st.y})")
+        if replay.fired:
+            raise ConsistencyError("gates fired at a replayed boundary stage")
+        acc[-1] = Stage(replay.states, last.fired)
+        acc.extend(res.stages[1:])
     return Schedule(acc)
 
 
@@ -187,8 +179,10 @@ def _row_major_placement(qubits: Sequence[int], region: Region,
             for q, (sx, sy) in zip(qubits, sites)}
 
 
-def _internal_boundary(acc: list[Stage]) -> Boundary:
-    last = acc[-1]
+def _internal_boundary(stages: Sequence[Stage]) -> Boundary:
+    """The boundary that replays the last of `stages` (a window's stages,
+    or a stitched schedule's: their last two stage states agree)."""
+    last = stages[-1]
     # a qubit trapped in a line at the boundary (or dropped from one at the
     # boundary instant) stays tied to that exact line if it is up at the
     # replayed stage; only qubits static through both stages pick lines
@@ -196,20 +190,12 @@ def _internal_boundary(acc: list[Stage]) -> Boundary:
     # small.
     prev_traps = {q: (st.c, st.r)
                   for q, st in last.states.items() if st.a == AOD}
-    if len(acc) >= 2:
-        for q, st in acc[-2].states.items():
+    if len(stages) >= 2:
+        for q, st in stages[-2].states.items():
             if st.a == AOD and q not in prev_traps:
                 prev_traps[q] = (st.c, st.r)
     return Boundary(xy={q: (st.x, st.y) for q, st in last.states.items()},
                     prev_traps=prev_traps)
-
-
-def _first_boundary(init_xy, stage0_aod_order) -> Boundary:
-    if init_xy is None:
-        return Boundary()
-    col_order, row_order = stage0_aod_order
-    return Boundary(xy=dict(init_xy),
-                    col_order=tuple(col_order), row_order=tuple(row_order))
 
 
 def _window_spec(boundary: Boundary, horizon: int, qubits, pending, region,
@@ -225,12 +211,19 @@ def _window_spec(boundary: Boundary, horizon: int, qubits, pending, region,
         final_slm=final_slm, require_all_fired=require_all)
 
 
-def _validate_inputs(circuit, region, init_xy, avoid):
+def _validate_inputs(circuit, region, init_xy, held_lines, avoid):
     qubits = list(range(circuit.num_qubits))
     if len(qubits) > region.num_sites:
         raise InfeasibleError(
             f"{len(qubits)} qubits cannot fit {region.num_sites} sites")
+    stray = sorted(set(held_lines) - set(qubits))
+    if stray:
+        raise ValueError(f"held_lines names qubit {stray[0]}, which is not "
+                         "in the circuit")
     if init_xy is None:
+        if held_lines:
+            raise ValueError("held_lines needs init_xy: it orders the lines "
+                             "of a pinned stage 0")
         return
     if set(init_xy) != set(qubits):
         raise ValueError("init_xy must map every circuit qubit")
@@ -255,34 +248,37 @@ def compile_circuit(circuit: Circuit, region: Region, *,
                     final_stage_slm: frozenset[int] = frozenset(),
                     opts: SolverOptions | None = None,
                     init_xy: Mapping[int, tuple[int, int]] | None = None,
-                    stage0_aod_order: tuple[Sequence, Sequence] = ((), ()),
-                    avoid_sites: frozenset[tuple[int, int]] = frozenset(),
-                    self_check: bool = True) -> CompileResult:
+                    held_lines: Mapping[int, tuple[int, int]] | None = None,
+                    avoid_sites: frozenset[tuple[int, int]] = frozenset()
+                    ) -> CompileResult:
     """Compile a circuit onto a region; returns a verifier-clean schedule.
 
     All gates execute exactly once.  Without `init_xy` the solver places
     every qubit; with it, stage-0 positions are pinned and trap fields are
-    solver-chosen under `stage0_aod_order` (column and row index order
-    directives).  Qubits in `final_stage_slm` sit in static traps at the
-    final stage.  `avoid_sites` are never occupied, by a qubit in either
-    trap kind, at any stage.
+    solver-chosen, the stage-0 line indices of the `held_lines` qubits
+    keeping the order of the (column, row) each last held (see
+    `Boundary.held`).  Qubits in `final_stage_slm` sit in static traps at
+    the final stage.  `avoid_sites` are never occupied, by a qubit in
+    either trap kind, at any stage.
     """
     opts = opts or SolverOptions()
-    _validate_inputs(circuit, region, init_xy, avoid_sites)
+    held_lines = held_lines or {}
+    _validate_inputs(circuit, region, init_xy, held_lines, avoid_sites)
     t0 = time.perf_counter()
     stats = _Stats(t0=t0, deadline=t0 + opts.timeout)
-    windows = _run(circuit, region, init_xy, stage0_aod_order, avoid_sites,
-                   final_stage_slm, opts, stats)
+    boundary = (Boundary() if init_xy is None
+                else Boundary(xy=dict(init_xy), held=dict(held_lines)))
+    windows = _run(circuit, region, boundary, avoid_sites, final_stage_slm,
+                   opts, stats)
     schedule = extract_schedule(windows)
     result = CompileResult(schedule=schedule, wall_time=stats.wall(),
                            solver_calls=stats.calls,
                            stage_budget_history=stats.budget_history)
-    if self_check:
-        from .verifier import verify
-        report = verify(schedule, circuit, scope=region)
-        if not report.ok:
-            raise VerificationError(
-                "compiled schedule failed independent verification", report)
+    from .verifier import verify
+    report = verify(schedule, circuit, scope=region)
+    if not report.ok:
+        raise VerificationError(
+            "compiled schedule failed independent verification", report)
     return result
 
 
@@ -296,19 +292,14 @@ def _depth_lower_bound(circuit: Circuit) -> int:
                -(-circuit.num_gates // per_stage))
 
 
-def _run(circuit, region, init_xy, stage0_aod_order, avoid, final_slm,
-         opts, stats) -> list[WindowResult]:
+def _run(circuit, region, boundary, avoid, final_slm, opts,
+         stats) -> list[WindowResult]:
     qubits = list(range(circuit.num_qubits))
     if not qubits:
         return [WindowResult([Stage({}, ())], {}, 1)]
     backend = MilpBackend()
     pending = dict(enumerate(circuit.gates))
     windows: list[WindowResult] = []
-    committed: list[Stage] = []  # the stitched stages so far
-
-    def commit(result: WindowResult) -> None:
-        windows.append(result)
-        _stitch(committed, result)
 
     def grow(boundary, horizons, gates, **spec) -> WindowResult | None:
         """Solve the window at each horizon in turn; return the first sat
@@ -322,15 +313,14 @@ def _run(circuit, region, init_xy, stage0_aod_order, avoid, final_slm,
                 return result
         return None
 
-    boundary = _first_boundary(init_xy, stage0_aod_order)
     if not pending:
         # placement only: no solving needed
-        if init_xy is not None:
+        if boundary.xy is not None:
             states = {q: QubitState(x=px, y=py, a=SLM)
-                      for q, (px, py) in init_xy.items()}
+                      for q, (px, py) in boundary.xy.items()}
         else:
             states = _row_major_placement(qubits, region, avoid)
-        commit(WindowResult([Stage(states, ())], {}, 1))
+        windows.append(WindowResult([Stage(states, ())], {}, 1))
     elif opts.strategy == "optimal":
         # iterative deepening over the total stage count, all gates forced,
         # up to the cap that bounds what greedy could reach
@@ -340,7 +330,7 @@ def _run(circuit, region, init_xy, stage0_aod_order, avoid, final_slm,
         if result is None:
             raise InfeasibleError(f"no schedule within {cap} stages "
                                   f"({opts.max_horizon} per gate)")
-        commit(result)
+        windows.append(result)
     else:
         while pending:
             # a snapshot: fired gates leave `pending`, not the window's spec
@@ -349,25 +339,25 @@ def _run(circuit, region, init_xy, stage0_aod_order, avoid, final_slm,
             if result is None:
                 raise InfeasibleError(
                     f"no gate fireable within {opts.max_horizon} stages")
-            commit(result)
+            windows.append(result)
             for g in result.fired:
                 del pending[g]
-            boundary = _internal_boundary(committed)
+            boundary = _internal_boundary(result.stages)
 
     # park the listed qubits that end up in a movable trap: drop them in
     # place, or separate and drop them in one small solve
-    listed = [q for q in sorted(final_slm)
-              if committed[-1].states[q].a == AOD]
+    last = windows[-1].stages
+    listed = [q for q in sorted(final_slm) if last[-1].states[q].a == AOD]
     if listed:
-        park = _drop_in_place(committed[-1], listed)
+        park = _drop_in_place(last[-1], listed)
         if park is None:
-            park = grow(_internal_boundary(committed),
+            park = grow(_internal_boundary(last),
                         range(1, opts.max_horizon + 1), {},
                         final_slm=frozenset(final_slm))
         if park is None:
             raise InfeasibleError(f"cannot park {sorted(final_slm)} within "
                                   f"{opts.max_horizon} stages")
-        commit(park)
+        windows.append(park)
     return windows
 
 

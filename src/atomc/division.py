@@ -304,9 +304,11 @@ def refine(c: Circuit, p: Partition, opts: DivisionOptions) -> Partition:
 def split_circuit(c: Circuit, p: Partition) -> tuple[Circuit, Circuit, Circuit]:
     """Materialize the three sub-circuits (q1, e1), (q2, e2), (Q(e3), e3).
 
-    Sub-circuit qubit ids are dense relabelings in increasing order of the
-    original id (local id i is sorted(qubits)[i]); sub-circuit gate i is the
-    i-th smallest original gate index of its set.  Gate multiplicity is
+    This is the one definition of sub-circuit ids, which every phase
+    schedule uses: sub-circuit qubit i is original qubit sorted(qubits)[i],
+    and sub-circuit gate i is the i-th smallest original gate index of its
+    set.  The orchestrator lifts each phase schedule back to original ids
+    once; the verifier keeps its own relabeling.  Gate multiplicity is
     preserved.
     """
 

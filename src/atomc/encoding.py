@@ -22,9 +22,9 @@ and prev_traps read them only under a[q,t], trap_transfer only under
 a[q,t-1], and extraction drops them.  So a qubit static at t-1 and t (or
 at stage 0) can hold the region's first index without losing any schedule,
 and the solver no longer searches relabelings that change nothing.  The
-one exception is the stage-0 col_order/row_order directives, which bind
-their qubits' indices unconditionally; those qubits keep free stage-0
-indices.
+one exception is the boundary's held lines: when two or more qubits hold
+lines, their stage-0 indices are ordered unconditionally, so those qubits
+keep free stage-0 indices.
 
 matching_bound is a valid cut: it removes no integer solution, only
 fractional ones.  C8 already makes each stage's fired set a matching of the
@@ -57,14 +57,15 @@ class Boundary:
     at stage 0.  Pinned: stage-0 positions equal `xy` and no gate fires
     there; trap fields are solver-chosen subject to `prev_traps` (a qubit
     tied to a movable line at the boundary may only stay in or return to
-    that same line) and to `col_order`/`row_order` directives on the
-    stage-0 line index variables.
+    that same line) and to `held`.  `held` maps a qubit to the (column,
+    row) it last held in an earlier phase: the stage-0 column indices of
+    every two held qubits compare as those columns do, and likewise rows.
+    Only the order of the held lines matters, not their values.
     """
 
     xy: Mapping[int, tuple[int, int]] | None = None
     prev_traps: Mapping[int, tuple[int, int]] = field(default_factory=dict)
-    col_order: Sequence[tuple[int, int, str]] = ()
-    row_order: Sequence[tuple[int, int, str]] = ()
+    held: Mapping[int, tuple[int, int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -184,12 +185,11 @@ def trap_transfer(v: Vars, w: WindowSpec) -> Iterator[Clause]:
 def static_lines(v: Vars, w: WindowSpec) -> Iterator[Clause]:
     """A qubit static at stage t-1 and t (or static at stage 0) holds the
     region's first column and row index (symmetry breaking; see the module
-    docstring).  Qubits named by a stage-0 order directive keep free stage-0
-    indices."""
+    docstring).  Qubits in a held pair (all held qubits when at least two
+    hold lines; a lone held qubit is ordered against nothing) keep free
+    stage-0 indices."""
     reg = w.region
-    directed: set[int] = set()
-    for u, q, _ in (*w.boundary.col_order, *w.boundary.row_order):
-        directed.update((u, q))
+    directed = set(w.boundary.held) if len(w.boundary.held) >= 2 else set()
     for q in w.qubits:
         for t in range(w.stages):
             if t == 0:
@@ -291,9 +291,6 @@ def final_slm_rows(v: Vars, w: WindowSpec) -> Iterator[Clause]:
         yield (neg(v.a[q, last]),)
 
 
-_ORDER_OPS = {"<": LT, "=": EQ, ">": GT}
-
-
 def boundary_rows(v: Vars, w: WindowSpec) -> Iterator[Clause]:
     """Pin stage 0 according to the boundary condition."""
     b = w.boundary
@@ -307,10 +304,13 @@ def boundary_rows(v: Vars, w: WindowSpec) -> Iterator[Clause]:
         # staying in or returning to a movable trap means the same line
         yield neg(v.a[q, 0]), EQ(v.c[q, 0], pc)
         yield neg(v.a[q, 0]), EQ(v.r[q, 0], pr)
-    for u, q, rel in b.col_order:
-        yield (_ORDER_OPS[rel](v.c[u, 0], v.c[q, 0]),)
-    for u, q, rel in b.row_order:
-        yield (_ORDER_OPS[rel](v.r[u, 0], v.r[q, 0]),)
+    held = sorted(b.held)
+    for axis, var in enumerate((v.c, v.r)):
+        for i, u in enumerate(held):
+            for q in held[i + 1:]:
+                lu, lq = b.held[u][axis], b.held[q][axis]
+                rel = LT if lu < lq else EQ if lu == lq else GT
+                yield (rel(var[u, 0], var[q, 0]),)
 
 
 # Family order does not fold pinned stages: single-variable pins tighten the

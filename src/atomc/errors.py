@@ -27,25 +27,26 @@ class RegionTooSmallError(AtomcError):
 
 
 class InfeasibleError(AtomcError):
-    """The constraint system admits no solution (e.g. more qubits than sites)."""
+    """The constraint system admits no solution (e.g. more qubits than sites).
 
-    def __init__(self, message: str, phase: str | None = None):
-        self.phase = phase
-        if phase:
-            message = f"[{phase}] {message}"
-        super().__init__(message)
+    `phase` names the pac phase that failed; the orchestrator sets it.
+    """
+
+    phase: str | None = None
 
 
 class CompileTimeout(AtomcError):
-    """Solver budget exhausted. Carries partial statistics."""
+    """Solver budget exhausted. Carries partial statistics.
+
+    `phase` names the pac phase that timed out; the orchestrator sets it.
+    """
+
+    phase: str | None = None
 
     def __init__(self, message: str, *, wall_time: float = 0.0,
-                 solver_calls: int = 0, phase: str | None = None):
+                 solver_calls: int = 0):
         self.wall_time = wall_time
         self.solver_calls = solver_calls
-        self.phase = phase
-        if phase:
-            message = f"[{phase}] {message}"
         super().__init__(message)
 
 

@@ -7,11 +7,15 @@ local qubit parking in a static trap at the local final stage.  The cross
 gates then compile on the full array, inheriting the local outcome: parked
 sites are avoided, every active qubit starts at its local final position,
 and stage-0 line indices respect the order of the lines each active qubit
-last held.  Merging zips the two local stage lists slot by slot, holding
-only stages that fire nothing, with as few firing slots as such an alignment
-allows, and appends the global stages.  The merged depth is max(d1, d2) + d3
-whenever the local sides' firing stages can pair up round by round (see
-`_zip_local`).
+last held.
+
+Each phase schedule is lifted from its sub-circuit ids to the original ids
+once (`_lift`), and the hand-off works in original ids only.  The two local
+stage lists are zipped slot by slot, holding only stages that fire nothing,
+with as few firing slots as such an alignment allows; the global phase's
+directives are read from the zipped stages, and merging appends the global
+stages to them.  The merged depth is max(d1, d2) + d3 whenever the local
+sides' firing stages can pair up round by round (see `_zip_local`).
 """
 
 from __future__ import annotations
@@ -49,86 +53,56 @@ class PhaseResults:
 
 @dataclass(frozen=True)
 class GlobalDirectives:
-    """Hand-off from the local phases to the global one.
+    """Hand-off from the local phases to the global one, in the global
+    phase's sub-circuit ids (see `split_circuit`).
 
     init_xy pins every active qubit's global stage-0 position to its local
     final position; avoid_sites holds the sites of the parked resolved
     qubits, which no global-phase qubit may occupy in either trap kind
     (it would stand co-sited with a parked atom that has no gate left to
-    fire with it); col_order / row_order keep stage-0 line indices in the
-    order of the last lines the actives held locally.
+    fire with it); held maps each active that rode a movable line locally
+    to the last (column, row) it held, whose order its stage-0 line
+    indices keep (see `Boundary.held`).
     """
 
     init_xy: dict[int, tuple[int, int]]
     avoid_sites: frozenset[tuple[int, int]]
-    col_order: tuple[tuple[int, int, str], ...]
-    row_order: tuple[tuple[int, int, str], ...]
+    held: dict[int, tuple[int, int]]
 
 
-def _local_ids(qubits: frozenset[int]) -> dict[int, int]:
-    return {q: i for i, q in enumerate(sorted(qubits))}
+def _lift(schedule: Schedule, qubits: frozenset[int],
+          gates: frozenset[int]) -> list[Stage]:
+    """Rewrite a phase schedule from sub-circuit ids to original ids."""
+    qubit_ids, gate_ids = sorted(qubits), sorted(gates)
+    return [Stage({qubit_ids[q]: st for q, st in stage.states.items()},
+                  tuple(gate_ids[g] for g in stage.fired))
+            for stage in schedule.stages]
 
 
-def _last_held(schedule: Schedule, local: int) -> tuple[int, int] | None:
-    for stage in reversed(schedule.stages):
-        st = stage.states.get(local)
-        if st is not None and st.a == AOD:
-            return st.c, st.r
-    return None
-
-
-def build_global_constraints(p: Partition, r1: CompileResult,
-                             r2: CompileResult) -> GlobalDirectives:
-    """Derive the global phase's initial conditions from the local finals."""
-    map1, map2 = _local_ids(p.q1), _local_ids(p.q2)
-    final1 = r1.schedule.stages[-1].states
-    final2 = r2.schedule.stages[-1].states
-
-    def final_state(q: int):
-        return final1[map1[q]] if q in map1 else final2[map2[q]]
-
+def build_global_constraints(p: Partition,
+                             local: Sequence[Stage]) -> GlobalDirectives:
+    """Derive the global phase's initial conditions from the zipped local
+    stages (original ids): positions from the junction, their last stage,
+    and held lines from the last stage each active rode a movable line."""
+    junction = local[-1].states
     seen: dict[tuple[int, int], int] = {}
-    for q in sorted(p.q1 | p.q2):
-        st = final_state(q)
+    for q in sorted(junction):
+        st = junction[q]
         if (st.x, st.y) in seen:
             raise MergeError(f"qubits {seen[(st.x, st.y)]} and {q} ended the "
                              f"local phases on one site ({st.x},{st.y})")
         seen[(st.x, st.y)] = q
 
-    parked = frozenset((final_state(q).x, final_state(q).y)
-                       for q in p.qr1 | p.qr2)
-    actives = sorted(p.qa1 | p.qa2)
-    init_xy = {q: (final_state(q).x, final_state(q).y) for q in actives}
-
-    held = {}
-    for q in actives:
-        sched = r1.schedule if q in map1 else r2.schedule
-        held[q] = _last_held(sched, map1.get(q, map2.get(q)))
-    rel = {1: ">", 0: "=", -1: "<"}
-    col_order, row_order = [], []
-    for i, u in enumerate(actives):
-        if held[u] is None:
-            continue
-        for v in actives[i + 1:]:
-            if held[v] is None:
-                continue
-            col_order.append((u, v, rel[(held[u][0] > held[v][0])
-                                        - (held[u][0] < held[v][0])]))
-            row_order.append((u, v, rel[(held[u][1] > held[v][1])
-                                        - (held[u][1] < held[v][1])]))
-    return GlobalDirectives(init_xy, parked,
-                            tuple(col_order), tuple(row_order))
-
-
-def _remap_schedule(schedule: Schedule, qubit_ids: Sequence[int],
-                    gate_ids: Sequence[int]) -> list[Stage]:
-    """Rewrite a phase schedule from dense local ids to original ids."""
-    out = []
-    for stage in schedule.stages:
-        states = {qubit_ids[q]: st for q, st in stage.states.items()}
-        fired = tuple(gate_ids[g] for g in stage.fired)
-        out.append(Stage(states, fired))
-    return out
+    parked = frozenset((junction[q].x, junction[q].y) for q in p.qr1 | p.qr2)
+    init_xy, held = {}, {}
+    for i, q in enumerate(sorted(p.qa1 | p.qa2)):
+        init_xy[i] = junction[q].x, junction[q].y
+        for stage in reversed(local):
+            st = stage.states[q]
+            if st.a == AOD:
+                held[i] = st.c, st.r
+                break
+    return GlobalDirectives(init_xy, parked, held)
 
 
 def _zip_local(s1: list[Stage], s2: list[Stage]) -> list[Stage]:
@@ -176,17 +150,11 @@ def _zip_local(s1: list[Stage], s2: list[Stage]) -> list[Stage]:
             for i, j in reversed(slots)]
 
 
-def merge(pr: PhaseResults) -> Schedule:
-    """Join the three phase schedules into one over the original ids."""
+def merge(local: list[Stage], pr: PhaseResults) -> Schedule:
+    """Append the lifted global stages to the zipped local stages, every
+    parked qubit standing at its junction site throughout."""
     p = pr.partition
-    side1, side2 = sorted(p.q1), sorted(p.q2)
-    side3 = sorted(p.qa1 | p.qa2)
-    s1 = _remap_schedule(pr.r1.schedule, side1, sorted(p.e1))
-    s2 = _remap_schedule(pr.r2.schedule, side2, sorted(p.e2))
-    s3 = _remap_schedule(pr.r3.schedule, side3, sorted(p.e3))
-
-    joint = _zip_local(s1, s2)
-    junction = joint[-1].states
+    junction = local[-1].states
     parked = {}
     for q in sorted(p.qr1 | p.qr2):
         st = junction[q]
@@ -194,19 +162,15 @@ def merge(pr: PhaseResults) -> Schedule:
             raise MergeError(f"resolved qubit {q} not in a static trap at "
                              "the junction")
         parked[q] = st
-    for stage in s3:
-        for q in side3:
-            st3 = stage.states[q]
-            if stage is s3[0]:
-                ju = junction[q]
-                if (ju.x, ju.y) != (st3.x, st3.y):
-                    raise MergeError(
-                        f"active qubit {q} discontinuity at the junction: "
-                        f"({ju.x},{ju.y}) vs ({st3.x},{st3.y})")
-        states = dict(parked)
-        states.update(stage.states)
-        joint.append(Stage(states, stage.fired))
-    return Schedule(joint)
+    s3 = _lift(pr.r3.schedule, p.qa1 | p.qa2, p.e3)
+    for q, st3 in s3[0].states.items():
+        ju = junction[q]
+        if (ju.x, ju.y) != (st3.x, st3.y):
+            raise MergeError(
+                f"active qubit {q} discontinuity at the junction: "
+                f"({ju.x},{ju.y}) vs ({st3.x},{st3.y})")
+    return Schedule(list(local) + [Stage({**parked, **stage.states},
+                                         stage.fired) for stage in s3])
 
 
 def _with_phase(exc: Exception, label: str) -> Exception:
@@ -252,22 +216,19 @@ def pac_compile(c: Circuit, a: ArraySpec,
         fut2 = pool.submit(run_local, 2)
         r1, r2 = fut1.result(), fut2.result()
 
-    gd = build_global_constraints(partition, r1, r2)
-    map3 = _local_ids(partition.qa1 | partition.qa2)
-    init_xy = {map3[q]: xy for q, xy in gd.init_xy.items()}
-    col_order = tuple((map3[u], map3[v], rel) for u, v, rel in gd.col_order)
-    row_order = tuple((map3[u], map3[v], rel) for u, v, rel in gd.row_order)
+    local = _zip_local(_lift(r1.schedule, partition.q1, partition.e1),
+                       _lift(r2.schedule, partition.q2, partition.e2))
+    gd = build_global_constraints(partition, local)
     try:
         r3 = compile_circuit(
             qc3, full_region(a), opts=opts.solver,
-            init_xy=init_xy if init_xy else None,
-            stage0_aod_order=(col_order, row_order),
-            avoid_sites=gd.avoid_sites)
+            init_xy=gd.init_xy or None,
+            held_lines=gd.held, avoid_sites=gd.avoid_sites)
     except AtomcError as exc:
         raise _with_phase(exc, "global")
 
     phases = PhaseResults(r1, r2, r3, partition)
-    merged = merge(phases)
+    merged = merge(local, phases)
     report = verify(merged, c, a)
     if not report.ok:
         raise VerificationError("merged schedule failed verification", report)

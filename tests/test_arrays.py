@@ -61,5 +61,4 @@ def test_full_region():
 def test_arrayspec_validation():
     with pytest.raises(ValueError):
         ArraySpec(1)
-    assert ArraySpec(4).aod_rows == 4
     assert ArraySpec(4).num_sites == 16

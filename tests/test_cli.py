@@ -22,6 +22,19 @@ def test_cli_writes_a_verified_schedule(tmp_path):
     assert verify(schedule, K4, ArraySpec(2)).ok
 
 
+def test_cli_pac_writes_a_verified_schedule(tmp_path):
+    two_triangles = Circuit(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5),
+                                (3, 5)), name="two-triangles")
+    src = tmp_path / "triangles.txt"
+    src.write_text(serialize_circuit(two_triangles))
+    out = tmp_path / "triangles.json"
+    assert main([str(src), "--array", "4", "--mode", "pac",
+                 "-o", str(out)]) == 0
+    schedule, meta = schedule_from_json(out.read_text())
+    assert meta["mode"] == "pac"
+    assert verify(schedule, two_triangles, ArraySpec(4)).ok
+
+
 def test_cli_writes_to_stdout_without_output(tmp_path, capsys):
     src = tmp_path / "k4.txt"
     src.write_text(serialize_circuit(K4))

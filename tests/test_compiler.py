@@ -8,8 +8,8 @@ from atomc import compiler
 from atomc.arrays import ArraySpec, full_region
 from atomc.circuits import Circuit, generate_rand3reg
 from atomc.compiler import SolverOptions, compile_circuit
-from atomc.errors import InfeasibleError, MergeError
-from atomc.orchestrator import _zip_local, pac_compile
+from atomc.errors import CompileTimeout, InfeasibleError, MergeError
+from atomc.orchestrator import PacOptions, _zip_local, pac_compile
 from atomc.schedule import SLM, QubitState, Stage
 from atomc.smt import MilpBackend
 from atomc.verifier import verify, verify_phases
@@ -83,6 +83,22 @@ def test_impossible_stage0_is_rejected_before_solving(init_xy, avoid, message,
                         avoid_sites=avoid)
 
 
+@pytest.mark.parametrize("init_xy,held,message", [
+    ({q: (q // 2, q % 2) for q in range(4)}, {0: (0, 0), 9: (1, 1)},
+     "held_lines names qubit 9"),
+    (None, {0: (0, 0), 1: (1, 1)}, "held_lines needs init_xy"),
+], ids=["stray-qubit", "no-init-xy"])
+def test_bad_held_lines_are_rejected_before_solving(init_xy, held, message,
+                                                    monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver was called")
+
+    monkeypatch.setattr(MilpBackend, "check", no_solve)
+    with pytest.raises(ValueError, match=message):
+        compile_circuit(K4, full_region(ArraySpec(2)), init_xy=init_xy,
+                        held_lines=held)
+
+
 def test_placement_only_keeps_off_avoided_sites():
     a = ArraySpec(2)
     res = compile_circuit(Circuit(3, ()), full_region(a),
@@ -139,6 +155,13 @@ def test_pac_admits_communities_that_fit_their_quadrants():
 def test_pac_rejects_a_community_larger_than_its_quadrant():
     with pytest.raises(InfeasibleError, match="community 1 has 5 qubits"):
         pac_compile(generate_rand3reg(10, 1), ArraySpec(4))
+
+
+def test_pac_timeout_names_its_phase():
+    opts = PacOptions(solver=SolverOptions(timeout=1e-9))
+    with pytest.raises(CompileTimeout, match=r"^\[local-[12]\] ") as exc:
+        pac_compile(TWO_TRIANGLES, ArraySpec(4), opts)
+    assert exc.value.phase.startswith("local-")
 
 
 def _pac_verifies(c, n):
@@ -251,7 +274,7 @@ def test_zip_local_matches_brute_force_alignment(fires1, fires2):
 
 def _compiles_and_verifies(c, n):
     a = ArraySpec(n)
-    res = compile_circuit(c, full_region(a), self_check=False)
+    res = compile_circuit(c, full_region(a))
     report = verify(res.schedule, c, a)
     assert report.ok, report.violations[:5]
     assert res.schedule.fired_multiset() == list(range(c.num_gates))

@@ -91,20 +91,32 @@ def test_pin_holds_across_a_window_boundary():
     assert assert_pinned(spec, model, v) > 0
 
 
-def test_stage0_directives_exempt_their_qubits():
-    # every qubit is static at stage 0 (a one-stage window with final static
-    # traps), yet the directives order the stage-0 indices of qubits 0 and 1
-    boundary = Boundary(xy={0: (0, 0), 1: (1, 1), 2: (2, 2)},
-                        col_order=((0, 1, ">"),), row_order=((0, 1, "<"),))
+def _static_stage0(held):
+    """A one-stage window whose three qubits all end (so start) static."""
+    boundary = Boundary(xy={0: (0, 0), 1: (1, 1), 2: (2, 2)}, held=held)
     spec = window(Circuit(3, ()), full_region(ArraySpec(3)), 0, boundary,
                   final_slm=frozenset({0, 1, 2}))
     assert spec.stages == 1
     solved = solve(spec)
     assert solved is not None
-    _, model, v = solved
+    return (spec, *solved[1:])
+
+
+def test_stage0_directives_exempt_their_qubits():
+    # every qubit is static at stage 0, yet the held lines order the
+    # stage-0 indices of qubits 0 and 1
+    spec, model, v = _static_stage0({0: (5, 1), 1: (2, 3)})
     assert model[v.c[0, 0].name] > model[v.c[1, 0].name]
     assert model[v.r[0, 0].name] < model[v.r[1, 0].name]
     assert assert_pinned(spec, model, v, exempt={0, 1}) == 1
+
+
+def test_a_lone_held_qubit_keeps_its_pin():
+    # one held qubit is ordered against nothing, so static_lines still pins
+    # its stage-0 indices (the solver input is that of no held lines)
+    spec, model, v = _static_stage0({0: (5, 1)})
+    assert assert_pinned(spec, model, v) == 3
+    assert len(list(static_lines(v, spec))) == 2 * len(spec.qubits)
 
 
 @pytest.mark.parametrize("case", ["k4-2x2", "rand3reg6-w1", "rand3reg6-w2"])
