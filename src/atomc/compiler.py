@@ -1,11 +1,13 @@
 """Constraint-based schedule compiler for one region.
 
 The greedy strategy peels the circuit window by window: each window spans a
-small number of new stages, one MILP check maximizes how many pending gates
-fire inside it, the result is committed and the fired gates leave the
-pending set.  A window that cannot fire anything grows its horizon until it
-can.  An optimal strategy (iterative deepening over the total stage count
-with every gate forced) is available for small instances.
+small number of new stages and is encoded once, then probed with MILP
+decision checks `fired >= k` for descending k; the first sat probe fires as
+many pending gates as the window can, the result is committed and the fired
+gates leave the pending set.  A window whose every probe is refuted cannot
+fire anything and grows its horizon until it can.  An optimal strategy
+(iterative deepening over the total stage count with every gate forced) is
+available for small instances.
 
 Between windows the committed final stage is replayed as the next window's
 stage 0: positions are pinned, trap fields are re-decided (a qubit that was
@@ -26,15 +28,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import networkx as nx
-
 from .arrays import Region, site_in_region
 from .circuits import Circuit, degree_sequence
-from .encoding import Boundary, Vars, WindowSpec, encode_window
+from .encoding import (Boundary, Vars, WindowSpec, encode_window,
+                       matching_size)
 from .errors import (CompileTimeout, ConsistencyError, InfeasibleError,
                      VerificationError)
 from .schedule import AOD, SLM, CompileResult, QubitState, Schedule, Stage
-from .smt import GE, MilpBackend
+from .smt import MilpBackend
 
 
 @dataclass(frozen=True)
@@ -94,10 +95,10 @@ class _Stats:
         return left
 
 
-def _checked(backend, stats: _Stats, maximize=None) -> str:
+def _checked(backend, stats: _Stats, at_least=None) -> str:
     left = stats.remaining()
     stats.calls += 1
-    answer = backend.check(maximize=maximize, timeout=left)
+    answer = backend.check(at_least=at_least, timeout=left)
     if answer == "unknown":
         raise CompileTimeout("solver hit the time limit",
                              wall_time=stats.wall(), solver_calls=stats.calls)
@@ -128,22 +129,28 @@ def solve_window(context: WindowSpec, *, backend, stats: _Stats
                  ) -> WindowResult | None:
     """Solve one window, firing as many of its gates as possible.
 
-    Returns None when not even one gate fits in the horizon (the caller
-    grows the window).  One check with the row `fired >= 1` both proves
-    that at least one gate can fire and returns a model that maximizes the
-    fired count.  A window with nothing pending, or with every gate
-    required, is a plain feasibility check.
+    The window is encoded once and checked with the row `fired >= k` for k
+    from an upper bound down to 1, each check a separate solver call.  The
+    bound is the pending count or `nu` gates per firing stage, whichever is
+    smaller.  The first sat probe fires exactly k gates, the most the
+    window can: k + 1 was refuted, or k is the bound.  Returns None when
+    every probe is refuted, since not even one gate fits in the horizon
+    (the caller grows the window).  A window with nothing pending, or with
+    every gate required, is one plain feasibility check.
     """
     backend.reset()
     v = encode_window(backend, context)
-    objective = None
+    probes = [None]
     if context.gates and not context.require_all_fired:
-        objective = v.fired_total()
-        backend.add(GE(objective, 1))
-    if _checked(backend, stats, maximize=objective) != "sat":
-        return None
-    return _extract(backend.model(), v, context,
-                    context.stages - context.fire_from)
+        fired = v.fired_total()
+        top = min(len(context.gates),
+                  context.nu * len(context.fire_stages))
+        probes = [(fired, k) for k in range(top, 0, -1)]
+    for at_least in probes:
+        if _checked(backend, stats, at_least) == "sat":
+            return _extract(backend.model(), v, context,
+                            context.stages - context.fire_from)
+    return None
 
 
 def extract_schedule(windows: Sequence[WindowResult]) -> Schedule:
@@ -285,9 +292,7 @@ def compile_circuit(circuit: Circuit, region: Region, *,
 def _depth_lower_bound(circuit: Circuit) -> int:
     """The larger of the max degree and the gate count over a maximum
     matching's size, rounded up."""
-    graph = nx.Graph()
-    graph.add_edges_from(set(map(tuple, map(sorted, circuit.gates))))
-    per_stage = max(1, len(nx.max_weight_matching(graph)))
+    per_stage = max(1, matching_size(circuit.gates))
     return max(1, max(degree_sequence(circuit)),
                -(-circuit.num_gates // per_stage))
 

@@ -29,15 +29,18 @@ keep free stage-0 indices.
 matching_bound is a valid cut: it removes no integer solution, only
 fractional ones.  C8 already makes each stage's fired set a matching of the
 pending-gate graph, so at most nu gates fire per stage, nu being that graph's
-maximum matching size.  The LP relaxation does not see this (it can fire
-half of every gate of a triangle), so the row tightens the bound HiGHS must
-close when it maximizes the fired count.  It is emitted only when nu is
-below the pending-gate count.
+maximum matching size (`WindowSpec.nu`).  The LP relaxation does not see
+this (it can fire half of every gate of a triangle).  The compiler probes
+a window with `fired >= k` for descending k, starting at nu times the
+firing stages (or the pending count, if smaller); with the row in place,
+presolve refutes a probe above the optimum quickly.  It is emitted only
+when nu is below the pending-gate count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import networkx as nx
@@ -47,6 +50,13 @@ from .smt import (EQ, GE, GT, LE, LT, NE, BoolVar, Cmp, IntVar, LinExpr, Lit,
                   lin, neg, pos, total)
 
 Clause = tuple[Lit | Cmp, ...]  # at least one item holds
+
+
+def matching_size(edges: Iterable[tuple[int, int]]) -> int:
+    """The size of a maximum matching of the graph with these edges."""
+    graph = nx.Graph()
+    graph.add_edges_from(edges)
+    return len(nx.max_weight_matching(graph))
 
 
 @dataclass(frozen=True)
@@ -95,6 +105,12 @@ class WindowSpec:
         for i, u in enumerate(qs):
             for v in qs[i + 1:]:
                 yield u, v
+
+    @cached_property
+    def nu(self) -> int:
+        """The most gates that can fire at one stage: C8 makes each stage's
+        fired set a matching of the pending-gate graph."""
+        return matching_size(self.gates.values())
 
     def gates_between(self, u: int, v: int) -> list[int]:
         key = {u, v}
@@ -261,13 +277,10 @@ def matching_bound(v: Vars, w: WindowSpec) -> Iterator[Clause]:
     """At most nu gates fire per stage, nu being the size of a maximum
     matching of the pending-gate graph (a valid cut; see the module
     docstring).  No row when every gate could fire at once."""
-    graph = nx.Graph()
-    graph.add_edges_from(w.gates.values())
-    nu = len(nx.max_weight_matching(graph))
-    if nu >= len(w.gates):
+    if w.nu >= len(w.gates):
         return
     for s in w.fire_stages:
-        yield (LE(total([v.f[g, s] for g in sorted(w.gates)]), nu),)
+        yield (LE(total([v.f[g, s] for g in sorted(w.gates)]), w.nu),)
 
 
 def _site_id(v: Vars, w: WindowSpec, q: int, t: int) -> LinExpr:

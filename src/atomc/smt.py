@@ -3,9 +3,10 @@
 Constraints are clauses over bounded integer and boolean variables: each
 asserts that at least one of its items holds, an item being a literal or a
 linear comparison.  MilpBackend compiles them in process to exact big-M
-integer-linear rows and answers each check (with an optional maximization
-objective) with scipy's HiGHS MILP engine.  The compiler calls reset()
-before encoding each window.
+integer-linear rows and decides each check with scipy's HiGHS MILP engine.
+A check has no objective; it may add one row `expr >= k` of its own, which
+lets the compiler probe one encoded window at several bounds.  The compiler
+calls reset() before encoding each window.
 
 A comparison inside a multi-item clause is reified: a binary equivalent to
 it, tied by two big-M rows.  Reified comparisons are shared: a repeat gets
@@ -155,6 +156,8 @@ class MilpBackend:
         self._rows: list[tuple[dict[int, float], float, float]] = []
         self._reify: dict[tuple, BoolVar] = {}
         self._model: dict[str, int] | None = None
+        # (extra row expression, compiled rows) of the last check
+        self._built: tuple | None = None
 
     # -- variables
 
@@ -165,6 +168,7 @@ class MilpBackend:
         self._vars.append(v)
         self._lo.append(lo)
         self._hi.append(hi)
+        self._built = None
 
     def int_var(self, name: str, lo: int, hi: int) -> IntVar:
         if lo > hi:
@@ -182,6 +186,7 @@ class MilpBackend:
 
     def _add_row(self, coeffs: dict[int, float], lo: float, hi: float) -> None:
         self._rows.append((coeffs, lo, hi))
+        self._built = None
 
     def _expr_coeffs(self, e: LinExpr) -> dict[int, float]:
         coeffs: dict[int, float] = {}
@@ -340,13 +345,43 @@ class MilpBackend:
 
     # -- solving
 
-    def check(self, maximize: LinExpr | None = None,
+    def _constraint(self, extra: LinExpr | None):
+        """The rows as a CSC matrix with row bounds, plus a last row over
+        `extra` (its bounds left open) when given.  Built once and reused
+        until the next variable, row or reset."""
+        if self._built is not None and self._built[0] == extra:
+            return self._built[1]
+        rows = self._rows
+        if extra is not None:
+            rows = rows + [(self._expr_coeffs(extra), -np.inf, np.inf)]
+        built = None
+        if rows:
+            from scipy.sparse import csc_matrix
+            ri, ci, data = [], [], []
+            for i, (coeffs, _, _) in enumerate(rows):
+                for j, coef in coeffs.items():
+                    ri.append(i)
+                    ci.append(j)
+                    data.append(coef)
+            a_mat = csc_matrix((data, (ri, ci)),
+                               shape=(len(rows), len(self._vars)))
+            built = (a_mat, np.array([r[1] for r in rows]),
+                     np.array([r[2] for r in rows]))
+        self._built = (extra, built)
+        return built
+
+    def check(self, at_least: tuple[LinExpr, int] | None = None,
               timeout: float | None = None) -> str:
-        """Solve the rows added since the last reset: "sat" (a model is
-        available; it maximizes `maximize` when given), "unsat" or
-        "unknown" (the time limit hit first)."""
+        """Decide the rows added since the last reset: "sat" (a model is
+        available), "unsat" or "unknown" (the time limit hit first).
+
+        `at_least=(expr, k)` adds the row expr >= k to this check alone.
+        It is never absorbed into the variable bounds, even over one
+        variable, so the next check does not see it.  The objective is
+        zero: HiGHS answers a decision question and stops at its first
+        feasible point.
+        """
         from scipy.optimize import Bounds, LinearConstraint, milp
-        from scipy.sparse import csc_matrix
 
         n = len(self._vars)
         if n == 0:
@@ -357,30 +392,20 @@ class MilpBackend:
         if np.any(lo > hi):  # bound absorption emptied a domain
             self._model = None
             return "unsat"
-        c = np.zeros(n)
-        if maximize is not None:
-            for k, v in maximize.terms:
-                c[self._names[v.name]] -= float(k)
         options: dict = {"presolve": True}
         if timeout is not None:
             options["time_limit"] = max(timeout, 0.01)
         kwargs = {}
-        if self._rows:
-            rows, cols, data = [], [], []
-            rlo, rhi = [], []
-            for i, (coeffs, l, h) in enumerate(self._rows):
-                for j, coef in coeffs.items():
-                    rows.append(i)
-                    cols.append(j)
-                    data.append(coef)
-                rlo.append(l)
-                rhi.append(h)
-            a_mat = csc_matrix((data, (rows, cols)),
-                               shape=(len(self._rows), n))
-            kwargs["constraints"] = LinearConstraint(
-                a_mat, np.array(rlo), np.array(rhi))
-        res = milp(c=c, integrality=np.ones(n), bounds=Bounds(lo, hi),
-                   options=options, **kwargs)
+        built = self._constraint(None if at_least is None else at_least[0])
+        if built is not None:
+            a_mat, rlo, rhi = built
+            if at_least is not None:
+                expr, k = at_least
+                rlo = rlo.copy()
+                rlo[-1] = float(k - expr.const)
+            kwargs["constraints"] = LinearConstraint(a_mat, rlo, rhi)
+        res = milp(c=np.zeros(n), integrality=np.ones(n),
+                   bounds=Bounds(lo, hi), options=options, **kwargs)
         if res.status == 0:
             xs = np.rint(res.x).astype(int)
             self._model = {v.name: int(xs[i]) for i, v in enumerate(self._vars)}

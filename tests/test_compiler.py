@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +9,7 @@ from atomc import compiler
 from atomc.arrays import ArraySpec, full_region
 from atomc.circuits import Circuit, generate_rand3reg
 from atomc.compiler import SolverOptions, compile_circuit
+from atomc.encoding import Boundary
 from atomc.errors import CompileTimeout, InfeasibleError, MergeError
 from atomc.orchestrator import PacOptions, _zip_local, pac_compile
 from atomc.schedule import SLM, QubitState, Stage
@@ -53,6 +55,81 @@ def test_window_specs_keep_the_gates_pending_when_solved(monkeypatch):
             for g in result.fired:
                 del pending[g]
     assert not pending
+
+
+def _probed(spec, matrices=None):
+    """Solve one window; (result, (k, answer) of each check, solver calls).
+    k is None for a plain feasibility check.  The constraint matrix each
+    check hands HiGHS is appended to `matrices`."""
+    backend = MilpBackend()
+    stats = compiler._Stats(t0=0.0, deadline=float("inf"))
+    probes = []
+    check = backend.check
+
+    def recording(at_least=None, timeout=None):
+        answer = check(at_least=at_least, timeout=timeout)
+        probes.append((None if at_least is None else at_least[1], answer))
+        return answer
+
+    def milp(real=scipy.optimize.milp, **kwargs):
+        matrices.append(kwargs["constraints"].A)
+        return real(**kwargs)
+
+    backend.check = recording
+    with pytest.MonkeyPatch.context() as mp:
+        if matrices is not None:
+            mp.setattr(scipy.optimize, "milp", milp)
+        result = compiler.solve_window(spec, backend=backend, stats=stats)
+    return result, probes, stats.calls
+
+
+def test_probes_refute_down_to_the_optimum():
+    # the four gates hold a matching of three, but from this pinned start
+    # at most two of them fire within one new stage
+    xy = {0: (0, 2), 1: (0, 1), 2: (2, 2), 3: (0, 0), 4: (1, 0), 5: (1, 1)}
+    gates = {0: (0, 1), 1: (2, 3), 2: (4, 5), 3: (1, 2)}
+    spec = compiler._window_spec(Boundary(xy=xy), 1, list(range(6)), gates,
+                                 full_region(ArraySpec(3)), frozenset())
+    assert spec.nu == 3
+    matrices = []
+    result, probes, calls = _probed(spec, matrices)
+    assert probes == [(3, "unsat"), (2, "sat")]
+    assert calls == 2 and len(result.fired) == 2
+    # the window's matrix is assembled once and shared by both probes
+    assert len(matrices) == 2 and matrices[0] is matrices[1]
+
+
+def test_a_window_that_fires_nothing_is_grown():
+    # a window the greedy compile of rand3reg(6, 34) on 3x3 had to grow:
+    # two pairs share sites at the boundary, four qubits are tied to lines,
+    # and the one pending gate cannot fire within one new stage, but can
+    # within two
+    boundary = Boundary(
+        xy={0: (2, 1), 1: (0, 1), 2: (2, 0), 3: (0, 1), 4: (2, 1),
+            5: (0, 0)},
+        prev_traps={0: (2, 2), 2: (2, 1), 3: (1, 2), 5: (0, 0)})
+    solved = []
+    for horizon in (1, 2):
+        spec = compiler._window_spec(boundary, horizon, list(range(6)),
+                                     {7: (2, 5)}, full_region(ArraySpec(3)),
+                                     frozenset())
+        solved.append(_probed(spec))
+    (grown, probes1, calls1), (result, probes2, calls2) = solved
+    assert grown is None and probes1 == [(1, "unsat")] and calls1 == 1
+    assert probes2 == [(1, "sat")] and calls2 == 1
+    assert list(result.fired) == [7] and result.horizon == 2
+
+
+@pytest.mark.parametrize("park,calls", [(frozenset(), 1),
+                                        (frozenset({0, 1}), 2)],
+                         ids=["plain", "parked"])
+def test_a_one_gate_circuit_compiles(park, calls):
+    # the firing pair ends on one site, so parking it takes one more solve
+    c = Circuit(2, ((0, 1),))
+    res = compile_circuit(c, full_region(ArraySpec(2)), final_stage_slm=park)
+    assert res.solver_calls == calls
+    assert res.schedule.fired_multiset() == [0]
+    assert verify(res.schedule, c, ArraySpec(2)).ok
 
 
 def test_max_horizon_below_window_is_rejected():
@@ -169,9 +246,18 @@ def _pac_verifies(c, n):
     merged, phases = pac_compile(c, a)
     assert verify(merged, c, a).ok
     assert verify_phases(phases, c, a).ok
-    assert merged.depth == (max(phases.r1.schedule.depth,
-                                phases.r2.schedule.depth)
-                            + phases.r3.schedule.depth)
+    # the merged local depth is the least any legal alignment of the two
+    # local stage lists reaches (lifting keeps which stages fire); it is
+    # max(d1, d2) only when their firing stages pair up, which follows
+    # which of several equally good windows the solver returned
+    fires1, fires2 = ([bool(st.fired) for st in r.schedule.stages]
+                      for r in (phases.r1, phases.r2))
+    least = min(sum(1 for i, j in path if fires1[i] or fires2[j])
+                for path in _paths(len(fires1), len(fires2))
+                if _legal(path, fires1, fires2))
+    d1, d2, d3 = (r.schedule.depth for r in (phases.r1, phases.r2, phases.r3))
+    assert merged.depth == least + d3
+    assert merged.depth >= max(d1, d2) + d3
 
 
 def test_pac_merge_pads_a_side_that_ran_out_of_rounds():

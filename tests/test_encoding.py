@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -11,10 +10,11 @@ from atomc.compiler import (_internal_boundary, _Stats, _window_spec,
 from atomc.encoding import (ALL_FAMILIES, Boundary, WindowSpec, encode_window,
                             line_order, make_vars, matching_bound,
                             static_lines)
+from atomc.orchestrator import pac_compile
 from atomc.schedule import AOD, SLM, QubitState, Schedule, Stage
 from atomc.smt import MilpBackend
 from atomc.verifier import verify
-from test_smt import evaluate
+from test_smt import evaluate, maximize
 
 K4 = Circuit(4, tuple(itertools.combinations(range(4), 2)), name="k4")
 NO_PIN = tuple(f for f in ALL_FAMILIES if f is not static_lines)
@@ -30,11 +30,8 @@ def solve(spec, families=ALL_FAMILIES):
     """Maximize the fired count; (fired count, model, vars) or None."""
     backend = MilpBackend()
     v = encode_window(backend, spec, families)
-    if backend.check(maximize=v.fired_total()) != "sat":
-        return None
-    model = backend.model()
-    fired = sum(model[f.name] for f in v.f.values())
-    return fired, model, v
+    best = maximize(backend, v.fired_total())
+    return None if best is None else (*best, v)
 
 
 def assert_pinned(spec, model, v, exempt=frozenset()):
@@ -186,22 +183,56 @@ def test_matching_bound_rows(gates, bound):
             v.f[g, s].name for g in gates)
 
 
-def test_matching_bound_keeps_the_optimal_fired_count(monkeypatch):
-    # every window the greedy compile solves, re-solved with and without
-    # the family (a copy of each: the compiler deletes fired gates from the
-    # pending map it passes)
-    specs = []
+def _record(run):
+    """(spec, fired count, or None when grown) of every window `run`
+    solves."""
+    solved = []
 
     def recording(spec, **kwargs):
-        specs.append(dataclasses.replace(spec, gates=dict(spec.gates)))
-        return solve_window(spec, **kwargs)
+        result = solve_window(spec, **kwargs)
+        solved.append((spec, None if result is None else len(result.fired)))
+        return result
 
-    monkeypatch.setattr(compiler, "solve_window", recording)
-    for seed in (1, 2, 3):
-        compile_circuit(generate_rand3reg(6, seed), full_region(ArraySpec(3)))
-    cut = [spec for spec in specs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compiler, "solve_window", recording)
+        run()
+    return solved
+
+
+@pytest.fixture(scope="module")
+def direct_windows():
+    """The greedy windows of direct rand3reg(6, 1..3) on 3x3."""
+    region = full_region(ArraySpec(3))
+    return _record(lambda: [compile_circuit(generate_rand3reg(6, seed),
+                                            region) for seed in (1, 2, 3)])
+
+
+@pytest.fixture(scope="module")
+def pac_global_windows():
+    """The greedy windows of pac rand3reg(12, 6)'s global phase on 8x8."""
+    a = ArraySpec(8)
+    solved = _record(lambda: pac_compile(generate_rand3reg(12, 6), a))
+    return [(spec, fired) for spec, fired in solved
+            if spec.region == full_region(a)]
+
+
+def test_matching_bound_keeps_the_optimal_fired_count(direct_windows):
+    # every window the greedy compile solves, re-solved with and without
+    # the family
+    cut = [spec for spec, _ in direct_windows
            if list(matching_bound(make_vars(MilpBackend(), spec), spec))]
     assert cut
     for spec in cut:
         with_cut, without = solve(spec), solve(spec, NO_MATCHING)
         assert with_cut[0] == without[0]
+
+
+@pytest.mark.parametrize("windows", ["direct_windows", "pac_global_windows"])
+def test_probes_fire_as_many_gates_as_a_maximize(windows, request):
+    solved = [(spec, fired) for spec, fired in request.getfixturevalue(windows)
+              if spec.gates]
+    assert solved
+    for spec, fired in solved:
+        best = solve(spec)
+        assert best is not None
+        assert (fired or 0) == best[0]

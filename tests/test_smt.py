@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from atomc.smt import (EQ, GE, GT, LE, LT, NE, IntVar, Lit, MilpBackend, lin,
@@ -143,15 +144,46 @@ def test_true_guard_frees_the_comparison(negated):
     assert b.model() == {"p": int(not negated), "x": 3, "y": 0}
 
 
-def test_maximize_on_milp():
+def test_at_least_holds_for_one_check_only():
     b = MilpBackend()
     fs = [b.bool_var(f"f{i}") for i in range(4)]
     x = b.int_var("x", 0, 10)
     b.add(Lit(fs[0], neg=True), GE(x, 9))
     b.add(Lit(fs[1], neg=True), LE(x, 2))  # f0 and f1 conflict
-    assert b.check(maximize=total(fs)) == "sat"
-    m = b.model()
-    assert sum(m[f"f{i}"] for i in range(4)) == 3
+    assert b.check(at_least=(total(fs), 3)) == "sat"
+    assert sum(b.model()[f"f{i}"] for i in range(4)) >= 3
+    assert b.check(at_least=(total(fs), 4)) == "unsat"
+    # the refuted row is gone: a plain check, then one over one variable
+    # (a row that a bound would have kept), then the plain check again
+    assert b.check() == "sat"
+    assert b.check(at_least=(lin(x), 11)) == "unsat"
+    assert b.check(at_least=(lin(x) + 2, 12)) == "sat"
+    assert b.model()["x"] == 10
+    assert b.check() == "sat"
+
+
+def maximize(backend, expr):
+    """Reference optimum: `expr` maximized over the backend's rows by
+    scipy's HiGHS with an objective; (value, model), or None when the
+    rows are infeasible."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    n = len(backend._vars)
+    lo, hi = np.array(backend._lo, float), np.array(backend._hi, float)
+    if np.any(lo > hi):
+        return None
+    c = np.zeros(n)
+    for k, v in expr.terms:
+        c[backend._names[v.name]] -= k
+    built = backend._constraint(None)
+    res = milp(c=c, integrality=np.ones(n), bounds=Bounds(lo, hi),
+               constraints=() if built is None else LinearConstraint(*built))
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    xs = np.rint(res.x).astype(int)
+    model = {v.name: int(xs[i]) for i, v in enumerate(backend._vars)}
+    value = expr.const + sum(k * model[v.name] for k, v in expr.terms)
+    return value, model
 
 
 def test_differential_against_bruteforce():
