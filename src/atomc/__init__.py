@@ -7,8 +7,8 @@ phase finishes the cross-partition gates (pac mode).
 """
 
 from .arrays import ArraySpec, Region, full_region, site_in_region, split_plane
-from .circuits import (Circuit, degree_sequence, generate_rand3reg,
-                       load_circuit, parse_circuit, serialize_circuit)
+from .circuits import (Circuit, generate_rand3reg, load_circuit,
+                       parse_circuit, serialize_circuit)
 from .division import (DivisionOptions, Partition, classify, initial_partition,
                        loss, refine, refine_trace, split_circuit,
                        swap_candidates)
@@ -21,7 +21,7 @@ from .schedule import (AOD, SLM, CompileResult, QubitState, Schedule, Stage,
 __all__ = [
     "AOD", "SLM",
     "ArraySpec", "Region", "full_region", "site_in_region", "split_plane",
-    "Circuit", "degree_sequence", "generate_rand3reg", "load_circuit",
+    "Circuit", "generate_rand3reg", "load_circuit",
     "parse_circuit", "serialize_circuit",
     "DivisionOptions", "Partition", "classify", "initial_partition", "loss",
     "refine", "refine_trace", "split_circuit", "swap_candidates",

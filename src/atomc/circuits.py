@@ -141,11 +141,3 @@ def generate_rand3reg(n: int, seed: int, name: str | None = None) -> Circuit:
             gates = tuple(sorted(edges))
             return Circuit(n, gates, name or f"rand3reg_{n}_{seed}")
 
-
-def degree_sequence(c: Circuit) -> list[int]:
-    """Per-qubit gate incidence counts (duplicates counted per gate)."""
-    deg = [0] * c.num_qubits
-    for u, v in c.gates:
-        deg[u] += 1
-        deg[v] += 1
-    return deg

@@ -1,13 +1,12 @@
 """Constraint-based schedule compiler for one region.
 
-The greedy strategy peels the circuit window by window: each window spans a
-small number of new stages and is encoded once, then probed with MILP
-decision checks `fired >= k` for descending k; the first sat probe fires as
-many pending gates as the window can, the result is committed and the fired
-gates leave the pending set.  A window whose every probe is refuted cannot
-fire anything and grows its horizon until it can.  An optimal strategy
-(iterative deepening over the total stage count with every gate forced) is
-available for small instances.
+The compiler peels the circuit greedily, window by window: each window
+spans a small number of new stages and is encoded once, then probed with
+MILP decision checks `fired >= k` for descending k; the first sat probe
+fires as many pending gates as the window can, the result is committed and
+the fired gates leave the pending set.  A window whose every probe is
+refuted cannot fire anything and grows its horizon until it can, up to
+`MAX_HORIZON` new stages.
 
 Between windows the committed final stage is replayed as the next window's
 stage 0: positions are pinned, trap fields are re-decided (a qubit that was
@@ -19,7 +18,7 @@ stitches the window results into the returned schedule in one pass.
 
 Qubits listed to end in static traps that finish in a movable trap are
 dropped where they stand, or, when some site holds two qubits, separated and
-dropped by one more solve.
+dropped by one more solve, grown the same way.
 """
 
 from __future__ import annotations
@@ -29,43 +28,31 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .arrays import Region, site_in_region
-from .circuits import Circuit, degree_sequence
-from .encoding import (Boundary, Vars, WindowSpec, encode_window,
-                       matching_size)
+from .circuits import Circuit
+from .encoding import Boundary, Vars, WindowSpec, encode_window
 from .errors import (CompileTimeout, ConsistencyError, InfeasibleError,
                      VerificationError)
 from .schedule import AOD, SLM, CompileResult, QubitState, Schedule, Stage
 from .smt import MilpBackend
 
+# the most new stages a window grows to, from 1, before the compile gives up
+# as infeasible
+MAX_HORIZON = 8
+
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Per-compile solver knobs.
+    """Per-compile solver options.
 
-    timeout: total wall budget in seconds for one compile call.
-    window: new stages per greedy solve (grown when nothing can fire).
-    max_horizon: the most new stages a greedy or parking window grows to
-    before the compile gives up as infeasible; at least `window`.
-    strategy: "greedy" (windowed peeling) or "optimal" (iterative deepening
-    over the total stage count, up to `max_horizon` stages per gate: every
-    greedy window fires a gate within `max_horizon` new stages, so any
-    circuit greedy can compile has a schedule within that cap).
+    timeout: total wall budget in seconds for one compile call; positive
+    (NaN is rejected, since it would disarm every budget check).
     """
 
     timeout: float = 600.0
-    window: int = 1
-    strategy: str = "greedy"
-    max_horizon: int = 8
 
     def __post_init__(self):
-        if self.timeout <= 0:
+        if not self.timeout > 0:
             raise ValueError("timeout must be positive")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.max_horizon < self.window:
-            raise ValueError("max_horizon must be >= window")
-        if self.strategy not in ("greedy", "optimal"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
 @dataclass
@@ -135,13 +122,13 @@ def solve_window(context: WindowSpec, *, backend, stats: _Stats
     smaller.  The first sat probe fires exactly k gates, the most the
     window can: k + 1 was refuted, or k is the bound.  Returns None when
     every probe is refuted, since not even one gate fits in the horizon
-    (the caller grows the window).  A window with nothing pending, or with
-    every gate required, is one plain feasibility check.
+    (the caller grows the window).  A window with nothing pending is one
+    plain feasibility check.
     """
     backend.reset()
     v = encode_window(backend, context)
     probes = [None]
-    if context.gates and not context.require_all_fired:
+    if context.gates:
         fired = v.fired_total()
         top = min(len(context.gates),
                   context.nu * len(context.fire_stages))
@@ -206,8 +193,7 @@ def _internal_boundary(stages: Sequence[Stage]) -> Boundary:
 
 
 def _window_spec(boundary: Boundary, horizon: int, qubits, pending, region,
-                 avoid, final_slm=frozenset(),
-                 require_all=False) -> WindowSpec:
+                 avoid, final_slm=frozenset()) -> WindowSpec:
     if boundary.xy is None:
         stages, fire_from = horizon, 0
     else:
@@ -215,7 +201,7 @@ def _window_spec(boundary: Boundary, horizon: int, qubits, pending, region,
     return WindowSpec(
         qubits=qubits, gates=pending, stages=stages, fire_from=fire_from,
         region=region, boundary=boundary, avoid_sites=avoid,
-        final_slm=final_slm, require_all_fired=require_all)
+        final_slm=final_slm)
 
 
 def _validate_inputs(circuit, region, init_xy, held_lines, avoid):
@@ -276,7 +262,7 @@ def compile_circuit(circuit: Circuit, region: Region, *,
     boundary = (Boundary() if init_xy is None
                 else Boundary(xy=dict(init_xy), held=dict(held_lines)))
     windows = _run(circuit, region, boundary, avoid_sites, final_stage_slm,
-                   opts, stats)
+                   stats)
     schedule = extract_schedule(windows)
     result = CompileResult(schedule=schedule, wall_time=stats.wall(),
                            solver_calls=stats.calls,
@@ -289,15 +275,7 @@ def compile_circuit(circuit: Circuit, region: Region, *,
     return result
 
 
-def _depth_lower_bound(circuit: Circuit) -> int:
-    """The larger of the max degree and the gate count over a maximum
-    matching's size, rounded up."""
-    per_stage = max(1, matching_size(circuit.gates))
-    return max(1, max(degree_sequence(circuit)),
-               -(-circuit.num_gates // per_stage))
-
-
-def _run(circuit, region, boundary, avoid, final_slm, opts,
+def _run(circuit, region, boundary, avoid, final_slm,
          stats) -> list[WindowResult]:
     qubits = list(range(circuit.num_qubits))
     if not qubits:
@@ -306,10 +284,10 @@ def _run(circuit, region, boundary, avoid, final_slm, opts,
     pending = dict(enumerate(circuit.gates))
     windows: list[WindowResult] = []
 
-    def grow(boundary, horizons, gates, **spec) -> WindowResult | None:
-        """Solve the window at each horizon in turn; return the first sat
-        one, recorded in the budget history, or None."""
-        for horizon in horizons:
+    def grow(boundary, gates, **spec) -> WindowResult | None:
+        """Solve the window at horizons 1 to MAX_HORIZON in turn; return the
+        first sat one, recorded in the budget history, or None."""
+        for horizon in range(1, MAX_HORIZON + 1):
             w = _window_spec(boundary, horizon, qubits, gates, region,
                              avoid, **spec)
             result = solve_window(w, backend=backend, stats=stats)
@@ -326,28 +304,16 @@ def _run(circuit, region, boundary, avoid, final_slm, opts,
         else:
             states = _row_major_placement(qubits, region, avoid)
         windows.append(WindowResult([Stage(states, ())], {}, 1))
-    elif opts.strategy == "optimal":
-        # iterative deepening over the total stage count, all gates forced,
-        # up to the cap that bounds what greedy could reach
-        cap = circuit.num_gates * opts.max_horizon
-        result = grow(boundary, range(_depth_lower_bound(circuit), cap + 1),
-                      pending, require_all=True)
+    while pending:
+        # a snapshot: fired gates leave `pending`, not the window's spec
+        result = grow(boundary, dict(pending))
         if result is None:
-            raise InfeasibleError(f"no schedule within {cap} stages "
-                                  f"({opts.max_horizon} per gate)")
+            raise InfeasibleError(
+                f"no gate fireable within {MAX_HORIZON} stages")
         windows.append(result)
-    else:
-        while pending:
-            # a snapshot: fired gates leave `pending`, not the window's spec
-            result = grow(boundary, range(opts.window, opts.max_horizon + 1),
-                          dict(pending))
-            if result is None:
-                raise InfeasibleError(
-                    f"no gate fireable within {opts.max_horizon} stages")
-            windows.append(result)
-            for g in result.fired:
-                del pending[g]
-            boundary = _internal_boundary(result.stages)
+        for g in result.fired:
+            del pending[g]
+        boundary = _internal_boundary(result.stages)
 
     # park the listed qubits that end up in a movable trap: drop them in
     # place, or separate and drop them in one small solve
@@ -356,12 +322,11 @@ def _run(circuit, region, boundary, avoid, final_slm, opts,
     if listed:
         park = _drop_in_place(last[-1], listed)
         if park is None:
-            park = grow(_internal_boundary(last),
-                        range(1, opts.max_horizon + 1), {},
+            park = grow(_internal_boundary(last), {},
                         final_slm=frozenset(final_slm))
         if park is None:
             raise InfeasibleError(f"cannot park {sorted(final_slm)} within "
-                                  f"{opts.max_horizon} stages")
+                                  f"{MAX_HORIZON} stages")
         windows.append(park)
     return windows
 

@@ -90,7 +90,6 @@ class WindowSpec:
     boundary: Boundary
     avoid_sites: frozenset[tuple[int, int]] = frozenset()
     final_slm: frozenset[int] = frozenset()
-    require_all_fired: bool = False
 
     @property
     def transitions(self) -> range:
@@ -258,14 +257,10 @@ def c7_isolation(v: Vars, w: WindowSpec) -> Iterator[Clause]:
 
 
 def c8_coverage(v: Vars, w: WindowSpec) -> Iterator[Clause]:
-    """Each gate fires at most once per window (exactly once when the whole
-    horizon must finish), and gates sharing a qubit never fire together."""
+    """Each gate fires at most once per window, and gates sharing a qubit
+    never fire together."""
     for g in sorted(w.gates):
-        fired = total([v.f[g, s] for s in w.fire_stages])
-        if w.require_all_fired:
-            yield (EQ(fired, 1),)
-        else:
-            yield (LE(fired, 1),)
+        yield (LE(total([v.f[g, s] for s in w.fire_stages]), 1),)
     for q in w.qubits:
         incident = [g for g, ends in sorted(w.gates.items()) if q in ends]
         if len(incident) > 1:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomc.circuits import (Circuit, degree_sequence, generate_rand3reg,
-                            parse_circuit, serialize_circuit)
+from atomc.circuits import (Circuit, generate_rand3reg, parse_circuit,
+                            serialize_circuit)
 from atomc.errors import ParseError, QubitRangeError
 
 
@@ -101,7 +101,7 @@ def test_rand3reg_odd_rejected():
 def test_rand3reg_is_simple_and_cubic(half_n, seed):
     n = 2 * half_n
     c = generate_rand3reg(n, seed)
-    # brute-force recount of incidences, independent of degree_sequence
+    # recount incidences from the gate list
     incident = [0] * n
     seen = set()
     for u, v in c.gates:
@@ -112,18 +112,3 @@ def test_rand3reg_is_simple_and_cubic(half_n, seed):
         incident[u] += 1
         incident[v] += 1
     assert incident == [3] * n
-
-
-def test_degree_sequence_k4():
-    c = generate_rand3reg(4, 1)
-    assert degree_sequence(c) == [3, 3, 3, 3]
-
-
-def test_degree_sequence_empty():
-    assert degree_sequence(Circuit(3, ())) == [0, 0, 0]
-
-
-def test_degree_sequence_matches_bruteforce():
-    c = generate_rand3reg(10, 3)
-    brute = [sum(1 for g in c.gates if q in g) for q in range(10)]
-    assert degree_sequence(c) == brute

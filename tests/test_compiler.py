@@ -132,10 +132,10 @@ def test_a_one_gate_circuit_compiles(park, calls):
     assert verify(res.schedule, c, ArraySpec(2)).ok
 
 
-def test_max_horizon_below_window_is_rejected():
-    with pytest.raises(ValueError, match="max_horizon must be >= window"):
-        SolverOptions(window=3, max_horizon=2)
-    assert SolverOptions(window=2, max_horizon=2).max_horizon == 2
+@pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan")])
+def test_a_timeout_that_is_not_positive_is_rejected(timeout):
+    with pytest.raises(ValueError, match="timeout must be positive"):
+        SolverOptions(timeout=timeout)
 
 
 def test_parameters_after_region_are_keyword_only():
@@ -186,37 +186,25 @@ def test_placement_only_keeps_off_avoided_sites():
     assert res.solver_calls == 0
 
 
-def test_optimal_reaches_the_lower_bound():
-    # each K4 qubit is in 3 gates, so depth 3 is the lower bound
-    res = compile_circuit(K4, full_region(ArraySpec(2)),
-                          opts=SolverOptions(strategy="optimal"))
-    assert res.schedule.depth == 3
-    assert res.solver_calls == 1
-    assert res.stage_budget_history == [3]
-    assert verify(res.schedule, K4, ArraySpec(2)).ok
+# every site of 2x2 but (1, 1)
+ONE_SITE = frozenset({(0, 0), (0, 1), (1, 0)})
 
 
-def test_optimal_deepens_past_an_infeasible_horizon():
-    # the two diagonals of a 2x2 square from a pinned start: the matching
-    # bound (horizon 1) and horizon 2 are infeasible, horizon 3 is not
-    c = Circuit(4, ((1, 3), (0, 2)))
-    init_xy = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}
-    res = compile_circuit(c, full_region(ArraySpec(2)), init_xy=init_xy,
-                          opts=SolverOptions(strategy="optimal"))
-    assert res.solver_calls == 3
-    assert res.stage_budget_history == [3]
-    assert len(res.schedule.stages) == 4
-    assert verify(res.schedule, c, ArraySpec(2)).ok
-
-
-def test_optimal_stops_at_its_cap():
-    # three qubits, one usable site: no horizon is feasible
+def test_greedy_stops_at_the_horizon_cap():
+    # three qubits cannot share the one usable site, so no window of any
+    # horizon is feasible
     c = Circuit(3, ((0, 1), (1, 2)))
-    avoid = frozenset({(0, 0), (0, 1), (1, 0)})
-    opts = SolverOptions(strategy="optimal", max_horizon=2, timeout=60)
-    with pytest.raises(InfeasibleError, match="within 4 stages"):
-        compile_circuit(c, full_region(ArraySpec(2)), avoid_sites=avoid,
-                        opts=opts)
+    with pytest.raises(InfeasibleError, match="within 8 stages"):
+        compile_circuit(c, full_region(ArraySpec(2)), avoid_sites=ONE_SITE)
+
+
+def test_parking_stops_at_the_horizon_cap():
+    # the pair fires on the one free site and then cannot separate
+    c = Circuit(2, ((0, 1),))
+    with pytest.raises(InfeasibleError,
+                       match=r"cannot park \[0, 1\] within 8 stages"):
+        compile_circuit(c, full_region(ArraySpec(2)), avoid_sites=ONE_SITE,
+                        final_stage_slm=frozenset({0, 1}))
 
 
 def test_pac_admits_communities_that_fit_their_quadrants():
