@@ -1,12 +1,14 @@
 """Constraint-based schedule compiler for one region.
 
 The compiler peels the circuit greedily, window by window: each window
-spans a small number of new stages and is encoded once, then probed with
-MILP decision checks `fired >= k` for descending k; the first sat probe
-fires as many pending gates as the window can, the result is committed and
-the fired gates leave the pending set.  A window whose every probe is
-refuted cannot fire anything and grows its horizon until it can, up to
-`MAX_HORIZON` new stages.
+spans a small number of new stages and is encoded once, then decided by
+MILP checks for descending gate counts k.  A window with one fire stage is
+checked once per k-matching of its pending gates, that matching's gates
+fixed to fire and the rest not; a window with more fire stages is probed
+with the row `fired >= k`.  The first sat check fires as many pending gates
+as the window can, the result is committed and the fired gates leave the
+pending set.  A window whose every check is refuted cannot fire anything and
+grows its horizon until it can, up to `MAX_HORIZON` new stages.
 
 Between windows the committed final stage is replayed as the next window's
 stage 0: positions are pinned, trap fields are re-decided (a qubit that was
@@ -25,11 +27,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .arrays import Region, site_in_region
 from .circuits import Circuit
-from .encoding import Boundary, Vars, WindowSpec, encode_window
+from .encoding import Boundary, Vars, WindowSpec, encode_window, matchings
 from .errors import (CompileTimeout, ConsistencyError, InfeasibleError,
                      VerificationError)
 from .schedule import AOD, SLM, CompileResult, QubitState, Schedule, Stage
@@ -82,10 +84,10 @@ class _Stats:
         return left
 
 
-def _checked(backend, stats: _Stats, at_least=None) -> str:
+def _checked(backend, stats: _Stats, **probe) -> str:
     left = stats.remaining()
     stats.calls += 1
-    answer = backend.check(at_least=at_least, timeout=left)
+    answer = backend.check(timeout=left, **probe)
     if answer == "unknown":
         raise CompileTimeout("solver hit the time limit",
                              wall_time=stats.wall(), solver_calls=stats.calls)
@@ -116,28 +118,48 @@ def solve_window(context: WindowSpec, *, backend, stats: _Stats
                  ) -> WindowResult | None:
     """Solve one window, firing as many of its gates as possible.
 
-    The window is encoded once and checked with the row `fired >= k` for k
-    from an upper bound down to 1, each check a separate solver call.  The
-    bound is the pending count or `nu` gates per firing stage, whichever is
-    smaller.  The first sat probe fires exactly k gates, the most the
-    window can: k + 1 was refuted, or k is the bound.  Returns None when
-    every probe is refuted, since not even one gate fits in the horizon
+    The window is encoded once and decided by a sequence of checks, each a
+    separate solver call; the first sat check is extracted.  With one fire
+    stage (every horizon-1 window), the checks run over k from `nu` down to
+    1, and for each k over the k-matchings of the pending gates in
+    lexicographic order of their sorted ids (`matchings`).  Each check fixes
+    the fire variables to that matching by bounds alone, so every check
+    shares one constraint matrix.  A model fires a matching, so the first
+    sat check fires the window's optimum: every larger matching was refuted
+    first.  With two or more fire stages, the checks are the row `fired >=
+    k` for k from the pending count or `nu` gates per fire stage, whichever
+    is smaller, down to 1.  The first sat probe fires exactly k gates, the
+    most the window can: k + 1 was refuted, or k is the bound.  Returns None
+    when every check is refuted, since not even one gate fits in the horizon
     (the caller grows the window).  A window with nothing pending is one
     plain feasibility check.
     """
     backend.reset()
     v = encode_window(backend, context)
-    probes = [None]
-    if context.gates:
-        fired = v.fired_total()
-        top = min(len(context.gates),
-                  context.nu * len(context.fire_stages))
-        probes = [(fired, k) for k in range(top, 0, -1)]
-    for at_least in probes:
-        if _checked(backend, stats, at_least) == "sat":
+    for probe in _probes(context, v):
+        if _checked(backend, stats, **probe) == "sat":
             return _extract(backend.model(), v, context,
                             context.stages - context.fire_from)
     return None
+
+
+def _probes(context: WindowSpec, v: Vars) -> Iterator[dict]:
+    """The checks of `solve_window`, in order, as `MilpBackend.check`
+    keyword arguments."""
+    if not context.gates:
+        yield {}
+        return
+    if len(context.fire_stages) == 1:
+        (s,) = context.fire_stages
+        for k in range(context.nu, 0, -1):
+            for m in matchings(context.gates, k):
+                yield {"fixed": {v.f[g, s]: int(g in m)
+                                 for g in context.gates}}
+        return
+    fired = v.fired_total()
+    top = min(len(context.gates), context.nu * len(context.fire_stages))
+    for k in range(top, 0, -1):
+        yield {"at_least": (fired, k)}
 
 
 def extract_schedule(windows: Sequence[WindowResult]) -> Schedule:

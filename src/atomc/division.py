@@ -19,12 +19,13 @@ qubit's cross count hears from both moves.  The swap's (delta active,
 delta |e3|) is then exactly the sum of the two solo moves'.  Each step
 prices every candidate's solo move once, groups each side's candidates by
 that pair of deltas, and prices exactly only the pairs within two hops.
-With d the maximum degree, a step costs O(|qubits| + (|Qs1| + |Qs2|) * d^3)
-plus O(|Qs1|) per class of Qs2 to find the best separable pair; the number
-of classes depends on d alone, not on |Qs1| * |Qs2|.  The counts are exact
-integers and the loss is the same float expression over them, so every
-step, tie and result is identical to exhaustive re-classification of every
-trial.
+The candidate sets are kept up to date from the counts a swap changes.
+With d the maximum degree, a step costs O((|Qs1| + |Qs2|) * d^3), up to a
+sort of each candidate set, plus O(|Qs1|) per class of Qs2 to find the best
+separable pair; the number of classes depends on d alone, not on |Qs1| *
+|Qs2|, and no step reads every qubit.  The counts are exact integers and
+the loss is the same float expression over them, so every step, tie and
+result is identical to exhaustive re-classification of every trial.
 """
 
 from __future__ import annotations
@@ -119,7 +120,9 @@ class _Counts:
     adj[q] lists q's gate partners (a duplicate gate repeats its partner),
     side[q] is True for q1, cross[q] counts q's cross gates; e3 and active
     are |e3| and |qa1| + |qa2|.  A qubit's internal incidence is
-    len(adj[q]) - cross[q].
+    len(adj[q]) - cross[q].  Per side, the active qubits and those that
+    swap_candidates chooses are kept as sets, refiled for each qubit whose
+    count or side a swap changes.
     """
 
     def __init__(self, c: Circuit, q1: frozenset[int]):
@@ -132,19 +135,28 @@ class _Counts:
                       for q, partners in enumerate(self.adj)]
         self.e3 = sum(self.cross) // 2
         self.active = sum(1 for n in self.cross if n)
+        self._active: dict[bool, set[int]] = {True: set(), False: set()}
+        self._chosen: dict[bool, set[int]] = {True: set(), False: set()}
+        for q in range(c.num_qubits):
+            self._file(q)
 
     def q1(self) -> frozenset[int]:
         return frozenset(q for q, in_q1 in enumerate(self.side) if in_q1)
 
+    def _file(self, q: int) -> None:
+        """Put q in the active and chosen sets of its side that its cross
+        count admits it to, and in no other."""
+        n = self.cross[q]
+        chosen = n > 0 and n >= len(self.adj[q]) - n
+        for sets, member in ((self._active, n > 0), (self._chosen, chosen)):
+            sets[True].discard(q)
+            sets[False].discard(q)
+            if member:
+                sets[self.side[q]].add(q)
+
     def candidates(self) -> tuple[frozenset[int], frozenset[int]]:
         """The swap-candidate rule; see swap_candidates."""
-        active: dict[bool, list[int]] = {True: [], False: []}
-        chosen: dict[bool, list[int]] = {True: [], False: []}
-        for q, n in enumerate(self.cross):
-            if n:
-                active[self.side[q]].append(q)
-                if n >= len(self.adj[q]) - n:
-                    chosen[self.side[q]].append(q)
+        active, chosen = self._active, self._chosen
         qs1, qs2 = frozenset(chosen[True]), frozenset(chosen[False])
         if qs1 and not qs2 and active[False]:
             qs2 = frozenset(active[False])
@@ -191,6 +203,8 @@ class _Counts:
         for q, d in moved.items():
             self.cross[q] += d
         self.side[u], self.side[v] = self.side[v], self.side[u]
+        for q in moved:  # u and v among them
+            self._file(q)
 
 
 def swap_candidates(c: Circuit, p: Partition) -> tuple[frozenset[int], frozenset[int]]:
@@ -293,9 +307,10 @@ def refine(c: Circuit, p: Partition, opts: DivisionOptions) -> Partition:
     Qs1 x Qs2: pairs within two hops exactly, every other pair as the sum
     of two solo moves, which is exact because their neighbourhoods are
     disjoint (see the module docstring).  With d the maximum degree a step
-    costs O(|qubits| + (|Qs1| + |Qs2|) * d^3) plus O(|Qs1|) per solo-move
-    class of Qs2.  The result is identical to re-classifying the whole split
-    for every trial, and the returned Partition is built by classify.
+    costs O((|Qs1| + |Qs2|) * d^3), up to a sort of each candidate set, plus
+    O(|Qs1|) per solo-move class of Qs2.  The result is identical to
+    re-classifying the whole split for every trial, and the returned
+    Partition is built by classify.
     """
     refined, _ = refine_trace(c, p, opts)
     return refined

@@ -30,11 +30,14 @@ matching_bound is a valid cut: it removes no integer solution, only
 fractional ones.  C8 already makes each stage's fired set a matching of the
 pending-gate graph, so at most nu gates fire per stage, nu being that graph's
 maximum matching size (`WindowSpec.nu`).  The LP relaxation does not see
-this (it can fire half of every gate of a triangle).  The compiler probes
-a window with `fired >= k` for descending k, starting at nu times the
-firing stages (or the pending count, if smaller); with the row in place,
-presolve refutes a probe above the optimum quickly.  It is emitted only
-when nu is below the pending-gate count.
+this (it can fire half of every gate of a triangle).  The compiler checks a
+window with one fire stage once per candidate fired set, a k-matching
+(`matchings`) fixed by variable bounds, for descending k from nu.  It
+probes a window with two or more fire stages with `fired >= k` for
+descending k, starting at nu times the firing stages (or the pending count,
+if smaller); with the row in place, presolve refutes a probe above the
+optimum quickly.  It is emitted only when nu is below the pending-gate
+count.
 """
 
 from __future__ import annotations
@@ -57,6 +60,33 @@ def matching_size(edges: Iterable[tuple[int, int]]) -> int:
     graph = nx.Graph()
     graph.add_edges_from(edges)
     return len(nx.max_weight_matching(graph))
+
+
+def matchings(gates: Mapping[int, tuple[int, int]], k: int
+              ) -> Iterator[tuple[int, ...]]:
+    """Every set of k gates that share no qubit, as sorted gate ids, in
+    lexicographic order: the qubit-disjoint members of
+    `itertools.combinations(sorted(gates), k)`, in that order.  Two copies of
+    one pair share both qubits, so no matching holds both."""
+    ids = sorted(gates)
+    chosen: list[int] = []
+    used: set[int] = set()
+
+    def extend(start: int) -> Iterator[tuple[int, ...]]:
+        if len(chosen) == k:
+            yield tuple(chosen)
+            return
+        for i in range(start, len(ids) - (k - len(chosen)) + 1):
+            u, v = gates[ids[i]]
+            if u in used or v in used:
+                continue
+            chosen.append(ids[i])
+            used.update((u, v))
+            yield from extend(i + 1)
+            chosen.pop()
+            used.difference_update((u, v))
+
+    yield from extend(0)
 
 
 @dataclass(frozen=True)

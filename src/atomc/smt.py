@@ -4,9 +4,10 @@ Constraints are clauses over bounded integer and boolean variables: each
 asserts that at least one of its items holds, an item being a literal or a
 linear comparison.  MilpBackend compiles them in process to exact big-M
 integer-linear rows and decides each check with scipy's HiGHS MILP engine.
-A check has no objective; it may add one row `expr >= k` of its own, which
-lets the compiler probe one encoded window at several bounds.  The compiler
-calls reset() before encoding each window.
+A check has no objective.  It may fix some variables by their bounds, or add
+one row `expr >= k`, for that check alone; this lets the compiler check one
+encoded window against several candidate fired sets or several bounds.  The
+compiler calls reset() before encoding each window.
 
 A comparison inside a multi-item clause is reified: a binary equivalent to
 it, tied by two big-M rows.  Reified comparisons are shared: a repeat gets
@@ -22,7 +23,7 @@ identical call sequences give identical models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
@@ -371,15 +372,19 @@ class MilpBackend:
         return built
 
     def check(self, at_least: tuple[LinExpr, int] | None = None,
-              timeout: float | None = None) -> str:
+              timeout: float | None = None,
+              fixed: Mapping[Var, int] | None = None) -> str:
         """Decide the rows added since the last reset: "sat" (a model is
         available), "unsat" or "unknown" (the time limit hit first).
 
-        `at_least=(expr, k)` adds the row expr >= k to this check alone.
-        It is never absorbed into the variable bounds, even over one
-        variable, so the next check does not see it.  The objective is
-        zero: HiGHS answers a decision question and stops at its first
-        feasible point.
+        `fixed` maps variables to values that this check alone holds them
+        at, by their bounds; a value outside a variable's domain makes the
+        check unsat.  The rows are untouched, so checks that differ only in
+        `fixed` share one constraint matrix.  `at_least=(expr, k)` adds the
+        row expr >= k to this check alone.  It is never absorbed into the
+        variable bounds, even over one variable, so the next check does not
+        see it.  The objective is zero: HiGHS answers a decision question
+        and stops at its first feasible point.
         """
         from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -389,7 +394,11 @@ class MilpBackend:
             return "sat"
         lo = np.array(self._lo, dtype=float)
         hi = np.array(self._hi, dtype=float)
-        if np.any(lo > hi):  # bound absorption emptied a domain
+        for var, value in (fixed or {}).items():
+            idx = self._names[var.name]
+            lo[idx] = max(lo[idx], value)
+            hi[idx] = min(hi[idx], value)
+        if np.any(lo > hi):  # bound absorption or `fixed` emptied a domain
             self._model = None
             return "unsat"
         options: dict = {"presolve": True}

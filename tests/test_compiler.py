@@ -9,7 +9,7 @@ from atomc import compiler
 from atomc.arrays import ArraySpec, full_region
 from atomc.circuits import Circuit, generate_rand3reg
 from atomc.compiler import SolverOptions, compile_circuit
-from atomc.encoding import Boundary
+from atomc.encoding import Boundary, matchings
 from atomc.errors import CompileTimeout, InfeasibleError, MergeError
 from atomc.orchestrator import PacOptions, _zip_local, pac_compile
 from atomc.schedule import SLM, QubitState, Stage
@@ -58,17 +58,25 @@ def test_window_specs_keep_the_gates_pending_when_solved(monkeypatch):
 
 
 def _probed(spec, matrices=None):
-    """Solve one window; (result, (k, answer) of each check, solver calls).
-    k is None for a plain feasibility check.  The constraint matrix each
-    check hands HiGHS is appended to `matrices`."""
+    """Solve one window; (result, (probe, answer) of each check, solver
+    calls).  The probe is k for a `fired >= k` check, the sorted ids of the
+    gates fixed to fire for a check that fixes the fired set, and None for a
+    plain feasibility check.  The constraint matrix each check hands HiGHS
+    is appended to `matrices`."""
     backend = MilpBackend()
     stats = compiler._Stats(t0=0.0, deadline=float("inf"))
     probes = []
     check = backend.check
 
-    def recording(at_least=None, timeout=None):
-        answer = check(at_least=at_least, timeout=timeout)
-        probes.append((None if at_least is None else at_least[1], answer))
+    def recording(at_least=None, timeout=None, fixed=None):
+        answer = check(at_least=at_least, timeout=timeout, fixed=fixed)
+        if fixed is not None:
+            # fire variables are named f_g<gate>_s<stage>
+            probe = tuple(sorted(int(var.name.split("_")[1][1:])
+                                 for var, on in fixed.items() if on))
+        else:
+            probe = None if at_least is None else at_least[1]
+        probes.append((probe, answer))
         return answer
 
     def milp(real=scipy.optimize.milp, **kwargs):
@@ -93,9 +101,12 @@ def test_probes_refute_down_to_the_optimum():
     assert spec.nu == 3
     matrices = []
     result, probes, calls = _probed(spec, matrices)
-    assert probes == [(3, "unsat"), (2, "sat")]
-    assert calls == 2 and len(result.fired) == 2
-    # the window's matrix is assembled once and shared by both probes
+    # {0, 1, 2} is the only 3-matching; the 2-matchings follow in
+    # lexicographic order, and the first, {0, 1}, fires
+    assert list(matchings(gates, 3)) == [(0, 1, 2)]
+    assert probes == [((0, 1, 2), "unsat"), ((0, 1), "sat")]
+    assert calls == 2 and sorted(result.fired) == [0, 1]
+    # the window's matrix is assembled once and shared by every check
     assert len(matrices) == 2 and matrices[0] is matrices[1]
 
 
@@ -115,7 +126,7 @@ def test_a_window_that_fires_nothing_is_grown():
                                      frozenset())
         solved.append(_probed(spec))
     (grown, probes1, calls1), (result, probes2, calls2) = solved
-    assert grown is None and probes1 == [(1, "unsat")] and calls1 == 1
+    assert grown is None and probes1 == [((7,), "unsat")] and calls1 == 1
     assert probes2 == [(1, "sat")] and calls2 == 1
     assert list(result.fired) == [7] and result.horizon == 2
 
@@ -130,6 +141,16 @@ def test_a_one_gate_circuit_compiles(park, calls):
     assert res.solver_calls == calls
     assert res.schedule.fired_multiset() == [0]
     assert verify(res.schedule, c, ArraySpec(2)).ok
+
+
+def test_a_duplicated_gate_fires_twice():
+    # the two copies of (0, 1) share both qubits, so no stage fires both,
+    # and (1, 2) shares qubit 1 with each
+    c = Circuit(3, ((0, 1), (0, 1), (1, 2)))
+    res = compile_circuit(c, full_region(ArraySpec(2)))
+    assert verify(res.schedule, c, ArraySpec(2)).ok
+    assert res.schedule.fired_multiset() == [0, 1, 2]
+    assert res.schedule.depth == 3
 
 
 @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan")])

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomc import compiler
 from atomc.arrays import ArraySpec, full_region, split_plane
@@ -8,7 +10,7 @@ from atomc.circuits import Circuit, generate_rand3reg
 from atomc.compiler import (_internal_boundary, _Stats, _window_spec,
                             compile_circuit, extract_schedule, solve_window)
 from atomc.encoding import (ALL_FAMILIES, Boundary, WindowSpec, encode_window,
-                            line_order, make_vars, matching_bound,
+                            line_order, make_vars, matching_bound, matchings,
                             static_lines)
 from atomc.orchestrator import pac_compile
 from atomc.schedule import AOD, SLM, QubitState, Schedule, Stage
@@ -181,6 +183,21 @@ def test_matching_bound_rows(gates, bound):
         assert row.op == "<=" and row.k == bound
         assert sorted(var.name for _, var in row.expr.terms) == sorted(
             v.f[g, s].name for g in gates)
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4))
+                .filter(lambda ends: ends[0] != ends[1]), max_size=8),
+       st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_matchings_are_the_disjoint_combinations_in_order(pairs, k):
+    # five qubits make duplicated pairs common; ids are not in list order
+    gates = {(7 * i) % 11: ends for i, ends in enumerate(pairs)}
+    got = list(matchings(gates, k))
+    # combinations yields each k-set once, in lexicographic order
+    assert got == [m for m in itertools.combinations(sorted(gates), k)
+                   if len({q for g in m for q in gates[g]}) == 2 * k]
+    for m in got:
+        assert len({frozenset(gates[g]) for g in m}) == k
 
 
 def _record(run):

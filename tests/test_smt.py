@@ -162,6 +162,25 @@ def test_at_least_holds_for_one_check_only():
     assert b.check() == "sat"
 
 
+def test_fixed_holds_for_one_check_only():
+    b = MilpBackend()
+    fs = [b.bool_var(f"f{i}") for i in range(2)]
+    x = b.int_var("x", 0, 10)
+    b.add(Lit(fs[0], neg=True), GE(x, 9))
+    b.add(Lit(fs[1], neg=True), LE(x, 2))  # f0 and f1 conflict
+    assert b.check(fixed={fs[0]: 1, fs[1]: 1}) == "unsat"
+    assert b.check(fixed={fs[0]: 1, fs[1]: 0}) == "sat"
+    assert b.model()["x"] >= 9
+    # a value outside the domain refutes the check and leaves the domain
+    assert b.check(fixed={x: 11}) == "unsat"
+    # the fixes are gone: x may now go low, then high again
+    assert b.check(fixed={fs[1]: 1}) == "sat"
+    assert b.model()["f0"] == 0 and b.model()["x"] <= 2
+    assert b.check(at_least=(lin(x), 10)) == "sat"
+    assert b.model()["x"] == 10
+    assert b.check() == "sat"
+
+
 def maximize(backend, expr):
     """Reference optimum: `expr` maximized over the backend's rows by
     scipy's HiGHS with an objective; (value, model), or None when the

@@ -231,13 +231,31 @@ def test_e3_global_static_trap_on_parked_site(two_triangles):
     assert any(f"parked site ({x},{y})" in v.detail for v in e3)
 
 
+def _held_line(phases, q):
+    """The (column, row) original qubit q last held in its local phase."""
+    p = phases.partition
+    side, res = (p.q1, phases.r1) if q in p.q1 else (p.q2, phases.r2)
+    local = sorted(side).index(q)
+    return next((st.states[local].c, st.states[local].r)
+                for st in reversed(res.schedule.stages)
+                if st.states[local].a == AOD)
+
+
 def test_e5_global_start_reverses_held_column_order(two_triangles):
+    # both actives start the global phase in movable traps, their columns
+    # in the opposite order to the lines they last held and their rows in
+    # the same order
     r3 = two_triangles.r3
+    actives = sorted(two_triangles.partition.qa1
+                     | two_triangles.partition.qa2)
+    assert len(actives) == 2, "fixture changed"
+    (cu, ru), (cv, rv) = (_held_line(two_triangles, q) for q in actives)
+    assert cu != cv, "fixture changed"
     start = r3.schedule.stages[0].states
-    su, sv = start[0], start[1]
-    assert su.a == sv.a == AOD and su.c != sv.c, "fixture changed"
-    s = _set(r3.schedule, 0, 0, replace(su, c=sv.c))
-    s = _set(s, 0, 1, replace(sv, c=su.c))
+    s = r3.schedule
+    # global qubit i is actives[i]
+    for i, (c, r) in enumerate(((cv, ru), (cu, rv))):
+        s = _set(s, 0, i, replace(start[i], a=AOD, c=c, r=r))
     phases = replace(two_triangles, r3=replace(r3, schedule=s))
     e5 = verify_phases(phases, TWO_TRIANGLES, ArraySpec(4)).by_rule("E5")
     assert any("column order" in x.detail for x in e5)
