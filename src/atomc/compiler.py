@@ -1,12 +1,11 @@
 """Constraint-based schedule compiler for one region.
 
 The compiler peels the circuit greedily, window by window: each window
-spans a small number of new stages and is encoded once, then decided by
-MILP checks for descending gate counts k.  A window with one fire stage is
-checked once per k-matching of its pending gates, that matching's gates
-fixed to fire and the rest not; a window with more fire stages is probed
-with the row `fired >= k`.  The first sat check fires as many pending gates
-as the window can, the result is committed and the fired gates leave the
+spans a small number of new stages, fires gates at its last stage only, and
+is encoded once, then decided by MILP checks for descending gate counts k,
+one per k-matching of its pending gates, that matching's gates fixed to
+fire and the rest not.  The first sat check fires as many pending gates as
+the window can, the result is committed and the fired gates leave the
 pending set.  A window whose every check is refuted cannot fire anything and
 grows its horizon until it can, up to `MAX_HORIZON` new stages.
 
@@ -84,20 +83,19 @@ class _Stats:
         return left
 
 
-def _checked(backend, stats: _Stats, **probe) -> str:
+def _checked(backend, stats: _Stats, fixed: dict) -> str:
     left = stats.remaining()
     stats.calls += 1
-    answer = backend.check(timeout=left, **probe)
+    answer = backend.check(timeout=left, fixed=fixed)
     if answer == "unknown":
         raise CompileTimeout("solver hit the time limit",
                              wall_time=stats.wall(), solver_calls=stats.calls)
     return answer
 
 
-def _extract(model: dict[str, int], v: Vars, w: WindowSpec,
-             horizon: int) -> WindowResult:
+def _extract(model: dict[str, int], v: Vars, w: WindowSpec) -> WindowResult:
     stages = []
-    fired: dict[int, int] = {}
+    fired = {g: w.fire_stage for g, var in v.f.items() if model[var.name]}
     for t in range(w.stages):
         states = {}
         for q in w.qubits:
@@ -106,12 +104,10 @@ def _extract(model: dict[str, int], v: Vars, w: WindowSpec,
                 x=model[v.x[q, t].name], y=model[v.y[q, t].name], a=a,
                 c=model[v.c[q, t].name] if a == AOD else None,
                 r=model[v.r[q, t].name] if a == AOD else None)
-        here = tuple(sorted(
-            g for (g, s), var in v.f.items() if s == t and model[var.name]))
-        for g in here:
-            fired[g] = t
+        here = tuple(fired) if t == w.fire_stage else ()
         stages.append(Stage(states, here))
-    return WindowResult(stages, fired, horizon)
+    return WindowResult(stages, fired,
+                        w.stages - (w.boundary.xy is not None))
 
 
 def solve_window(context: WindowSpec, *, backend, stats: _Stats
@@ -119,47 +115,50 @@ def solve_window(context: WindowSpec, *, backend, stats: _Stats
     """Solve one window, firing as many of its gates as possible.
 
     The window is encoded once and decided by a sequence of checks, each a
-    separate solver call; the first sat check is extracted.  With one fire
-    stage (every horizon-1 window), the checks run over k from `nu` down to
-    1, and for each k over the k-matchings of the pending gates in
-    lexicographic order of their sorted ids (`matchings`).  Each check fixes
-    the fire variables to that matching by bounds alone, so every check
-    shares one constraint matrix.  A model fires a matching, so the first
-    sat check fires the window's optimum: every larger matching was refuted
-    first.  With two or more fire stages, the checks are the row `fired >=
-    k` for k from the pending count or `nu` gates per fire stage, whichever
-    is smaller, down to 1.  The first sat probe fires exactly k gates, the
-    most the window can: k + 1 was refuted, or k is the bound.  Returns None
-    when every check is refuted, since not even one gate fits in the horizon
-    (the caller grows the window).  A window with nothing pending is one
-    plain feasibility check.
+    separate solver call; the first sat check is extracted.  The checks run
+    over k from `nu` down to 1, and for each k over the k-matchings of the
+    pending gates in lexicographic order of their sorted ids (`matchings`).
+    Each check fixes the fire variables to that matching by bounds alone,
+    so every check shares one constraint matrix.  A model fires a matching,
+    so the first sat check fires the window's optimum: every larger
+    matching was refuted first.  Returns None when every check is refuted,
+    since not even one gate fits in the horizon (the caller grows the
+    window).  A window with nothing pending is one plain feasibility check.
+
+    Gates fire at the window's last stage only, and that loses nothing.  A
+    window grows to horizon h only after every shorter horizon with the
+    same boundary and gates was refuted.  Suppose a horizon-h model could
+    fire gates at other stages too, and let s, before the last, be its
+    first stage that fires.  Its stages 0 to s then form a model of the
+    shorter window that ends at s, firing only at its last stage, which
+    was refuted.  Every family holds on the truncation stage by stage but
+    one: `trap_transfer` forbids a pickup at the last stage of a two-stage
+    window.  So drop each pickup at stage 1 (the qubit was static at stage
+    0, so it stands where it stood), and keep in its line each qubit that
+    dropped at stage 1 onto the site of a qubit now static.  Every qubit
+    movable at stage 1 was then movable at stage 0 and keeps its line, so
+    `line_order` at stage 1 follows from stage 0.  By `c5_occupancy` at
+    stage 0 two static qubits never share a site, so no two static qubits
+    share one at stage 1 either, and a firing pair still holds a movable
+    trap.  A window with gates lists no `final_slm` qubit, so
+    `final_slm_rows` does not bind the truncation.
     """
     backend.reset()
     v = encode_window(backend, context)
-    for probe in _probes(context, v):
-        if _checked(backend, stats, **probe) == "sat":
-            return _extract(backend.model(), v, context,
-                            context.stages - context.fire_from)
+    for fixed in _probes(context, v):
+        if _checked(backend, stats, fixed) == "sat":
+            return _extract(backend.model(), v, context)
     return None
 
 
 def _probes(context: WindowSpec, v: Vars) -> Iterator[dict]:
-    """The checks of `solve_window`, in order, as `MilpBackend.check`
-    keyword arguments."""
+    """The checks of `solve_window`, in order, each as the `fixed` mapping
+    of one `MilpBackend.check`."""
     if not context.gates:
         yield {}
-        return
-    if len(context.fire_stages) == 1:
-        (s,) = context.fire_stages
-        for k in range(context.nu, 0, -1):
-            for m in matchings(context.gates, k):
-                yield {"fixed": {v.f[g, s]: int(g in m)
-                                 for g in context.gates}}
-        return
-    fired = v.fired_total()
-    top = min(len(context.gates), context.nu * len(context.fire_stages))
-    for k in range(top, 0, -1):
-        yield {"at_least": (fired, k)}
+    for k in range(context.nu, 0, -1):
+        for m in matchings(context.gates, k):
+            yield {v.f[g]: int(g in m) for g in context.gates}
 
 
 def extract_schedule(windows: Sequence[WindowResult]) -> Schedule:
@@ -216,14 +215,10 @@ def _internal_boundary(stages: Sequence[Stage]) -> Boundary:
 
 def _window_spec(boundary: Boundary, horizon: int, qubits, pending, region,
                  avoid, final_slm=frozenset()) -> WindowSpec:
-    if boundary.xy is None:
-        stages, fire_from = horizon, 0
-    else:
-        stages, fire_from = horizon + 1, 1
     return WindowSpec(
-        qubits=qubits, gates=pending, stages=stages, fire_from=fire_from,
-        region=region, boundary=boundary, avoid_sites=avoid,
-        final_slm=final_slm)
+        qubits=qubits, gates=pending,
+        stages=horizon + (boundary.xy is not None), region=region,
+        boundary=boundary, avoid_sites=avoid, final_slm=final_slm)
 
 
 def _validate_inputs(circuit, region, init_xy, held_lines, avoid):

@@ -3,8 +3,9 @@
 A window covers `stages` consecutive stages over the managed qubits.  Stage 0
 is either free (the solver places qubits) or pinned to positions, given by
 the caller or inherited from an earlier window; movement between stages t
-and t+1 is governed by stage-t trap membership; gates fire at stages >=
-`fire_from`.
+and t+1 is governed by stage-t trap membership; gates fire at the last
+stage only (`fire_stage`; `compiler.solve_window` says why that loses no
+schedule).
 
 Families C2..C8 mirror the hardware rules: static-trap stationarity, rigid
 and non-crossing lines (C3 and C4 as one family, line_order: index order
@@ -16,8 +17,8 @@ is an independent generator of clauses, so it can be switched off and tested
 in isolation.  A clause is a tuple of literals and comparisons of which at
 least one holds; an implication p => q is written as the clause (not p, q).
 
-Two families add no rule of their own.  static_lines removes symmetry.  The
-line indices c/r of a statically trapped qubit mean nothing: line_order, C5
+static_lines adds no rule of its own: it removes symmetry.  The line
+indices c/r of a statically trapped qubit mean nothing: line_order, C5
 and prev_traps read them only under a[q,t], trap_transfer only under
 a[q,t-1], and extraction drops them.  So a qubit static at t-1 and t (or
 at stage 0) can hold the region's first index without losing any schedule,
@@ -25,19 +26,6 @@ and the solver no longer searches relabelings that change nothing.  The
 one exception is the boundary's held lines: when two or more qubits hold
 lines, their stage-0 indices are ordered unconditionally, so those qubits
 keep free stage-0 indices.
-
-matching_bound is a valid cut: it removes no integer solution, only
-fractional ones.  C8 already makes each stage's fired set a matching of the
-pending-gate graph, so at most nu gates fire per stage, nu being that graph's
-maximum matching size (`WindowSpec.nu`).  The LP relaxation does not see
-this (it can fire half of every gate of a triangle).  The compiler checks a
-window with one fire stage once per candidate fired set, a k-matching
-(`matchings`) fixed by variable bounds, for descending k from nu.  It
-probes a window with two or more fire stages with `fired >= k` for
-descending k, starting at nu times the firing stages (or the pending count,
-if smaller); with the row in place, presolve refutes a probe above the
-optimum quickly.  It is emitted only when nu is below the pending-gate
-count.
 """
 
 from __future__ import annotations
@@ -115,7 +103,6 @@ class WindowSpec:
     qubits: Sequence[int]
     gates: Mapping[int, tuple[int, int]]  # pending gate id -> endpoints
     stages: int
-    fire_from: int
     region: Region
     boundary: Boundary
     avoid_sites: frozenset[tuple[int, int]] = frozenset()
@@ -126,8 +113,8 @@ class WindowSpec:
         return range(self.stages - 1)
 
     @property
-    def fire_stages(self) -> range:
-        return range(self.fire_from, self.stages)
+    def fire_stage(self) -> int:
+        return self.stages - 1
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         qs = list(self.qubits)
@@ -137,8 +124,8 @@ class WindowSpec:
 
     @cached_property
     def nu(self) -> int:
-        """The most gates that can fire at one stage: C8 makes each stage's
-        fired set a matching of the pending-gate graph."""
+        """The most gates the window can fire: C8 makes its fired set a
+        matching of the pending-gate graph."""
         return matching_size(self.gates.values())
 
     def gates_between(self, u: int, v: int) -> list[int]:
@@ -153,10 +140,7 @@ class Vars:
     c: dict[tuple[int, int], IntVar]
     r: dict[tuple[int, int], IntVar]
     a: dict[tuple[int, int], BoolVar]
-    f: dict[tuple[int, int], BoolVar]  # (gate id, stage)
-
-    def fired_total(self) -> LinExpr:
-        return total([self.f[key] for key in sorted(self.f)])
+    f: dict[int, BoolVar]  # gate id -> fires at the fire stage
 
 
 def make_vars(backend, w: WindowSpec) -> Vars:
@@ -179,8 +163,7 @@ def make_vars(backend, w: WindowSpec) -> Vars:
                                       reg.row_range.stop - 1)
             a[q, t] = backend.bool_var(f"a_q{q}_t{t}")
     for g in sorted(w.gates):
-        for s in w.fire_stages:
-            f[g, s] = backend.bool_var(f"f_g{g}_s{s}")
+        f[g] = backend.bool_var(f"f_g{g}_s{w.fire_stage}")
     return Vars(x, y, c, r, a, f)
 
 
@@ -257,17 +240,17 @@ def c5_occupancy(v: Vars, w: WindowSpec) -> Iterator[Clause]:
                    *NE(v.x[u, t], v.x[q, t]), *NE(v.y[u, t], v.y[q, t]))
             yield (neg(v.a[u, t]), neg(v.a[q, t]),
                    *NE(v.c[u, t], v.c[q, t]), *NE(v.r[u, t], v.r[q, t]))
+    s = w.fire_stage
     for g, (u, q) in sorted(w.gates.items()):
-        for s in w.fire_stages:
-            yield neg(v.f[g, s]), GE(lin(v.a[u, s]) + lin(v.a[q, s]), 1)
+        yield neg(v.f[g]), GE(lin(v.a[u, s]) + lin(v.a[q, s]), 1)
 
 
 def c6_gate_cosite(v: Vars, w: WindowSpec) -> Iterator[Clause]:
     """A fired gate's endpoints share a site at that stage."""
+    s = w.fire_stage
     for g, (u, q) in sorted(w.gates.items()):
-        for s in w.fire_stages:
-            yield neg(v.f[g, s]), EQ(v.x[u, s], v.x[q, s])
-            yield neg(v.f[g, s]), EQ(v.y[u, s], v.y[q, s])
+        yield neg(v.f[g]), EQ(v.x[u, s], v.x[q, s])
+        yield neg(v.f[g]), EQ(v.y[u, s], v.y[q, s])
 
 
 def c7_isolation(v: Vars, w: WindowSpec) -> Iterator[Clause]:
@@ -282,30 +265,17 @@ def c7_isolation(v: Vars, w: WindowSpec) -> Iterator[Clause]:
                 # window that produced it, or the caller's init_xy, which
                 # the compiler keeps on distinct sites
                 continue
-            fs = [pos(v.f[g, t]) for g in fireable] if t in w.fire_stages else []
+            fs = [pos(v.f[g]) for g in fireable] if t == w.fire_stage else []
             yield (*NE(v.x[u, t], v.x[q, t]), *NE(v.y[u, t], v.y[q, t]), *fs)
 
 
 def c8_coverage(v: Vars, w: WindowSpec) -> Iterator[Clause]:
-    """Each gate fires at most once per window, and gates sharing a qubit
-    never fire together."""
-    for g in sorted(w.gates):
-        yield (LE(total([v.f[g, s] for s in w.fire_stages]), 1),)
+    """Gates sharing a qubit never fire together.  That each gate fires at
+    most once per window is the domain of its one fire variable."""
     for q in w.qubits:
         incident = [g for g, ends in sorted(w.gates.items()) if q in ends]
         if len(incident) > 1:
-            for s in w.fire_stages:
-                yield (LE(total([v.f[g, s] for g in incident]), 1),)
-
-
-def matching_bound(v: Vars, w: WindowSpec) -> Iterator[Clause]:
-    """At most nu gates fire per stage, nu being the size of a maximum
-    matching of the pending-gate graph (a valid cut; see the module
-    docstring).  No row when every gate could fire at once."""
-    if w.nu >= len(w.gates):
-        return
-    for s in w.fire_stages:
-        yield (LE(total([v.f[g, s] for g in sorted(w.gates)]), w.nu),)
+            yield (LE(total([v.f[g] for g in incident]), 1),)
 
 
 def _site_id(v: Vars, w: WindowSpec, q: int, t: int) -> LinExpr:
@@ -354,9 +324,7 @@ def boundary_rows(v: Vars, w: WindowSpec) -> Iterator[Clause]:
 # Family order does not fold pinned stages: single-variable pins tighten the
 # backend's bounds, but big-M sizing and clause pruning use the declared
 # domains (LinExpr.bounds).  HiGHS presolve does that folding.  Family order
-# is row order, and HiGHS's search is sensitive to it: with matching_bound
-# first instead of beside c8, the direct rand3reg(6, 1..13) and (8, 1..2)
-# sweep took twice as long.
+# is row order, and HiGHS's search is sensitive to it.
 ALL_FAMILIES = (
     boundary_rows,
     final_slm_rows,
@@ -367,7 +335,6 @@ ALL_FAMILIES = (
     c5_occupancy,
     c6_gate_cosite,
     c7_isolation,
-    matching_bound,
     c8_coverage,
     avoid_rows,
 )

@@ -79,7 +79,7 @@ class CompileResult:
     """A schedule plus solve statistics.
 
     solver_calls counts every HiGHS check of the compile, refuted
-    matchings and probes included (see `compiler.solve_window`).
+    matchings included (see `compiler.solve_window`).
     stage_budget_history records, per committed solver window, how many new
     stages that window used: the horizon it was solved at, not counting a
     replayed or given stage 0.

@@ -4,9 +4,9 @@ Constraints are clauses over bounded integer and boolean variables: each
 asserts that at least one of its items holds, an item being a literal or a
 linear comparison.  MilpBackend compiles them in process to exact big-M
 integer-linear rows and decides each check with scipy's HiGHS MILP engine.
-A check has no objective.  It may fix some variables by their bounds, or add
-one row `expr >= k`, for that check alone; this lets the compiler check one
-encoded window against several candidate fired sets or several bounds.  The
+A check has no objective.  It may fix some variables by their bounds for
+that check alone; this lets the compiler check one encoded window against
+several candidate fired sets, all sharing one constraint matrix.  The
 compiler calls reset() before encoding each window.
 
 A comparison inside a multi-item clause is reified: a binary equivalent to
@@ -157,7 +157,7 @@ class MilpBackend:
         self._rows: list[tuple[dict[int, float], float, float]] = []
         self._reify: dict[tuple, BoolVar] = {}
         self._model: dict[str, int] | None = None
-        # (extra row expression, compiled rows) of the last check
+        # the rows as `_constraint` compiled them; None when stale
         self._built: tuple | None = None
 
     # -- variables
@@ -346,17 +346,12 @@ class MilpBackend:
 
     # -- solving
 
-    def _constraint(self, extra: LinExpr | None):
-        """The rows as a CSC matrix with row bounds, plus a last row over
-        `extra` (its bounds left open) when given.  Built once and reused
-        until the next variable, row or reset."""
-        if self._built is not None and self._built[0] == extra:
-            return self._built[1]
+    def _constraint(self):
+        """The rows as a CSC matrix with row bounds, or None when there are
+        none.  Built once and reused until the next variable, row or
+        reset."""
         rows = self._rows
-        if extra is not None:
-            rows = rows + [(self._expr_coeffs(extra), -np.inf, np.inf)]
-        built = None
-        if rows:
+        if self._built is None and rows:
             from scipy.sparse import csc_matrix
             ri, ci, data = [], [], []
             for i, (coeffs, _, _) in enumerate(rows):
@@ -366,13 +361,11 @@ class MilpBackend:
                     data.append(coef)
             a_mat = csc_matrix((data, (ri, ci)),
                                shape=(len(rows), len(self._vars)))
-            built = (a_mat, np.array([r[1] for r in rows]),
-                     np.array([r[2] for r in rows]))
-        self._built = (extra, built)
-        return built
+            self._built = (a_mat, np.array([r[1] for r in rows]),
+                           np.array([r[2] for r in rows]))
+        return self._built
 
-    def check(self, at_least: tuple[LinExpr, int] | None = None,
-              timeout: float | None = None,
+    def check(self, timeout: float | None = None,
               fixed: Mapping[Var, int] | None = None) -> str:
         """Decide the rows added since the last reset: "sat" (a model is
         available), "unsat" or "unknown" (the time limit hit first).
@@ -380,11 +373,8 @@ class MilpBackend:
         `fixed` maps variables to values that this check alone holds them
         at, by their bounds; a value outside a variable's domain makes the
         check unsat.  The rows are untouched, so checks that differ only in
-        `fixed` share one constraint matrix.  `at_least=(expr, k)` adds the
-        row expr >= k to this check alone.  It is never absorbed into the
-        variable bounds, even over one variable, so the next check does not
-        see it.  The objective is zero: HiGHS answers a decision question
-        and stops at its first feasible point.
+        `fixed` share one constraint matrix.  The objective is zero: HiGHS
+        answers a decision question and stops at its first feasible point.
         """
         from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -405,14 +395,9 @@ class MilpBackend:
         if timeout is not None:
             options["time_limit"] = max(timeout, 0.01)
         kwargs = {}
-        built = self._constraint(None if at_least is None else at_least[0])
+        built = self._constraint()
         if built is not None:
-            a_mat, rlo, rhi = built
-            if at_least is not None:
-                expr, k = at_least
-                rlo = rlo.copy()
-                rlo[-1] = float(k - expr.const)
-            kwargs["constraints"] = LinearConstraint(a_mat, rlo, rhi)
+            kwargs["constraints"] = LinearConstraint(*built)
         res = milp(c=np.zeros(n), integrality=np.ones(n),
                    bounds=Bounds(lo, hi), options=options, **kwargs)
         if res.status == 0:

@@ -15,12 +15,12 @@ reserved parked sites, position inheritance, line-order inheritance).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from .arrays import ArraySpec, Region, full_region, split_plane
 from .circuits import Circuit
 from .division import split_circuit
-from .schedule import AOD, SLM, Schedule, Stage
+from .schedule import AOD, SLM, QubitState, Schedule, Stage
 
 if TYPE_CHECKING:  # pragma: no cover
     from .orchestrator import PhaseResults
@@ -42,11 +42,6 @@ class VerifierReport:
 
     def by_rule(self, rule: str) -> list[Violation]:
         return [v for v in self.violations if v.rule == rule]
-
-
-def depth(s: Schedule) -> int:
-    """Number of stages firing at least one gate."""
-    return sum(1 for stage in s.stages if stage.fired)
 
 
 def _sign(a: int, b: int) -> int:
@@ -85,7 +80,7 @@ def verify(s: Schedule, c: Circuit, a: ArraySpec | None = None,
     for t in range(len(s.stages) - 1):
         _check_transition(out, t, s.stages[t], s.stages[t + 1])
 
-    return VerifierReport(ok=not out, violations=out, depth=depth(s),
+    return VerifierReport(ok=not out, violations=out, depth=s.depth,
                           gates_fired=len(fired_all))
 
 
@@ -201,18 +196,23 @@ def _check_transition(out, t, here: Stage, there: Stage) -> None:
                                          "not preserved across the stage"))
 
 
-def _local_map(qubits: frozenset[int]) -> dict[int, int]:
-    """global id -> dense local id, in increasing global order."""
-    return {q: i for i, q in enumerate(sorted(qubits))}
+def _original(states: Mapping[int, QubitState], qubits: frozenset[int]
+              ) -> dict[int, QubitState]:
+    """A phase's states keyed by original id: the phase numbers `qubits`
+    0, 1, ... in increasing original order."""
+    return {q: states[i] for i, q in enumerate(sorted(qubits)) if i in states}
 
 
-def _last_held_lines(schedule: Schedule, local: int
-                     ) -> tuple[int, int] | None:
-    for stage in reversed(schedule.stages):
-        st = stage.states.get(local)
-        if st is not None and st.a == AOD:
-            return st.c, st.r
-    return None
+def _held_lines(schedule: Schedule, qubits: frozenset[int]
+                ) -> dict[int, tuple[int, int]]:
+    """Original id -> the (column, row) that qubit last held in a phase
+    over `qubits`."""
+    held = {}
+    for stage in schedule.stages:
+        for q, st in _original(stage.states, qubits).items():
+            if st.a == AOD:
+                held[q] = st.c, st.r
+    return held
 
 
 def verify_phases(phases: "PhaseResults", c: Circuit,
@@ -240,36 +240,24 @@ def verify_phases(phases: "PhaseResults", c: Circuit,
     out.extend(Violation(v.stage, v.rule, f"global: {v.detail}")
                for v in rep3.violations)
 
-    map1, map2 = _local_map(p.q1), _local_map(p.q2)
-    map3 = _local_map(p.qa1 | p.qa2)
-
-    final1 = phases.r1.schedule.stages[-1].states
-    final2 = phases.r2.schedule.stages[-1].states
-    for label, final, side in (("local-1", final1, sorted(p.q1)),
-                               ("local-2", final2, sorted(p.q2))):
-        for q in side:
-            local = map1[q] if q in map1 else map2[q]
-            st = final.get(local)
+    final = {**_original(phases.r1.schedule.stages[-1].states, p.q1),
+             **_original(phases.r2.schedule.stages[-1].states, p.q2)}
+    for label, side in (("local-1", p.q1), ("local-2", p.q2)):
+        for q in sorted(side):
+            st = final.get(q)
             if st is None or st.a != SLM:
                 out.append(Violation(None, "E2",
                                      f"{label}: qubit {q} not parked in a "
                                      "static trap at the final stage"))
 
-    def final_state(q: int):
-        if q in p.q1:
-            return final1[map1[q]]
-        return final2[map2[q]]
-
     positions = {}
-    for q in sorted(p.q1 | p.q2):
-        st = final_state(q)
+    for q, st in sorted(final.items()):
         if (st.x, st.y) in positions:
             out.append(Violation(None, "E2", f"qubits {positions[(st.x, st.y)]}"
                                  f",{q} parked on one site ({st.x},{st.y})"))
         positions[(st.x, st.y)] = q
 
-    parked = {(final_state(q).x, final_state(q).y)
-              for q in sorted(p.qr1 | p.qr2)}
+    parked = {(final[q].x, final[q].y) for q in p.qr1 | p.qr2 if q in final}
     for t, stage in enumerate(phases.r3.schedule.stages):
         for local in sorted(stage.states):
             st = stage.states[local]
@@ -279,25 +267,23 @@ def verify_phases(phases: "PhaseResults", c: Circuit,
 
     actives = sorted(p.qa1 | p.qa2)
     if actives and phases.r3.schedule.stages:
-        start = phases.r3.schedule.stages[0].states
+        start = _original(phases.r3.schedule.stages[0].states,
+                          p.qa1 | p.qa2)
         for q in actives:
-            st_local = final_state(q)
-            st3 = start.get(map3[q])
-            if st3 is None or (st3.x, st3.y) != (st_local.x, st_local.y):
+            st_local, st3 = final.get(q), start.get(q)
+            if (st_local is None or st3 is None
+                    or (st3.x, st3.y) != (st_local.x, st_local.y)):
                 out.append(Violation(0, "E4", f"active qubit {q} starts the "
                                      "global phase away from its local final "
                                      "position"))
-        held = {}
-        for q in actives:
-            sched = phases.r1.schedule if q in p.q1 else phases.r2.schedule
-            local = map1[q] if q in p.q1 else map2[q]
-            held[q] = _last_held_lines(sched, local)
+        held = {**_held_lines(phases.r1.schedule, p.q1),
+                **_held_lines(phases.r2.schedule, p.q2)}
         for i, u in enumerate(actives):
-            su = start.get(map3[u])
+            su = start.get(u)
             for v in actives[i + 1:]:
-                sv = start.get(map3[v])
+                sv = start.get(v)
                 if (su is None or sv is None or su.a != AOD or sv.a != AOD
-                        or held[u] is None or held[v] is None):
+                        or u not in held or v not in held):
                     continue
                 if _sign(su.c, sv.c) != _sign(held[u][0], held[v][0]):
                     out.append(Violation(0, "E5", f"column order of {u},{v} "
@@ -309,7 +295,7 @@ def verify_phases(phases: "PhaseResults", c: Circuit,
     gates_fired = (phases.r1.schedule.gates_fired
                    + phases.r2.schedule.gates_fired
                    + phases.r3.schedule.gates_fired)
-    merged_depth = (max(depth(phases.r1.schedule), depth(phases.r2.schedule))
-                    + depth(phases.r3.schedule))
+    merged_depth = (max(phases.r1.schedule.depth, phases.r2.schedule.depth)
+                    + phases.r3.schedule.depth)
     return VerifierReport(ok=not out, violations=out, depth=merged_depth,
                           gates_fired=gates_fired)

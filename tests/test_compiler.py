@@ -59,23 +59,19 @@ def test_window_specs_keep_the_gates_pending_when_solved(monkeypatch):
 
 def _probed(spec, matrices=None):
     """Solve one window; (result, (probe, answer) of each check, solver
-    calls).  The probe is k for a `fired >= k` check, the sorted ids of the
-    gates fixed to fire for a check that fixes the fired set, and None for a
-    plain feasibility check.  The constraint matrix each check hands HiGHS
-    is appended to `matrices`."""
+    calls).  The probe is the sorted ids of the gates the check fixes to
+    fire.  The constraint matrix each check hands HiGHS is appended to
+    `matrices`."""
     backend = MilpBackend()
     stats = compiler._Stats(t0=0.0, deadline=float("inf"))
     probes = []
     check = backend.check
 
-    def recording(at_least=None, timeout=None, fixed=None):
-        answer = check(at_least=at_least, timeout=timeout, fixed=fixed)
-        if fixed is not None:
-            # fire variables are named f_g<gate>_s<stage>
-            probe = tuple(sorted(int(var.name.split("_")[1][1:])
-                                 for var, on in fixed.items() if on))
-        else:
-            probe = None if at_least is None else at_least[1]
+    def recording(timeout=None, fixed=None):
+        answer = check(timeout=timeout, fixed=fixed)
+        # fire variables are named f_g<gate>_s<stage>
+        probe = tuple(sorted(int(var.name.split("_")[1][1:])
+                             for var, on in (fixed or {}).items() if on))
         probes.append((probe, answer))
         return answer
 
@@ -127,7 +123,7 @@ def test_a_window_that_fires_nothing_is_grown():
         solved.append(_probed(spec))
     (grown, probes1, calls1), (result, probes2, calls2) = solved
     assert grown is None and probes1 == [((7,), "unsat")] and calls1 == 1
-    assert probes2 == [(1, "sat")] and calls2 == 1
+    assert probes2 == [((7,), "sat")] and calls2 == 1
     assert list(result.fired) == [7] and result.horizon == 2
 
 

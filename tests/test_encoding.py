@@ -10,17 +10,15 @@ from atomc.circuits import Circuit, generate_rand3reg
 from atomc.compiler import (_internal_boundary, _Stats, _window_spec,
                             compile_circuit, extract_schedule, solve_window)
 from atomc.encoding import (ALL_FAMILIES, Boundary, WindowSpec, encode_window,
-                            line_order, make_vars, matching_bound, matchings,
-                            static_lines)
+                            line_order, make_vars, matchings, static_lines)
 from atomc.orchestrator import pac_compile
 from atomc.schedule import AOD, SLM, QubitState, Schedule, Stage
-from atomc.smt import MilpBackend
+from atomc.smt import MilpBackend, total
 from atomc.verifier import verify
 from test_smt import evaluate, maximize
 
 K4 = Circuit(4, tuple(itertools.combinations(range(4), 2)), name="k4")
 NO_PIN = tuple(f for f in ALL_FAMILIES if f is not static_lines)
-NO_MATCHING = tuple(f for f in ALL_FAMILIES if f is not matching_bound)
 
 
 def window(c, region, horizon=1, boundary=Boundary(), **kw):
@@ -32,7 +30,7 @@ def solve(spec, families=ALL_FAMILIES):
     """Maximize the fired count; (fired count, model, vars) or None."""
     backend = MilpBackend()
     v = encode_window(backend, spec, families)
-    best = maximize(backend, v.fired_total())
+    best = maximize(backend, total(v.f.values()))
     return None if best is None else (*best, v)
 
 
@@ -136,7 +134,7 @@ def test_line_order_admits_exactly_what_c3_and_c4_admit():
     # its line indices across the move as trap_transfer requires, and each
     # still up or dropped at stage 1: every placement, indexing and drop
     a = ArraySpec(2)
-    spec = WindowSpec(qubits=[0, 1], gates={}, stages=2, fire_from=0,
+    spec = WindowSpec(qubits=[0, 1], gates={}, stages=2,
                       region=full_region(a), boundary=Boundary())
     v = make_vars(MilpBackend(), spec)
     rows = list(line_order(v, spec))
@@ -163,26 +161,6 @@ def test_line_order_admits_exactly_what_c3_and_c4_admit():
         admitted += holds
         cases += 1
     assert cases == 4 * 2 ** 12 and 0 < admitted < cases
-
-
-@pytest.mark.parametrize("gates,bound", [
-    ({0: (0, 1), 1: (1, 2), 2: (0, 2), 3: (3, 4), 4: (4, 5), 5: (3, 5)}, 2),
-    ({0: (0, 1), 1: (2, 3), 2: (4, 5)}, None),
-], ids=["two-triangles", "perfect-matching"])
-def test_matching_bound_rows(gates, bound):
-    spec = WindowSpec(qubits=list(range(6)), gates=gates, stages=3,
-                      fire_from=1, region=full_region(ArraySpec(3)),
-                      boundary=Boundary())
-    v = make_vars(MilpBackend(), spec)
-    rows = list(matching_bound(v, spec))
-    if bound is None:
-        assert rows == []
-        return
-    assert len(rows) == len(spec.fire_stages)
-    for s, (row,) in zip(spec.fire_stages, rows):
-        assert row.op == "<=" and row.k == bound
-        assert sorted(var.name for _, var in row.expr.terms) == sorted(
-            v.f[g, s].name for g in gates)
 
 
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4))
@@ -233,18 +211,19 @@ def pac_global_windows():
             if spec.region == full_region(a)]
 
 
-def test_matching_bound_keeps_the_optimal_fired_count(direct_windows):
-    # every window the greedy compile solves, re-solved with and without
-    # the family
-    cut = [spec for spec, _ in direct_windows
-           if list(matching_bound(make_vars(MilpBackend(), spec), spec))]
-    assert cut
-    for spec in cut:
-        with_cut, without = solve(spec), solve(spec, NO_MATCHING)
-        assert with_cut[0] == without[0]
+@pytest.fixture(scope="module")
+def grown_windows():
+    """The horizon-2 windows of direct rand3reg(6, 15) and (6, 34) on 3x3
+    and (8, 3) on 4x4: each compile grows a window."""
+    solved = _record(lambda: [
+        compile_circuit(generate_rand3reg(q, seed), full_region(ArraySpec(n)))
+        for q, seed, n in ((6, 15, 3), (6, 34, 3), (8, 3, 4))])
+    return [(spec, fired) for spec, fired in solved
+            if spec.stages - (spec.boundary.xy is not None) == 2]
 
 
-@pytest.mark.parametrize("windows", ["direct_windows", "pac_global_windows"])
+@pytest.mark.parametrize("windows", ["direct_windows", "pac_global_windows",
+                                     "grown_windows"])
 def test_probes_fire_as_many_gates_as_a_maximize(windows, request):
     solved = [(spec, fired) for spec, fired in request.getfixturevalue(windows)
               if spec.gates]

@@ -144,24 +144,6 @@ def test_true_guard_frees_the_comparison(negated):
     assert b.model() == {"p": int(not negated), "x": 3, "y": 0}
 
 
-def test_at_least_holds_for_one_check_only():
-    b = MilpBackend()
-    fs = [b.bool_var(f"f{i}") for i in range(4)]
-    x = b.int_var("x", 0, 10)
-    b.add(Lit(fs[0], neg=True), GE(x, 9))
-    b.add(Lit(fs[1], neg=True), LE(x, 2))  # f0 and f1 conflict
-    assert b.check(at_least=(total(fs), 3)) == "sat"
-    assert sum(b.model()[f"f{i}"] for i in range(4)) >= 3
-    assert b.check(at_least=(total(fs), 4)) == "unsat"
-    # the refuted row is gone: a plain check, then one over one variable
-    # (a row that a bound would have kept), then the plain check again
-    assert b.check() == "sat"
-    assert b.check(at_least=(lin(x), 11)) == "unsat"
-    assert b.check(at_least=(lin(x) + 2, 12)) == "sat"
-    assert b.model()["x"] == 10
-    assert b.check() == "sat"
-
-
 def test_fixed_holds_for_one_check_only():
     b = MilpBackend()
     fs = [b.bool_var(f"f{i}") for i in range(2)]
@@ -176,7 +158,7 @@ def test_fixed_holds_for_one_check_only():
     # the fixes are gone: x may now go low, then high again
     assert b.check(fixed={fs[1]: 1}) == "sat"
     assert b.model()["f0"] == 0 and b.model()["x"] <= 2
-    assert b.check(at_least=(lin(x), 10)) == "sat"
+    assert b.check(fixed={x: 10}) == "sat"
     assert b.model()["x"] == 10
     assert b.check() == "sat"
 
@@ -193,7 +175,7 @@ def maximize(backend, expr):
     c = np.zeros(n)
     for k, v in expr.terms:
         c[backend._names[v.name]] -= k
-    built = backend._constraint(None)
+    built = backend._constraint()
     res = milp(c=c, integrality=np.ones(n), bounds=Bounds(lo, hi),
                constraints=() if built is None else LinearConstraint(*built))
     if res.status == 2:

@@ -5,8 +5,10 @@
 Imports `atomc` from SRC_DIR and compiles `generate_rand3reg(Q, SEED)` on
 an N x N array in MODE (direct or pac) for each case; without --case, it
 runs the fixed sweep below.  Per case it prints the schedule depth, the
-solver calls (in pac, those of all three phases) and the wall time of the
-compile; per group of cases and over all of them it prints their sums.
+solver calls, the grown windows (those that fired at a horizon above 1)
+and the wall time of the compile, in pac over all three phases; per group
+of cases and over all of them it prints their sums.  A case with no grown
+window never takes the growth path.
 
 Every window fires as many gates as it can, but which of several equally
 good windows the solver returns decides later windows, so a change to the
@@ -42,9 +44,9 @@ SWEEP = {
 
 
 def _print_sum(label: str, runs) -> None:
-    depth, calls, wall = (sum(column) for column in zip(*runs))
+    depth, calls, grown, wall = (sum(column) for column in zip(*runs))
     print(f"{label} ({len(runs)} cases): depth {depth}, {calls} calls, "
-          f"{wall:.2f} s", flush=True)
+          f"{grown} grown, {wall:.2f} s", flush=True)
 
 
 def main(argv=None) -> int:
@@ -64,7 +66,7 @@ def main(argv=None) -> int:
         parser.error(f"atomc was imported from {compiler.__file__}")
 
     groups = {"cases": tuple(args.case)} if args.case else SWEEP
-    runs = []  # (depth, calls, wall) of every case
+    runs = []  # (depth, calls, grown, wall) of every case
     for group, cases in groups.items():
         done = []
         for mode, q, seed, n in cases:
@@ -73,15 +75,18 @@ def main(argv=None) -> int:
             t0 = time.perf_counter()
             if mode == "pac":
                 sched, phases = orchestrator.pac_compile(c, a)
-                calls = sum(r.solver_calls
-                            for r in (phases.r1, phases.r2, phases.r3))
+                results = phases.r1, phases.r2, phases.r3
             else:
                 res = compiler.compile_circuit(c, arrays.full_region(a))
-                sched, calls = res.schedule, res.solver_calls
+                sched, results = res.schedule, (res,)
             wall = time.perf_counter() - t0
+            calls = sum(r.solver_calls for r in results)
+            grown = sum(h > 1 for r in results
+                        for h in r.stage_budget_history)
             print(f"{mode} rand3reg({q}, {seed}) {n}x{n}: depth "
-                  f"{sched.depth}, {calls} calls, {wall:.2f} s", flush=True)
-            done.append((sched.depth, calls, wall))
+                  f"{sched.depth}, {calls} calls, {grown} grown, "
+                  f"{wall:.2f} s", flush=True)
+            done.append((sched.depth, calls, grown, wall))
         _print_sum(group, done)
         runs += done
     if len(groups) > 1:
