@@ -110,8 +110,8 @@ def _extract(model: dict[str, int], v: Vars, w: WindowSpec) -> WindowResult:
                         w.stages - (w.boundary.xy is not None))
 
 
-def solve_window(context: WindowSpec, *, backend, stats: _Stats
-                 ) -> WindowResult | None:
+def solve_window(context: WindowSpec, *, backend, stats: _Stats,
+                 memo: dict | None = None) -> WindowResult | None:
     """Solve one window, firing as many of its gates as possible.
 
     The window is encoded once and decided by a sequence of checks, each a
@@ -142,9 +142,11 @@ def solve_window(context: WindowSpec, *, backend, stats: _Stats
     share one at stage 1 either, and a firing pair still holds a movable
     trap.  A window with gates lists no `final_slm` qubit, so
     `final_slm_rows` does not bind the truncation.
+
+    `memo` is the compile's encoding memo (see `encode_window`).
     """
     backend.reset()
-    v = encode_window(backend, context)
+    v = encode_window(backend, context, memo=memo)
     for fixed in _probes(context, v):
         if _checked(backend, stats, fixed) == "sat":
             return _extract(backend.model(), v, context)
@@ -298,6 +300,7 @@ def _run(circuit, region, boundary, avoid, final_slm,
     if not qubits:
         return [WindowResult([Stage({}, ())], {}, 1)]
     backend = MilpBackend()
+    memo: dict = {}  # this compile's only: pac runs two compiles at once
     pending = dict(enumerate(circuit.gates))
     windows: list[WindowResult] = []
 
@@ -307,7 +310,8 @@ def _run(circuit, region, boundary, avoid, final_slm,
         for horizon in range(1, MAX_HORIZON + 1):
             w = _window_spec(boundary, horizon, qubits, gates, region,
                              avoid, **spec)
-            result = solve_window(w, backend=backend, stats=stats)
+            result = solve_window(w, backend=backend, stats=stats,
+                                  memo=memo)
             if result is not None:
                 stats.budget_history.append(result.horizon)
                 return result

@@ -210,6 +210,13 @@ def trap_transfer(v: Vars, w: WindowSpec) -> Iterator[Clause]:
             yield pos(v.a[q, 0]), neg(v.a[q, 1])
 
 
+def _directed(w: WindowSpec) -> frozenset[int]:
+    """The held qubits whose stage-0 indices `boundary_rows` orders: all of
+    them when at least two hold lines, else none."""
+    held = w.boundary.held
+    return frozenset(held) if len(held) >= 2 else frozenset()
+
+
 def static_lines(v: Vars, w: WindowSpec) -> Iterator[Clause]:
     """A qubit static at stage t-1 and t (or static at stage 0) holds the
     region's first column and row index (symmetry breaking; see the module
@@ -217,7 +224,7 @@ def static_lines(v: Vars, w: WindowSpec) -> Iterator[Clause]:
     hold lines; a lone held qubit is ordered against nothing) keep free
     stage-0 indices."""
     reg = w.region
-    directed = set(w.boundary.held) if len(w.boundary.held) >= 2 else set()
+    directed = _directed(w)
     for q in w.qubits:
         for t in range(w.stages):
             if t == 0:
@@ -231,15 +238,18 @@ def static_lines(v: Vars, w: WindowSpec) -> Iterator[Clause]:
 
 
 def c5_occupancy(v: Vars, w: WindowSpec) -> Iterator[Clause]:
-    """One qubit per static trap site, one per movable trap slot, and a
-    firing pair is never two static traps (the meeting always involves a
-    movable trap)."""
+    """One qubit per static trap site, one per movable trap slot."""
     for u, q in w.pairs():
         for t in range(w.stages):
             yield (pos(v.a[u, t]), pos(v.a[q, t]),
                    *NE(v.x[u, t], v.x[q, t]), *NE(v.y[u, t], v.y[q, t]))
             yield (neg(v.a[u, t]), neg(v.a[q, t]),
                    *NE(v.c[u, t], v.c[q, t]), *NE(v.r[u, t], v.r[q, t]))
+
+
+def c5_firing_pairs(v: Vars, w: WindowSpec) -> Iterator[Clause]:
+    """A firing pair is never two static traps (the meeting always involves
+    a movable trap)."""
     s = w.fire_stage
     for g, (u, q) in sorted(w.gates.items()):
         yield neg(v.f[g]), GE(lin(v.a[u, s]) + lin(v.a[q, s]), 1)
@@ -325,6 +335,12 @@ def boundary_rows(v: Vars, w: WindowSpec) -> Iterator[Clause]:
 # backend's bounds, but big-M sizing and clause pruning use the declared
 # domains (LinExpr.bounds).  HiGHS presolve does that folding.  Family order
 # is row order, and HiGHS's search is sensitive to it.
+#
+# A family in WINDOW_INVARIANT reads only the qubits, the region, the stage
+# count and what its entry returns, never the gates or the boundary's pins;
+# within one compile those inputs repeat from window to window.  With a memo,
+# encode_window records such a family's effect on the backend once per
+# distinct input and replays it in later windows (MilpBackend.replay).
 ALL_FAMILIES = (
     boundary_rows,
     final_slm_rows,
@@ -333,18 +349,51 @@ ALL_FAMILIES = (
     trap_transfer,
     static_lines,
     c5_occupancy,
+    c5_firing_pairs,
     c6_gate_cosite,
     c7_isolation,
     c8_coverage,
     avoid_rows,
 )
 
+WINDOW_INVARIANT = {
+    c2_slm_stationary: lambda w: None,
+    line_order: lambda w: None,
+    trap_transfer: lambda w: None,
+    static_lines: _directed,
+    c5_occupancy: lambda w: None,
+    avoid_rows: lambda w: w.avoid_sites,
+}
 
-def encode_window(backend, w: WindowSpec,
-                  families: Iterable = ALL_FAMILIES) -> Vars:
-    """Declare variables and assert every constraint family."""
+
+def encode_window(backend, w: WindowSpec, families: Iterable = ALL_FAMILIES,
+                  memo: dict | None = None) -> Vars:
+    """Declare variables and assert every constraint family.
+
+    `memo` is a dict that one compile creates empty and passes to each of
+    its windows (never shared between compiles).  With it, each
+    WINDOW_INVARIANT family is keyed on the qubits, region, stage count and
+    its entry's value; the first window with a key encodes the family and
+    records what it did to the backend, and later windows with that key
+    replay the record instead: the same rows, reified binaries, hash-cons
+    entries and bound caps, with reified columns moved past this window's
+    fire variables.  A replay the backend refuses (its hash-cons table
+    differs in size from record time) is encoded afresh and recorded
+    again.  Either way the backend ends as a fresh encode leaves it.
+    """
     v = make_vars(backend, w)
     for family in families:
+        reads = WINDOW_INVARIANT.get(family) if memo is not None else None
+        if reads is None:
+            for clause in family(v, w):
+                backend.add(*clause)
+            continue
+        key = (family, tuple(w.qubits), w.region, w.stages, reads(w))
+        rec = memo.get(key)
+        if rec is not None and backend.replay(rec):
+            continue
+        mark = backend.begin_record()
         for clause in family(v, w):
             backend.add(*clause)
+        memo[key] = backend.end_record(mark)
     return v

@@ -9,11 +9,24 @@ that check alone; this lets the compiler check one encoded window against
 several candidate fired sets, all sharing one constraint matrix.  The
 compiler calls reset() before encoding each window.
 
+A clause compiles in index space: each comparison is read once into its
+merged column coefficients, its right-hand side and the bounds of its terms
+over the declared domains, and rows are kept as flat column and value lists
+that become the CSC matrix in one numpy step.
+
 A comparison inside a multi-item clause is reified: a binary equivalent to
-it, tied by two big-M rows.  Reified comparisons are shared: a repeat gets
-the same binary, and a comparison whose complement is already reified (x <=
-y against x > y, say) gets that binary negated, so a pair and its complement
-cost one binary and two rows.
+it, tied by two big-M rows.  Reified comparisons are shared (hash-consed on
+column indices): a repeat gets the same binary, and a comparison whose
+complement is already reified (x <= y against x > y, say) gets that binary
+negated, so a pair and its complement cost one binary and two rows.
+
+A run of `add` calls can be recorded (`begin_record`, `end_record`) and
+replayed on a later model whose declared columns the clauses name alike
+(`replay`).  Reified binaries are the last columns, so the replay moves
+them by the change in the number of declared columns.  A replay gives the
+rows, bounds and hash-cons entries the same clauses would, provided the
+hash-cons table holds what it held at record time; `replay` refuses unless
+it holds as many entries.
 
 All integer variables are finite-domain, so every comparison is exact
 (integer arithmetic: a strict bound is the non-strict one shifted by 1), and
@@ -23,6 +36,7 @@ identical call sequences give identical models.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, product
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -43,6 +57,9 @@ class IntVar:
 @dataclass(frozen=True)
 class BoolVar:
     name: str
+    # the 0/1 domain, read like IntVar's bounds (class attributes, not fields)
+    lo = 0
+    hi = 1
 
 
 Var = Union[IntVar, BoolVar]
@@ -67,9 +84,8 @@ class LinExpr:
     def bounds(self) -> tuple[int, int]:
         lo = hi = self.const
         for k, v in self.terms:
-            vlo, vhi = (0, 1) if isinstance(v, BoolVar) else (v.lo, v.hi)
-            lo += k * (vlo if k > 0 else vhi)
-            hi += k * (vhi if k > 0 else vlo)
+            lo += k * (v.lo if k > 0 else v.hi)
+            hi += k * (v.hi if k > 0 else v.lo)
         return lo, hi
 
 
@@ -104,26 +120,50 @@ class Lit:
     neg: bool = False
 
 
+def _cmp(op: str, a, b, shift: int) -> Cmp:
+    """lin(a) + shift - lin(b) op 0, its constant moved to the right-hand
+    side: what the LinExpr arithmetic in the docstrings below builds, in
+    one step."""
+    if isinstance(a, LinExpr):
+        terms, ca = a.terms, a.const
+    elif isinstance(a, (IntVar, BoolVar)):
+        terms, ca = ((1, a),), 0
+    else:
+        terms, ca = (), int(a)
+    if isinstance(b, LinExpr):
+        if b.terms:
+            terms = terms + tuple([(-k, v) for k, v in b.terms])
+        cb = b.const
+    elif isinstance(b, (IntVar, BoolVar)):
+        terms, cb = terms + ((-1, b),), 0
+    else:
+        cb = int(b)
+    return Cmp(op, LinExpr(terms), cb - ca - shift)
+
+
 def LE(a, b) -> Cmp:
-    e = lin(a) - lin(b)
-    return Cmp("<=", LinExpr(e.terms), -e.const)
+    """a <= b: Cmp("<=", e without its constant, -e.const) for e = a - b."""
+    return _cmp("<=", a, b, 0)
 
 
 def LT(a, b) -> Cmp:
-    return LE(lin(a) + 1, b)
+    """a < b, i.e. LE(lin(a) + 1, b)."""
+    return _cmp("<=", a, b, 1)
 
 
 def GE(a, b) -> Cmp:
-    return LE(b, a)
+    """a >= b, i.e. LE(b, a)."""
+    return _cmp("<=", b, a, 0)
 
 
 def GT(a, b) -> Cmp:
-    return LT(b, a)
+    """a > b, i.e. LT(b, a)."""
+    return _cmp("<=", b, a, 1)
 
 
 def EQ(a, b) -> Cmp:
-    e = lin(a) - lin(b)
-    return Cmp("==", LinExpr(e.terms), -e.const)
+    """a == b: Cmp("==", e without its constant, -e.const) for e = a - b."""
+    return _cmp("==", a, b, 0)
 
 
 def NE(a, b) -> tuple[Cmp, Cmp]:
@@ -142,9 +182,38 @@ def neg(v: BoolVar) -> Lit:
 # ---------------------------------------------------------------------------
 # in-process MILP backend (scipy / HiGHS)
 
+# One `<=` side of a comparison in index space: (merged column coefficients
+# without zeros, rhs, lo, hi) for terms <= rhs, the terms ranging over
+# [lo, hi] on the declared domains.
+_Side = tuple[dict, int, int, int]
+
+
+@dataclass(frozen=True)
+class Recording:
+    """What a run of `add` calls did to a backend (see `begin_record`)."""
+
+    base: int  # column of the first reified binary, then or later
+    reified: int  # hash-cons entries before the run
+    cols: list[int]  # the new rows, flat as in MilpBackend
+    vals: list[float]
+    lengths: list[int]
+    row_lo: list[float]
+    row_hi: list[float]
+    new_vars: tuple[BoolVar, ...]  # the new reified binaries, in order
+    keys: tuple[tuple, ...]  # their hash-cons keys, in the same order
+    # (column, lo, hi) caps, all on declared columns: reified binaries are
+    # never capped, since only live comparisons are reified
+    bounds: list[tuple[int, int | None, int | None]]
+
 
 class MilpBackend:
-    """Exact big-M integer-linear compilation solved by scipy's HiGHS."""
+    """Exact big-M integer-linear compilation solved by scipy's HiGHS.
+
+    Columns are the declared variables in declaration order, then the
+    reified binaries.  A row is stored flat: its columns in `_cols`, its
+    coefficients in `_vals`, its length in `_lengths`, its bounds in
+    `_row_lo` and `_row_hi`.
+    """
 
     def __init__(self):
         self.reset()
@@ -154,22 +223,30 @@ class MilpBackend:
         self._vars: list[Var] = []
         self._lo: list[int] = []
         self._hi: list[int] = []
-        self._rows: list[tuple[dict[int, float], float, float]] = []
-        self._reify: dict[tuple, BoolVar] = {}
+        self._cols: list[int] = []
+        self._vals: list[float] = []
+        self._lengths: list[int] = []
+        self._row_lo: list[float] = []
+        self._row_hi: list[float] = []
+        # hash-cons key of a reified comparison -> its binary's column
+        self._reify: dict[tuple, int] = {}
+        self._log: list | None = None  # bound caps, while recording
         self._model: dict[str, int] | None = None
         # the rows as `_constraint` compiled them; None when stale
         self._built: tuple | None = None
 
     # -- variables
 
-    def _register(self, v: Var, lo: int, hi: int) -> None:
+    def _register(self, v: Var, lo: int, hi: int) -> int:
         if v.name in self._names:
             raise BackendError(f"duplicate variable {v.name}")
-        self._names[v.name] = len(self._vars)
+        idx = len(self._vars)
+        self._names[v.name] = idx
         self._vars.append(v)
         self._lo.append(lo)
         self._hi.append(hi)
         self._built = None
+        return idx
 
     def int_var(self, name: str, lo: int, hi: int) -> IntVar:
         if lo > hi:
@@ -183,36 +260,53 @@ class MilpBackend:
         self._register(v, 0, 1)
         return v
 
+    def _cap(self, idx: int, lo: int | None, hi: int | None) -> None:
+        """Raise a column's lower bound to lo and lower its upper bound to
+        hi (None: leave it); logged while recording."""
+        if lo is not None:
+            self._lo[idx] = max(self._lo[idx], lo)
+        if hi is not None:
+            self._hi[idx] = min(self._hi[idx], hi)
+        if self._log is not None:
+            self._log.append((idx, lo, hi))
+
     # -- constraints
 
     def _add_row(self, coeffs: dict[int, float], lo: float, hi: float) -> None:
-        self._rows.append((coeffs, lo, hi))
+        self._cols.extend(coeffs)
+        self._vals.extend(coeffs.values())
+        self._lengths.append(len(coeffs))
+        self._row_lo.append(lo)
+        self._row_hi.append(hi)
         self._built = None
 
-    def _expr_coeffs(self, e: LinExpr) -> dict[int, float]:
+    def _side(self, cmp: Cmp) -> _Side:
+        names = self._names
         coeffs: dict[int, float] = {}
-        for k, v in e.terms:
-            idx = self._names[v.name]
-            coeffs[idx] = coeffs.get(idx, 0.0) + float(k)
-        return {i: c for i, c in coeffs.items() if c != 0.0}
+        lo = hi = 0
+        for k, v in cmp.expr.terms:
+            idx = names[v.name]
+            coeffs[idx] = coeffs.get(idx, 0.0) + k
+            if k > 0:
+                lo += k * v.lo
+                hi += k * v.hi
+            else:
+                lo += k * v.hi
+                hi += k * v.lo
+        if 0.0 in coeffs.values():
+            coeffs = {i: c for i, c in coeffs.items() if c != 0.0}
+        return coeffs, cmp.k - cmp.expr.const, lo, hi
 
-    def _try_absorb_bound(self, cmp: Cmp) -> bool:
-        # single-variable rows tighten the domain instead of adding a row
-        if len(cmp.expr.terms) != 1:
-            return False
-        k, v = cmp.expr.terms[0]
-        if k not in (1, -1):
-            return False
-        rhs = cmp.k - cmp.expr.const
-        idx = self._names[v.name]
-        if k == 1:
-            self._hi[idx] = min(self._hi[idx], rhs)
-        else:
-            self._lo[idx] = max(self._lo[idx], -rhs)
-        return True
+    @staticmethod
+    def _flip(side: _Side) -> _Side:
+        """The other `<=` side of an equality: -terms <= -rhs."""
+        coeffs, rhs, lo, hi = side
+        return {i: -c for i, c in coeffs.items()}, -rhs, -hi, -lo
 
-    def _reified(self, cmp: Cmp) -> Lit:
-        """A literal equivalent to (terms <= rhs), hash-consed.
+    def _reified(self, side: _Side) -> tuple[int, bool]:
+        """A literal (column, negated) equivalent to (terms <= rhs),
+        hash-consed on columns.  Called on live comparisons only (lo <=
+        rhs < hi), so both big-M rows bind.
 
         A miss whose complement (terms >= rhs + 1, keyed as -terms <=
         -rhs - 1) is already reified returns that binary negated: its two
@@ -220,39 +314,34 @@ class MilpBackend:
         this one.  Otherwise a fresh p gets p <-> (terms <= rhs) as two
         big-M rows.
         """
-        rhs = cmp.k - cmp.expr.const
-        terms = sorted((k, v.name) for k, v in cmp.expr.terms)
-        key = (tuple(terms), rhs)
+        coeffs, rhs, lo, hi = side
+        if len(coeffs) == 2:
+            (i, a), (j, b) = coeffs.items()
+            if j < i:
+                i, a, j, b = j, b, i, a
+            key = (i, a, j, b, rhs)
+            flip = (i, -a, j, -b, -rhs - 1)
+        else:
+            terms = tuple(sorted(coeffs.items()))
+            key = (terms, rhs)
+            flip = (tuple((i, -c) for i, c in terms), -rhs - 1)
         hit = self._reify.get(key)
         if hit is not None:
-            return Lit(hit)
-        hit = self._reify.get(
-            (tuple(sorted((-k, name) for k, name in terms)), -rhs - 1))
+            return hit, False
+        hit = self._reify.get(flip)
         if hit is not None:
-            return Lit(hit, neg=True)
-        p = self.bool_var(f"__r{len(self._reify)}")
+            return hit, True
+        p = self._register(BoolVar(f"__r{len(self._reify)}"), 0, 1)
         self._reify[key] = p
-        e = LinExpr(cmp.expr.terms)
-        lo, hi = e.bounds()
-        pidx = self._names[p.name]
-        coeffs = self._expr_coeffs(e)
         # p = 1  =>  e <= rhs:            e + (hi - rhs) p <= hi
-        if hi > rhs:
-            row = dict(coeffs)
-            row[pidx] = row.get(pidx, 0.0) + float(hi - rhs)
-            self._add_row(row, -np.inf, float(hi))
+        row = dict(coeffs)
+        row[p] = float(hi - rhs)
+        self._add_row(row, -np.inf, float(hi))
         # p = 0  =>  e >= rhs + 1:        e + (rhs + 1 - lo) p >= rhs + 1
-        if lo <= rhs:
-            row = dict(coeffs)
-            row[pidx] = row.get(pidx, 0.0) + float(rhs + 1 - lo)
-            self._add_row(row, float(rhs + 1), np.inf)
-        # lo > rhs: comparison always false; p=0 side vacuous, but p must be 0
-        if lo > rhs:
-            self._hi[pidx] = 0
-        # hi <= rhs: comparison always true; p=1 side vacuous, but p must be 1
-        if hi <= rhs:
-            self._lo[pidx] = 1
-        return Lit(p)
+        row = dict(coeffs)
+        row[p] = float(rhs + 1 - lo)
+        self._add_row(row, float(rhs + 1), np.inf)
+        return p, False
 
     def add(self, *items: Lit | Cmp) -> None:
         """Assert one clause: at least one item holds.
@@ -261,88 +350,138 @@ class MilpBackend:
         splits into one clause per side (per combination of sides when it
         holds several EQ items).
         """
-        clauses: list[list[Lit | Cmp]] = [[]]
+        lits: list[tuple[int, bool]] = []
+        sides: list[_Side] = []
+        eq: list[int] = []  # positions in `sides` of EQ items
         for item in items:
-            if isinstance(item, Cmp) and item.op == "==":
-                flip = lin(0) - item.expr
-                sides = (Cmp("<=", item.expr, item.k),
-                         Cmp("<=", LinExpr(flip.terms), -item.k))
-                clauses = [c + [side] for c in clauses for side in sides]
+            if isinstance(item, Lit):
+                lits.append((self._names[item.var.name], item.neg))
             else:
-                for c in clauses:
-                    c.append(item)
-        for clause in clauses:
-            self._compile_clause(clause)
+                if item.op == "==":
+                    eq.append(len(sides))
+                sides.append(self._side(item))
+        if not eq:
+            self._compile_clause(lits, sides)
+            return
+        choices = [(s, self._flip(s)) if i in eq else (s,)
+                   for i, s in enumerate(sides)]
+        for clause in product(*choices):
+            self._compile_clause(lits, clause)
 
-    def _fix_lit(self, l: Lit) -> None:
-        idx = self._names[l.var.name]
-        if l.neg:
-            self._hi[idx] = min(self._hi[idx], 0)
-        else:
-            self._lo[idx] = max(self._lo[idx], 1)
-
-    def _compile_clause(self, clause: list[Lit | Cmp]) -> None:
-        lits = [c for c in clause if isinstance(c, Lit)]
-        cmps = [c for c in clause if isinstance(c, Cmp)]
+    def _compile_clause(self, lits: list[tuple[int, bool]],
+                        sides: Iterable[_Side]) -> None:
         # comparisons decided by the variable domains leave the clause
-        live: list[Cmp] = []
-        for cmp in cmps:
-            rhs = cmp.k - cmp.expr.const
-            lo, hi = LinExpr(cmp.expr.terms).bounds()
+        live: list[_Side] = []
+        for side in sides:
+            _, rhs, lo, hi = side
             if hi <= rhs:
                 return  # always true: clause satisfied
             if lo > rhs:
                 continue  # always false: drop from the clause
-            live.append(cmp)
-        cmps = live
-        if not lits and not cmps:
+            live.append(side)
+        if not lits and not live:
             self._add_row({}, 1.0, np.inf)  # empty clause: unsatisfiable
             return
-        if len(lits) == 1 and not cmps:
-            self._fix_lit(lits[0])
+        if len(lits) == 1 and not live:
+            idx, negated = lits[0]
+            if negated:
+                self._cap(idx, None, 0)
+            else:
+                self._cap(idx, 1, None)
             return
-        if len(cmps) == 1 and not lits:
-            cmp = cmps[0]
-            if self._try_absorb_bound(cmp):
-                return
-            coeffs = self._expr_coeffs(cmp.expr)
-            self._add_row(coeffs, -np.inf, float(cmp.k - cmp.expr.const))
+        if len(live) == 1 and not lits:
+            coeffs, rhs, _, _ = live[0]
+            if len(coeffs) == 1:
+                # a +-x row tightens the domain instead
+                (idx, k), = coeffs.items()
+                if k == 1.0:
+                    self._cap(idx, None, rhs)
+                    return
+                if k == -1.0:
+                    self._cap(idx, -rhs, None)
+                    return
+            self._add_row(coeffs, -np.inf, float(rhs))
             return
-        if len(cmps) > 1:
-            lits = lits + [self._reified(c) for c in cmps]
-            cmps = []
-        if cmps:
+        if len(live) > 1:
+            lits = lits + [self._reified(side) for side in live]
+            live = []
+        if live:
             # exactly one comparison guarded by literals: when every literal
             # is false the comparison must hold
-            cmp = cmps[0]
-            rhs = cmp.k - cmp.expr.const
-            e = LinExpr(cmp.expr.terms)
-            lo, hi = e.bounds()
-            coeffs = self._expr_coeffs(e)
+            coeffs, rhs, _, hi = live[0]
+            coeffs = dict(coeffs)
             m = float(hi - rhs)
             ub = float(rhs)
-            for l in lits:
-                idx = self._names[l.var.name]
-                if l.neg:
+            for idx, negated in lits:
+                if negated:
                     coeffs[idx] = coeffs.get(idx, 0.0) + m
                     ub += m
                 else:
                     coeffs[idx] = coeffs.get(idx, 0.0) - m
             self._add_row(coeffs, -np.inf, ub)
             return
-        self._bool_clause(lits)
-
-    def _bool_clause(self, lits: list[Lit]) -> None:
-        coeffs: dict[int, float] = {}
+        coeffs = {}
         rhs = 1.0
-        for l in lits:
-            idx = self._names[l.var.name]
-            if l.neg:
+        for idx, negated in lits:
+            if negated:
                 coeffs[idx] = coeffs.get(idx, 0.0) - 1.0
                 rhs -= 1.0
             else:
                 coeffs[idx] = coeffs.get(idx, 0.0) + 1.0
         self._add_row(coeffs, rhs, np.inf)
+
+    # -- recording and replay
+
+    def begin_record(self) -> tuple[int, int, int, int]:
+        """Start recording what the following `add` calls do; pass the
+        returned mark to `end_record`.  Every declared variable must come
+        before the first reified binary."""
+        self._log = []
+        return (len(self._cols), len(self._lengths), len(self._vars),
+                len(self._reify))
+
+    def end_record(self, mark: tuple[int, int, int, int]) -> Recording:
+        nnz, rows, nvars, reified = mark
+        log, self._log = self._log, None
+        return Recording(
+            base=nvars - reified, reified=reified,
+            cols=self._cols[nnz:], vals=self._vals[nnz:],
+            lengths=self._lengths[rows:], row_lo=self._row_lo[rows:],
+            row_hi=self._row_hi[rows:], new_vars=tuple(self._vars[nvars:]),
+            keys=tuple(islice(self._reify, reified, None)), bounds=log)
+
+    def replay(self, rec: Recording) -> bool:
+        """Apply a recording: its rows, its reified binaries with their
+        hash-cons entries, and its bound caps, with the rows' reified
+        columns moved to this model's.  Returns False, and does nothing, unless the
+        hash-cons table holds as many entries as it did at record time."""
+        reified = len(self._reify)
+        if reified != rec.reified:
+            return False
+        names = [v.name for v in rec.new_vars]
+        if not self._names.keys().isdisjoint(names):
+            raise BackendError("a declared variable takes a reified name")
+        first = len(self._vars)
+        shift = first - reified - rec.base
+        cols = rec.cols
+        if shift:
+            cols = np.asarray(cols)
+            cols = np.where(cols >= rec.base, cols + shift, cols).tolist()
+        self._cols.extend(cols)
+        self._vals.extend(rec.vals)
+        self._lengths.extend(rec.lengths)
+        self._row_lo.extend(rec.row_lo)
+        self._row_hi.extend(rec.row_hi)
+        new = range(first, first + len(names))
+        self._names.update(zip(names, new))
+        self._reify.update(zip(rec.keys, new))
+        self._vars.extend(rec.new_vars)
+        self._lo.extend([0] * len(new))
+        self._hi.extend([1] * len(new))
+        for idx, lo, hi in rec.bounds:
+            self._cap(idx, lo, hi)
+        self._built = None
+        return True
 
     # -- solving
 
@@ -350,19 +489,16 @@ class MilpBackend:
         """The rows as a CSC matrix with row bounds, or None when there are
         none.  Built once and reused until the next variable, row or
         reset."""
-        rows = self._rows
-        if self._built is None and rows:
+        if self._built is None and self._lengths:
             from scipy.sparse import csc_matrix
-            ri, ci, data = [], [], []
-            for i, (coeffs, _, _) in enumerate(rows):
-                for j, coef in coeffs.items():
-                    ri.append(i)
-                    ci.append(j)
-                    data.append(coef)
-            a_mat = csc_matrix((data, (ri, ci)),
-                               shape=(len(rows), len(self._vars)))
-            self._built = (a_mat, np.array([r[1] for r in rows]),
-                           np.array([r[2] for r in rows]))
+            lengths = np.array(self._lengths, dtype=np.intp)
+            rows = np.repeat(np.arange(len(lengths)), lengths)
+            cols = np.array(self._cols, dtype=np.intp)
+            a_mat = csc_matrix((np.array(self._vals, dtype=float),
+                                (rows, cols)),
+                               shape=(len(lengths), len(self._vars)))
+            self._built = (a_mat, np.array(self._row_lo, dtype=float),
+                           np.array(self._row_hi, dtype=float))
         return self._built
 
     def check(self, timeout: float | None = None,
@@ -380,8 +516,11 @@ class MilpBackend:
 
         n = len(self._vars)
         if n == 0:
-            self._model = {}
-            return "sat"
+            # every row is empty and reads 0
+            ok = all(lo <= 0 <= hi
+                     for lo, hi in zip(self._row_lo, self._row_hi))
+            self._model = {} if ok else None
+            return "sat" if ok else "unsat"
         lo = np.array(self._lo, dtype=float)
         hi = np.array(self._hi, dtype=float)
         for var, value in (fixed or {}).items():

@@ -15,7 +15,7 @@ from atomc.orchestrator import pac_compile
 from atomc.schedule import AOD, SLM, QubitState, Schedule, Stage
 from atomc.smt import MilpBackend, total
 from atomc.verifier import verify
-from test_smt import evaluate, maximize
+from test_smt import backend_state, evaluate, maximize
 
 K4 = Circuit(4, tuple(itertools.combinations(range(4), 2)), name="k4")
 NO_PIN = tuple(f for f in ALL_FAMILIES if f is not static_lines)
@@ -232,3 +232,24 @@ def test_probes_fire_as_many_gates_as_a_maximize(windows, request):
         best = solve(spec)
         assert best is not None
         assert (fired or 0) == best[0]
+
+
+@pytest.mark.parametrize("windows", ["direct_windows", "pac_global_windows",
+                                     "grown_windows"])
+def test_a_replayed_encode_equals_a_fresh_one(windows, request):
+    # one memo across the fixture's windows, as one compile keeps it: a
+    # window after the first of its stage count replays families recorded
+    # with another gate count, so reified columns move
+    specs = [spec for spec, _ in request.getfixturevalue(windows)]
+    if windows == "pac_global_windows":
+        assert len(specs[0].boundary.held) >= 2 and specs[0].avoid_sites
+    backend, memo, replays = MilpBackend(), {}, []
+    replay = backend.replay
+    backend.replay = lambda rec: replays.append(replay(rec)) or replays[-1]
+    for spec in specs:
+        backend.reset()
+        encode_window(backend, spec, memo=memo)
+        fresh = MilpBackend()
+        encode_window(fresh, spec)
+        assert backend_state(backend) == backend_state(fresh)
+    assert replays and all(replays)

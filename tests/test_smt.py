@@ -1,11 +1,14 @@
+import copy
 import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from atomc.smt import (EQ, GE, GT, LE, LT, NE, IntVar, Lit, MilpBackend, lin,
-                       total)
+from atomc.smt import (EQ, GE, GT, LE, LT, NE, BoolVar, Cmp, IntVar, LinExpr,
+                       Lit, MilpBackend, lin, total)
 
 
 def _holds(item, env):
@@ -260,3 +263,86 @@ def test_a_negated_binary_is_the_strict_complement():
     b.add(EQ(x, y))
     b.add(EQ(z, 2))
     assert b.check() == "unsat"
+
+
+@pytest.mark.parametrize("items,answer", [((LE(1, 0),), "unsat"),
+                                          ((), "unsat"),
+                                          ((LE(0, 1),), "sat")])
+def test_a_backend_without_variables_decides_its_clauses(items, answer):
+    b = MilpBackend()
+    b.add(*items)
+    assert b.check() == answer
+
+
+def _le(a, b):
+    e = lin(a) - lin(b)
+    return Cmp("<=", LinExpr(e.terms), -e.const)
+
+
+def _eq(a, b):
+    e = lin(a) - lin(b)
+    return Cmp("==", LinExpr(e.terms), -e.const)
+
+
+# each constructor's definition by LinExpr arithmetic
+DEFINITIONS = {
+    LE: _le,
+    LT: lambda a, b: _le(lin(a) + 1, b),
+    GE: lambda a, b: _le(b, a),
+    GT: lambda a, b: _le(lin(b) + 1, a),
+    EQ: _eq,
+    NE: lambda a, b: (_le(lin(a) + 1, b), _le(lin(b) + 1, a)),
+}
+VARS = st.sampled_from([IntVar("x", -2, 3), IntVar("y", 0, 4), BoolVar("p")])
+OPERANDS = st.one_of(
+    VARS, st.integers(-5, 5),
+    st.builds(LinExpr, st.lists(st.tuples(st.integers(-3, 3), VARS),
+                                max_size=3).map(tuple),
+              st.integers(-5, 5)))
+
+
+@pytest.mark.parametrize("op", list(DEFINITIONS), ids=lambda f: f.__name__)
+@given(a=OPERANDS, b=OPERANDS)
+def test_comparisons_equal_their_arithmetic_definitions(op, a, b):
+    assert op(a, b) == DEFINITIONS[op](a, b)
+
+
+def backend_state(b):
+    """The columns, their bounds, the rows and the hash-cons table."""
+    return (b._vars, b._names, b._lo, b._hi, b._cols, b._vals, b._lengths,
+            b._row_lo, b._row_hi, b._reify)
+
+
+def _declare(b, extra):
+    """x and y, then `extra` more columns."""
+    x, y = b.int_var("x", 0, 3), b.int_var("y", 0, 3)
+    for i in range(extra):
+        b.bool_var(f"f{i}")
+    return x, y
+
+
+def _assert_clauses(b, x, y):
+    b.add(LE(x, y), GE(y, 2))  # two reified comparisons
+    b.add(GT(x, y), LE(x, 0))  # the complement of one, and one more
+    b.add(LE(x, 2))  # a bound cap
+
+
+def test_a_replay_equals_a_fresh_encode_after_more_columns():
+    a = MilpBackend()
+    x, y = _declare(a, 0)
+    mark = a.begin_record()
+    _assert_clauses(a, x, y)
+    rec = a.end_record(mark)
+    replayed, fresh = MilpBackend(), MilpBackend()
+    _declare(replayed, 2)
+    assert replayed.replay(rec)
+    _assert_clauses(fresh, *_declare(fresh, 2))
+    assert backend_state(replayed) == backend_state(fresh)
+    assert replayed._names["__r0"] == 4  # past the two extra columns
+    # a hash-cons table of another size refuses, and changes nothing
+    other = MilpBackend()
+    x, y = _declare(other, 0)
+    other.add(LE(x, 1), LE(y, 1))
+    before = copy.deepcopy(backend_state(other))
+    assert not other.replay(rec)
+    assert backend_state(other) == before

@@ -4,8 +4,9 @@
 
 Imports `atomc` from SRC_DIR, wraps `scipy.optimize.milp`, and compiles
 `generate_rand3reg(Q, SEED)` on an N x N array in MODE (direct or pac) for
-each case; without --case, it runs the fixed set below.  Per case it prints
-a header line with the solver call count and the sha256 of the
+each case.  Without --case, it runs the 17 fixed cases below, one of which
+(direct `rand3reg(6, 15)`) grows a window to a 3-stage horizon.  Per case it
+prints a header line with the solver call count and the sha256 of the
 `schedule_to_json` bytes, then the sorted digests of the calls, one a line.
 A call's digest covers `c`, `integrality`, the variable bounds, the
 constraint matrix (data, indices, indptr, shape), the row bounds and the
@@ -30,6 +31,7 @@ CASES = (
     *(("pac", 12, seed, 8) for seed in range(1, 10)),
     *(("pac", q, seed, 8) for q in (16, 20) for seed in (1, 2)),
     *(("direct", 6, seed, 3) for seed in (2, 3, 13)),
+    ("direct", 6, 15, 3),  # grows one window: horizons [1, 1, 1, 2]
 )
 
 
