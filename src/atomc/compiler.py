@@ -18,8 +18,9 @@ final two stages, which stitching leaves as they are; `extract_schedule`
 stitches the window results into the returned schedule in one pass.
 
 Qubits listed to end in static traps that finish in a movable trap are
-dropped where they stand, or, when some site holds two qubits, separated and
-dropped by one more solve, grown the same way.
+separated and dropped by one more window, grown the same way: the last
+window fires at its last stage, so a firing pair shares a site there and
+cannot simply drop where it stands.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
+import networkx as nx
+
 from .arrays import Region, site_in_region
 from .circuits import Circuit
-from .encoding import Boundary, Vars, WindowSpec, encode_window, matchings
+from .encoding import Boundary, Vars, WindowSpec, encode_window
 from .errors import (CompileTimeout, ConsistencyError, InfeasibleError,
                      VerificationError)
 from .schedule import AOD, SLM, CompileResult, QubitState, Schedule, Stage
@@ -61,7 +64,7 @@ class WindowResult:
     """Stages and fired gates extracted from one sat window."""
 
     stages: list[Stage]
-    fired: dict[int, int]  # gate id -> stage index within the window
+    fired: tuple[int, ...]  # gate ids, all fired at the last stage
     horizon: int  # new stages, not counting a stage-0 boundary
 
 
@@ -95,7 +98,7 @@ def _checked(backend, stats: _Stats, fixed: dict) -> str:
 
 def _extract(model: dict[str, int], v: Vars, w: WindowSpec) -> WindowResult:
     stages = []
-    fired = {g: w.fire_stage for g, var in v.f.items() if model[var.name]}
+    fired = tuple(g for g, var in v.f.items() if model[var.name])
     for t in range(w.stages):
         states = {}
         for q in w.qubits:
@@ -104,8 +107,7 @@ def _extract(model: dict[str, int], v: Vars, w: WindowSpec) -> WindowResult:
                 x=model[v.x[q, t].name], y=model[v.y[q, t].name], a=a,
                 c=model[v.c[q, t].name] if a == AOD else None,
                 r=model[v.r[q, t].name] if a == AOD else None)
-        here = tuple(fired) if t == w.fire_stage else ()
-        stages.append(Stage(states, here))
+        stages.append(Stage(states, fired if t == w.fire_stage else ()))
     return WindowResult(stages, fired,
                         w.stages - (w.boundary.xy is not None))
 
@@ -116,14 +118,16 @@ def solve_window(context: WindowSpec, *, backend, stats: _Stats,
 
     The window is encoded once and decided by a sequence of checks, each a
     separate solver call; the first sat check is extracted.  The checks run
-    over k from `nu` down to 1, and for each k over the k-matchings of the
-    pending gates in lexicographic order of their sorted ids (`matchings`).
-    Each check fixes the fire variables to that matching by bounds alone,
-    so every check shares one constraint matrix.  A model fires a matching,
-    so the first sat check fires the window's optimum: every larger
-    matching was refuted first.  Returns None when every check is refuted,
-    since not even one gate fits in the horizon (the caller grows the
-    window).  A window with nothing pending is one plain feasibility check.
+    over k from `matching_number` down to 1, and for each k over the
+    k-matchings of the pending gates in lexicographic order of their sorted
+    ids (`matchings`).  Each check fixes the fire variables to that
+    matching by bounds alone, so every check shares one constraint matrix.
+    These checks own C8: the encoding states no coverage rule, since no
+    check lets two gates that share a qubit fire together.  So the first
+    sat check fires the window's optimum: every larger matching was refuted
+    first.  Returns None when every check is refuted, since not even one
+    gate fits in the horizon (the caller grows the window).  A window with
+    nothing pending is one plain feasibility check.
 
     Gates fire at the window's last stage only, and that loses nothing.  A
     window grows to horizon h only after every shorter horizon with the
@@ -139,9 +143,8 @@ def solve_window(context: WindowSpec, *, backend, stats: _Stats,
     movable at stage 1 was then movable at stage 0 and keeps its line, so
     `line_order` at stage 1 follows from stage 0.  By `c5_occupancy` at
     stage 0 two static qubits never share a site, so no two static qubits
-    share one at stage 1 either, and a firing pair still holds a movable
-    trap.  A window with gates lists no `final_slm` qubit, so
-    `final_slm_rows` does not bind the truncation.
+    share one at stage 1 either.  A window with gates lists no `final_slm`
+    qubit, so `final_slm_rows` does not bind the truncation.
 
     `memo` is the compile's encoding memo (see `encode_window`).
     """
@@ -158,9 +161,44 @@ def _probes(context: WindowSpec, v: Vars) -> Iterator[dict]:
     of one `MilpBackend.check`."""
     if not context.gates:
         yield {}
-    for k in range(context.nu, 0, -1):
+    for k in range(matching_number(context.gates), 0, -1):
         for m in matchings(context.gates, k):
             yield {v.f[g]: int(g in m) for g in context.gates}
+
+
+def matching_number(gates: Mapping[int, tuple[int, int]]) -> int:
+    """The size of a maximum matching of the gate graph: the most of these
+    gates one window can fire."""
+    graph = nx.Graph()
+    graph.add_edges_from(gates.values())
+    return len(nx.max_weight_matching(graph))
+
+
+def matchings(gates: Mapping[int, tuple[int, int]], k: int
+              ) -> Iterator[tuple[int, ...]]:
+    """Every set of k gates that share no qubit, as sorted gate ids, in
+    lexicographic order: the qubit-disjoint members of
+    `itertools.combinations(sorted(gates), k)`, in that order.  Two copies of
+    one pair share both qubits, so no matching holds both."""
+    ids = sorted(gates)
+    chosen: list[int] = []
+    used: set[int] = set()
+
+    def extend(start: int) -> Iterator[tuple[int, ...]]:
+        if len(chosen) == k:
+            yield tuple(chosen)
+            return
+        for i in range(start, len(ids) - (k - len(chosen)) + 1):
+            u, v = gates[ids[i]]
+            if u in used or v in used:
+                continue
+            chosen.append(ids[i])
+            used.update((u, v))
+            yield from extend(i + 1)
+            chosen.pop()
+            used.difference_update((u, v))
+
+    yield from extend(0)
 
 
 def extract_schedule(windows: Sequence[WindowResult]) -> Schedule:
@@ -192,6 +230,9 @@ def _row_major_placement(qubits: Sequence[int], region: Region,
                          ) -> dict[int, QubitState]:
     sites = [(x, y) for x in region.x_range for y in region.y_range
              if (x, y) not in avoid]
+    if len(sites) < len(qubits):
+        raise InfeasibleError(f"{len(qubits)} qubits cannot fit the "
+                              f"{len(sites)} sites that are not avoided")
     return {q: QubitState(x=sx, y=sy, a=SLM)
             for q, (sx, sy) in zip(qubits, sites)}
 
@@ -223,15 +264,18 @@ def _window_spec(boundary: Boundary, horizon: int, qubits, pending, region,
         boundary=boundary, avoid_sites=avoid, final_slm=final_slm)
 
 
-def _validate_inputs(circuit, region, init_xy, held_lines, avoid):
+def _validate_inputs(circuit, region, init_xy, held_lines, avoid,
+                     final_slm):
     qubits = list(range(circuit.num_qubits))
     if len(qubits) > region.num_sites:
         raise InfeasibleError(
             f"{len(qubits)} qubits cannot fit {region.num_sites} sites")
-    stray = sorted(set(held_lines) - set(qubits))
-    if stray:
-        raise ValueError(f"held_lines names qubit {stray[0]}, which is not "
-                         "in the circuit")
+    for name, named in (("held_lines", held_lines),
+                        ("final_stage_slm", final_slm)):
+        stray = sorted(set(named) - set(qubits))
+        if stray:
+            raise ValueError(f"{name} names qubit {stray[0]}, which is not "
+                             "in the circuit")
     if init_xy is None:
         if held_lines:
             raise ValueError("held_lines needs init_xy: it orders the lines "
@@ -275,7 +319,8 @@ def compile_circuit(circuit: Circuit, region: Region, *,
     """
     opts = opts or SolverOptions()
     held_lines = held_lines or {}
-    _validate_inputs(circuit, region, init_xy, held_lines, avoid_sites)
+    _validate_inputs(circuit, region, init_xy, held_lines, avoid_sites,
+                     final_stage_slm)
     t0 = time.perf_counter()
     stats = _Stats(t0=t0, deadline=t0 + opts.timeout)
     boundary = (Boundary() if init_xy is None
@@ -298,7 +343,7 @@ def _run(circuit, region, boundary, avoid, final_slm,
          stats) -> list[WindowResult]:
     qubits = list(range(circuit.num_qubits))
     if not qubits:
-        return [WindowResult([Stage({}, ())], {}, 1)]
+        return [WindowResult([Stage({}, ())], (), 1)]
     backend = MilpBackend()
     memo: dict = {}  # this compile's only: pac runs two compiles at once
     pending = dict(enumerate(circuit.gates))
@@ -324,7 +369,7 @@ def _run(circuit, region, boundary, avoid, final_slm,
                       for q, (px, py) in boundary.xy.items()}
         else:
             states = _row_major_placement(qubits, region, avoid)
-        windows.append(WindowResult([Stage(states, ())], {}, 1))
+        windows.append(WindowResult([Stage(states, ())], (), 1))
     while pending:
         # a snapshot: fired gates leave `pending`, not the window's spec
         result = grow(boundary, dict(pending))
@@ -336,30 +381,14 @@ def _run(circuit, region, boundary, avoid, final_slm,
             del pending[g]
         boundary = _internal_boundary(result.stages)
 
-    # park the listed qubits that end up in a movable trap: drop them in
-    # place, or separate and drop them in one small solve
+    # park the listed qubits that end up in a movable trap in one small solve
     last = windows[-1].stages
-    listed = [q for q in sorted(final_slm) if last[-1].states[q].a == AOD]
-    if listed:
-        park = _drop_in_place(last[-1], listed)
-        if park is None:
-            park = grow(_internal_boundary(last), {},
-                        final_slm=frozenset(final_slm))
+    if any(last[-1].states[q].a == AOD for q in final_slm):
+        park = grow(_internal_boundary(last), {},
+                    final_slm=frozenset(final_slm))
         if park is None:
             raise InfeasibleError(f"cannot park {sorted(final_slm)} within "
                                   f"{MAX_HORIZON} stages")
         windows.append(park)
     return windows
 
-
-def _drop_in_place(last: Stage, listed: Sequence[int]) -> WindowResult | None:
-    """Drop the listed qubits into static traps where they stand; None when
-    two qubits share a site, since a separating move is needed first."""
-    positions = [(st.x, st.y) for st in last.states.values()]
-    if len(set(positions)) != len(positions):
-        return None
-    states = dict(last.states)
-    for q in listed:
-        st = states[q]
-        states[q] = QubitState(x=st.x, y=st.y, a=SLM)
-    return WindowResult([Stage(last.states, ()), Stage(states, ())], {}, 1)

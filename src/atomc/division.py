@@ -60,17 +60,11 @@ class DivisionOptions:
     """k weighs active-qubit count against cross-gate count in the loss."""
 
     k: float = 0.5
-    max_iter: int | None = None  # None -> 10 * num_qubits
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.k <= 1.0:
             raise ValueError(f"k must be in [0, 1], got {self.k}")
-        if self.max_iter is not None and self.max_iter < 0:
-            raise ValueError("max_iter must be >= 0")
-
-    def swap_budget(self, c: Circuit) -> int:
-        return 10 * c.num_qubits if self.max_iter is None else self.max_iter
 
 
 def classify(c: Circuit, q1: frozenset[int]) -> Partition:
@@ -231,7 +225,7 @@ class RefineStep:
 def refine_trace(c: Circuit, p: Partition,
                  opts: DivisionOptions) -> tuple[Partition, list[RefineStep]]:
     """refine() plus a step-by-step trace (used by the oracle tests)."""
-    budget = opts.swap_budget(c)
+    budget = 10 * c.num_qubits
     steps: list[RefineStep] = []
     counts = _Counts(c, p.q1)
     current = _loss(counts.active, counts.e3, opts.k)
@@ -300,8 +294,9 @@ def refine(c: Circuit, p: Partition, opts: DivisionOptions) -> Partition:
     """Commit strictly-improving best swaps until no move helps.
 
     Termination: (a) both candidate sets empty, (b) no pair strictly lowers
-    the loss, or (c) the swap budget is spent.  Ties on equal loss break to
-    the lexicographically smallest (u, v), so the result is deterministic.
+    the loss, or (c) 10 swaps per qubit are spent.  Ties on equal loss
+    break to the lexicographically smallest (u, v), so the result is
+    deterministic.
 
     Swaps are priced from per-qubit cross counts without a scan of
     Qs1 x Qs2: pairs within two hops exactly, every other pair as the sum

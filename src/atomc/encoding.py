@@ -7,15 +7,21 @@ and t+1 is governed by stage-t trap membership; gates fire at the last
 stage only (`fire_stage`; `compiler.solve_window` says why that loses no
 schedule).
 
-Families C2..C8 mirror the hardware rules: static-trap stationarity, rigid
+Families C2..C7 mirror the hardware rules: static-trap stationarity, rigid
 and non-crossing lines (C3 and C4 as one family, line_order: index order
 bounds coordinate order), trap occupancy, gate co-siting, blockade isolation
-(as pair exactness), gate coverage.  C1 (region bounds) is the variable
-domains declared by make_vars.  avoid_rows keeps every qubit off the avoided
-sites (in pac, the sites of parked qubits outside the window).  Each family
-is an independent generator of clauses, so it can be switched off and tested
-in isolation.  A clause is a tuple of literals and comparisons of which at
-least one holds; an implication p => q is written as the clause (not p, q).
+(as pair exactness).  C1 (region bounds) is the variable domains declared by
+make_vars.  avoid_rows keeps every qubit off the avoided sites (in pac, the
+sites of parked qubits outside the window).  Each family is an independent
+generator of clauses, so it can be switched off and tested in isolation.  A
+clause is a tuple of literals and comparisons of which at least one holds;
+an implication p => q is written as the clause (not p, q).
+
+No family states C8 (gates that share a qubit never fire together) or that
+a firing pair holds a movable trap: every check of `compiler.solve_window`
+fixes the fire variables to one qubit-disjoint matching, and with the fired
+set fixed, `c5_occupancy` at the fire stage (two static qubits never share
+a site) and `c6_gate_cosite` leave each firing pair a movable trap.
 
 static_lines adds no rule of its own: it removes symmetry.  The line
 indices c/r of a statically trapped qubit mean nothing: line_order, C5
@@ -31,50 +37,13 @@ keep free stage-0 indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
-import networkx as nx
-
 from .arrays import Region
-from .smt import (EQ, GE, GT, LE, LT, NE, BoolVar, Cmp, IntVar, LinExpr, Lit,
-                  lin, neg, pos, total)
+from .smt import (EQ, GT, LE, LT, NE, BoolVar, Cmp, IntVar, LinExpr, Lit, neg,
+                  pos)
 
 Clause = tuple[Lit | Cmp, ...]  # at least one item holds
-
-
-def matching_size(edges: Iterable[tuple[int, int]]) -> int:
-    """The size of a maximum matching of the graph with these edges."""
-    graph = nx.Graph()
-    graph.add_edges_from(edges)
-    return len(nx.max_weight_matching(graph))
-
-
-def matchings(gates: Mapping[int, tuple[int, int]], k: int
-              ) -> Iterator[tuple[int, ...]]:
-    """Every set of k gates that share no qubit, as sorted gate ids, in
-    lexicographic order: the qubit-disjoint members of
-    `itertools.combinations(sorted(gates), k)`, in that order.  Two copies of
-    one pair share both qubits, so no matching holds both."""
-    ids = sorted(gates)
-    chosen: list[int] = []
-    used: set[int] = set()
-
-    def extend(start: int) -> Iterator[tuple[int, ...]]:
-        if len(chosen) == k:
-            yield tuple(chosen)
-            return
-        for i in range(start, len(ids) - (k - len(chosen)) + 1):
-            u, v = gates[ids[i]]
-            if u in used or v in used:
-                continue
-            chosen.append(ids[i])
-            used.update((u, v))
-            yield from extend(i + 1)
-            chosen.pop()
-            used.difference_update((u, v))
-
-    yield from extend(0)
 
 
 @dataclass(frozen=True)
@@ -121,12 +90,6 @@ class WindowSpec:
         for i, u in enumerate(qs):
             for v in qs[i + 1:]:
                 yield u, v
-
-    @cached_property
-    def nu(self) -> int:
-        """The most gates the window can fire: C8 makes its fired set a
-        matching of the pending-gate graph."""
-        return matching_size(self.gates.values())
 
     def gates_between(self, u: int, v: int) -> list[int]:
         key = {u, v}
@@ -247,14 +210,6 @@ def c5_occupancy(v: Vars, w: WindowSpec) -> Iterator[Clause]:
                    *NE(v.c[u, t], v.c[q, t]), *NE(v.r[u, t], v.r[q, t]))
 
 
-def c5_firing_pairs(v: Vars, w: WindowSpec) -> Iterator[Clause]:
-    """A firing pair is never two static traps (the meeting always involves
-    a movable trap)."""
-    s = w.fire_stage
-    for g, (u, q) in sorted(w.gates.items()):
-        yield neg(v.f[g]), GE(lin(v.a[u, s]) + lin(v.a[q, s]), 1)
-
-
 def c6_gate_cosite(v: Vars, w: WindowSpec) -> Iterator[Clause]:
     """A fired gate's endpoints share a site at that stage."""
     s = w.fire_stage
@@ -277,15 +232,6 @@ def c7_isolation(v: Vars, w: WindowSpec) -> Iterator[Clause]:
                 continue
             fs = [pos(v.f[g]) for g in fireable] if t == w.fire_stage else []
             yield (*NE(v.x[u, t], v.x[q, t]), *NE(v.y[u, t], v.y[q, t]), *fs)
-
-
-def c8_coverage(v: Vars, w: WindowSpec) -> Iterator[Clause]:
-    """Gates sharing a qubit never fire together.  That each gate fires at
-    most once per window is the domain of its one fire variable."""
-    for q in w.qubits:
-        incident = [g for g, ends in sorted(w.gates.items()) if q in ends]
-        if len(incident) > 1:
-            yield (LE(total([v.f[g] for g in incident]), 1),)
 
 
 def _site_id(v: Vars, w: WindowSpec, q: int, t: int) -> LinExpr:
@@ -333,8 +279,9 @@ def boundary_rows(v: Vars, w: WindowSpec) -> Iterator[Clause]:
 
 # Family order does not fold pinned stages: single-variable pins tighten the
 # backend's bounds, but big-M sizing and clause pruning use the declared
-# domains (LinExpr.bounds).  HiGHS presolve does that folding.  Family order
-# is row order, and HiGHS's search is sensitive to it.
+# domains (the variables' own lo and hi, read by MilpBackend._side).  HiGHS
+# presolve does that folding.  Family order is row order, and HiGHS's search
+# is sensitive to it.
 #
 # A family in WINDOW_INVARIANT reads only the qubits, the region, the stage
 # count and what its entry returns, never the gates or the boundary's pins;
@@ -349,10 +296,8 @@ ALL_FAMILIES = (
     trap_transfer,
     static_lines,
     c5_occupancy,
-    c5_firing_pairs,
     c6_gate_cosite,
     c7_isolation,
-    c8_coverage,
     avoid_rows,
 )
 

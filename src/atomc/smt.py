@@ -81,13 +81,6 @@ class LinExpr:
         neg = tuple((-k, v) for k, v in other.terms)
         return LinExpr(self.terms + neg, self.const - other.const)
 
-    def bounds(self) -> tuple[int, int]:
-        lo = hi = self.const
-        for k, v in self.terms:
-            lo += k * (v.lo if k > 0 else v.hi)
-            hi += k * (v.hi if k > 0 else v.lo)
-        return lo, hi
-
 
 def lin(x: LinExpr | Var | int) -> LinExpr:
     if isinstance(x, LinExpr):
@@ -95,10 +88,6 @@ def lin(x: LinExpr | Var | int) -> LinExpr:
     if isinstance(x, (IntVar, BoolVar)):
         return LinExpr(((1, x),))
     return LinExpr((), int(x))
-
-
-def total(xs: Iterable[Var]) -> LinExpr:
-    return LinExpr(tuple((1, x) for x in xs))
 
 
 # ---------------------------------------------------------------------------

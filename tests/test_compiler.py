@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from atomc import compiler
 from atomc.arrays import ArraySpec, full_region
 from atomc.circuits import Circuit, generate_rand3reg
-from atomc.compiler import SolverOptions, compile_circuit
-from atomc.encoding import Boundary, matchings
+from atomc.compiler import (SolverOptions, compile_circuit, matching_number,
+                            matchings)
+from atomc.encoding import Boundary
 from atomc.errors import CompileTimeout, InfeasibleError, MergeError
 from atomc.orchestrator import PacOptions, _zip_local, pac_compile
 from atomc.schedule import SLM, QubitState, Stage
@@ -94,7 +95,7 @@ def test_probes_refute_down_to_the_optimum():
     gates = {0: (0, 1), 1: (2, 3), 2: (4, 5), 3: (1, 2)}
     spec = compiler._window_spec(Boundary(xy=xy), 1, list(range(6)), gates,
                                  full_region(ArraySpec(3)), frozenset())
-    assert spec.nu == 3
+    assert matching_number(gates) == 3
     matrices = []
     result, probes, calls = _probed(spec, matrices)
     # {0, 1, 2} is the only 3-matching; the 2-matchings follow in
@@ -177,20 +178,22 @@ def test_impossible_stage0_is_rejected_before_solving(init_xy, avoid, message,
                         avoid_sites=avoid)
 
 
-@pytest.mark.parametrize("init_xy,held,message", [
-    ({q: (q // 2, q % 2) for q in range(4)}, {0: (0, 0), 9: (1, 1)},
-     "held_lines names qubit 9"),
-    (None, {0: (0, 0), 1: (1, 1)}, "held_lines needs init_xy"),
-], ids=["stray-qubit", "no-init-xy"])
-def test_bad_held_lines_are_rejected_before_solving(init_xy, held, message,
+@pytest.mark.parametrize("kwargs,message", [
+    ({"init_xy": {q: (q // 2, q % 2) for q in range(4)},
+      "held_lines": {0: (0, 0), 9: (1, 1)}}, "held_lines names qubit 9"),
+    ({"held_lines": {0: (0, 0), 1: (1, 1)}}, "held_lines needs init_xy"),
+    ({"final_stage_slm": frozenset({1, 5})},
+     "final_stage_slm names qubit 5"),
+], ids=["stray-qubit", "no-init-xy", "stray-parked-qubit"])
+def test_bad_held_lines_are_rejected_before_solving(kwargs, message,
                                                     monkeypatch):
+    # a stray parked qubit is rejected like a stray held one
     def no_solve(*args, **kwargs):
         raise AssertionError("the solver was called")
 
     monkeypatch.setattr(MilpBackend, "check", no_solve)
     with pytest.raises(ValueError, match=message):
-        compile_circuit(K4, full_region(ArraySpec(2)), init_xy=init_xy,
-                        held_lines=held)
+        compile_circuit(K4, full_region(ArraySpec(2)), **kwargs)
 
 
 def test_placement_only_keeps_off_avoided_sites():
@@ -201,6 +204,23 @@ def test_placement_only_keeps_off_avoided_sites():
     assert {(st.x, st.y) for st in stage.states.values()} == {
         (0, 1), (1, 0), (1, 1)}
     assert res.solver_calls == 0
+
+
+def test_placement_only_keeps_a_pinned_stage0():
+    a = ArraySpec(2)
+    init_xy = {0: (1, 1), 1: (0, 1), 2: (1, 0)}
+    res = compile_circuit(Circuit(3, ()), full_region(a), init_xy=init_xy)
+    (stage,) = res.schedule.stages
+    assert {q: (st.x, st.y, st.a) for q, st in stage.states.items()} == {
+        q: (x, y, SLM) for q, (x, y) in init_xy.items()}
+    assert res.solver_calls == 0
+
+
+def test_placement_only_needs_a_site_per_qubit():
+    # two of the four sites are avoided, so three qubits cannot all stand
+    with pytest.raises(InfeasibleError, match="3 qubits cannot fit the 2 "):
+        compile_circuit(Circuit(3, ()), full_region(ArraySpec(2)),
+                        avoid_sites=frozenset({(0, 0), (1, 1)}))
 
 
 # every site of 2x2 but (1, 1)

@@ -8,14 +8,15 @@ from atomc import compiler
 from atomc.arrays import ArraySpec, full_region, split_plane
 from atomc.circuits import Circuit, generate_rand3reg
 from atomc.compiler import (_internal_boundary, _Stats, _window_spec,
-                            compile_circuit, extract_schedule, solve_window)
+                            compile_circuit, extract_schedule, matchings,
+                            solve_window)
 from atomc.encoding import (ALL_FAMILIES, Boundary, WindowSpec, encode_window,
-                            line_order, make_vars, matchings, static_lines)
+                            line_order, make_vars, static_lines)
 from atomc.orchestrator import pac_compile
 from atomc.schedule import AOD, SLM, QubitState, Schedule, Stage
-from atomc.smt import MilpBackend, total
+from atomc.smt import LE, MilpBackend
 from atomc.verifier import verify
-from test_smt import backend_state, evaluate, maximize
+from test_smt import backend_state, evaluate, maximize, total
 
 K4 = Circuit(4, tuple(itertools.combinations(range(4), 2)), name="k4")
 NO_PIN = tuple(f for f in ALL_FAMILIES if f is not static_lines)
@@ -26,10 +27,21 @@ def window(c, region, horizon=1, boundary=Boundary(), **kw):
                         dict(enumerate(c.gates)), region, frozenset(), **kw)
 
 
+def one_gate_per_qubit(v, w):
+    """C8 as rows: gates that share a qubit never fire together.  The
+    compiler's checks each fix a matching to fire; a maximize over free fire
+    variables needs these rows to ask the same question."""
+    for q in w.qubits:
+        incident = [v.f[g] for g, ends in sorted(w.gates.items()) if q in ends]
+        if len(incident) > 1:
+            yield (LE(total(incident), 1),)
+
+
 def solve(spec, families=ALL_FAMILIES):
-    """Maximize the fired count; (fired count, model, vars) or None."""
+    """Maximize the fired count over `families` and `one_gate_per_qubit`;
+    (fired count, model, vars) or None."""
     backend = MilpBackend()
-    v = encode_window(backend, spec, families)
+    v = encode_window(backend, spec, (*families, one_gate_per_qubit))
     best = maximize(backend, total(v.f.values()))
     return None if best is None else (*best, v)
 

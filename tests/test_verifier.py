@@ -157,6 +157,13 @@ def test_c8_gate_fired_twice(k4):
     assert f"gate {g} fired 2 times" in details
 
 
+def test_c8_unknown_gate_id(k4):
+    stages = list(k4.stages)
+    stages[-1] = Stage(stages[-1].states, stages[-1].fired + (K4.num_gates,))
+    details = [v.detail for v in verify(Schedule(stages), K4, A).by_rule("C8")]
+    assert f"unknown gate id {K4.num_gates}" in details
+
+
 def test_coherence_missing_qubit(k4):
     assert "coherence" in _rules(_set(k4, 0, 0, None))
 
@@ -208,6 +215,31 @@ def test_c4_column_order_contradicts_x_order(path):
     assert any("column order contradicts x order" in x.detail for x in c4)
 
 
+def test_c4_column_order_not_preserved_across_the_stage():
+    # two idle qubits in movable traps, on columns 0 and 1, stand still; the
+    # mutant moves qubit 1 onto x = 0 and relabels it to column 0 there, so
+    # the two columns' order changes within the transition
+    c = Circuit(2, ())
+    line = {0: QubitState(x=0, y=0, a=AOD, c=0, r=0),
+            1: QubitState(x=1, y=1, a=AOD, c=1, r=1)}
+    still = Schedule([Stage(line), Stage(line)])
+    assert verify(still, c, A).ok
+    merged = _set(still, 1, 1, QubitState(x=0, y=1, a=AOD, c=0, r=1))
+    report = verify(merged, c, A)
+    assert [(v.rule, v.detail) for v in report.violations] == [
+        ("C4", "column order of 0,1 not preserved across the stage")]
+
+
+def test_e2_two_qubits_parked_on_one_site(two_triangles):
+    r1 = two_triangles.r1
+    last = len(r1.schedule.stages) - 1
+    st = r1.schedule.stages[last].states[1]
+    phases = replace(two_triangles, r1=replace(
+        r1, schedule=_set(r1.schedule, last, 0, replace(st, a=SLM))))
+    e2 = verify_phases(phases, TWO_TRIANGLES, ArraySpec(4)).by_rule("E2")
+    assert any(f"parked on one site ({st.x},{st.y})" in v.detail for v in e2)
+
+
 def _parked_sites(phases) -> set[tuple[int, int]]:
     """Final sites of the resolved (parked) qubits of both local phases."""
     p = phases.partition
@@ -241,21 +273,35 @@ def _held_line(phases, q):
                 if st.states[local].a == AOD)
 
 
-def test_e5_global_start_reverses_held_column_order(two_triangles):
-    # both actives start the global phase in movable traps, their columns
-    # in the opposite order to the lines they last held and their rows in
-    # the same order
-    r3 = two_triangles.r3
-    actives = sorted(two_triangles.partition.qa1
-                     | two_triangles.partition.qa2)
+def _e5_details(phases, axis):
+    """The E5 details once both actives start the global phase in movable
+    traps, their lines on `axis` (0: columns, 1: rows) in the opposite
+    order to the lines they last held, and on the other axis in the same
+    order."""
+    r3 = phases.r3
+    actives = sorted(phases.partition.qa1 | phases.partition.qa2)
     assert len(actives) == 2, "fixture changed"
-    (cu, ru), (cv, rv) = (_held_line(two_triangles, q) for q in actives)
-    assert cu != cv, "fixture changed"
+    held = [_held_line(phases, q) for q in actives]
+    assert held[0][axis] != held[1][axis], "fixture changed"
+    lines = [list(line) for line in held]
+    lines[0][axis], lines[1][axis] = held[1][axis], held[0][axis]
     start = r3.schedule.stages[0].states
     s = r3.schedule
     # global qubit i is actives[i]
-    for i, (c, r) in enumerate(((cv, ru), (cu, rv))):
+    for i, (c, r) in enumerate(lines):
         s = _set(s, 0, i, replace(start[i], a=AOD, c=c, r=r))
-    phases = replace(two_triangles, r3=replace(r3, schedule=s))
+    phases = replace(phases, r3=replace(r3, schedule=s))
     e5 = verify_phases(phases, TWO_TRIANGLES, ArraySpec(4)).by_rule("E5")
-    assert any("column order" in x.detail for x in e5)
+    return [x.detail for x in e5]
+
+
+def test_e5_global_start_reverses_held_column_order(two_triangles):
+    details = _e5_details(two_triangles, 0)
+    assert any("column order" in x for x in details)
+    assert not any("row order" in x for x in details)
+
+
+def test_e5_global_start_reverses_held_row_order(two_triangles):
+    details = _e5_details(two_triangles, 1)
+    assert any("row order" in x for x in details)
+    assert not any("column order" in x for x in details)

@@ -5,15 +5,17 @@
 Imports `atomc` from SRC_DIR and compiles `generate_rand3reg(Q, SEED)` on
 an N x N array in MODE (direct or pac) for each case; without --case, it
 runs the fixed sweep below.  Per case it prints the schedule depth, the
-solver calls, the grown windows (those that fired at a horizon above 1)
-and the wall time of the compile, in pac over all three phases; per group
-of cases and over all of them it prints their sums.  A case with no grown
-window never takes the growth path.
+solver calls, the grown windows (those that fired at a horizon above 1),
+the wall time of the compile, in pac over all three phases, and the sha256
+of the schedule's JSON (as `milp_digest.py` prints it); per group of cases
+and over all of them it prints the sums.  A case with no grown window never
+takes the growth path.
 
 Every window fires as many gates as it can, but which of several equally
 good windows the solver returns decides later windows, so a change to the
 solve can move depth either way.  Run it on the parent's `src` and on the
-change's to see by how much.
+change's to see by how much, and diff the schedule digests to see which
+cases changed at all.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import os
 import sys
 import time
 
-from milp_digest import _case
+from milp_digest import _case, schedule_digest
 
 SWEEP = {
     # the direct and pac instances of the ROADMAP's measurements
@@ -85,7 +87,8 @@ def main(argv=None) -> int:
                         for h in r.stage_budget_history)
             print(f"{mode} rand3reg({q}, {seed}) {n}x{n}: depth "
                   f"{sched.depth}, {calls} calls, {grown} grown, "
-                  f"{wall:.2f} s", flush=True)
+                  f"{wall:.2f} s, schedule "
+                  f"{schedule_digest(sched, c, n, mode)}", flush=True)
             done.append((sched.depth, calls, grown, wall))
         _print_sum(group, done)
         runs += done

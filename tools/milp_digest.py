@@ -70,6 +70,15 @@ def call_digest(c, integrality=None, bounds=None, constraints=None,
     return h.hexdigest()
 
 
+def schedule_digest(sched, c, n: int, mode: str) -> str:
+    """The sha256 of a compile's `schedule_to_json` bytes."""
+    from atomc import schedule
+    text = schedule.schedule_to_json(
+        sched, circuit_name=c.name, circuit_digest=c.digest(),
+        num_qubits=c.num_qubits, num_gates=c.num_gates, array=n, mode=mode)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", metavar="SRC_DIR",
@@ -84,7 +93,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, src)
     import scipy.optimize
 
-    from atomc import arrays, circuits, compiler, orchestrator, schedule
+    from atomc import arrays, circuits, compiler, orchestrator
     if not os.path.abspath(compiler.__file__).startswith(src + os.sep):
         parser.error(f"atomc was imported from {compiler.__file__}")
 
@@ -104,13 +113,8 @@ def main(argv=None) -> int:
             sched, _ = orchestrator.pac_compile(c, a)
         else:
             sched = compiler.compile_circuit(c, arrays.full_region(a)).schedule
-        text = schedule.schedule_to_json(
-            sched, circuit_name=c.name, circuit_digest=c.digest(),
-            num_qubits=c.num_qubits, num_gates=c.num_gates, array=n,
-            mode=mode)
-        out = hashlib.sha256(text.encode()).hexdigest()
         print(f"{mode} rand3reg({q}, {seed}) {n}x{n}: {len(calls)} calls, "
-              f"schedule {out}")
+              f"schedule {schedule_digest(sched, c, n, mode)}")
         for digest in sorted(calls):
             print(f"  {digest}")
     return 0
