@@ -50,8 +50,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         num_qubits=circuit.num_qubits, num_gates=circuit.num_gates,
         array=args.array, mode=args.mode)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.exit(1, f"atomc: error: {exc}\n")
     else:
         sys.stdout.write(text)
     return 0

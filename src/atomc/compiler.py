@@ -2,12 +2,18 @@
 
 The compiler peels the circuit greedily, window by window: each window
 spans a small number of new stages, fires gates at its last stage only, and
-is encoded once, then decided by MILP checks for descending gate counts k,
-one per k-matching of its pending gates, that matching's gates fixed to
-fire and the rest not.  The first sat check fires as many pending gates as
-the window can, the result is committed and the fired gates leave the
-pending set.  A window whose every check is refuted cannot fire anything and
-grows its horizon until it can, up to `MAX_HORIZON` new stages.
+is decided by MILP checks for descending gate counts k, one per k-matching
+of its pending gates, that matching's gates fixed to fire and the rest not.
+The first sat check fires as many pending gates as the window can, the
+result is committed and the fired gates leave the pending set.  A window
+whose every check is refuted cannot fire anything and grows its horizon
+until it can, up to `MAX_HORIZON` new stages.
+
+A compile encodes each window shape (`encoding.shape_key`) once, over all
+of its gates, into a backend of its own; a window of that shape is then
+only bounds (`encoding.window_bounds`), which each of its checks merges
+with its matching.  So every check of one shape shares one constraint
+matrix, across windows.
 
 Between windows the committed final stage is replayed as the next window's
 stage 0: positions are pinned, trap fields are re-decided (a qubit that was
@@ -26,14 +32,15 @@ cannot simply drop where it stands.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping, Sequence
 
 import networkx as nx
 
 from .arrays import Region, site_in_region
 from .circuits import Circuit
-from .encoding import Boundary, Vars, WindowSpec, encode_window
+from .encoding import (Boundary, Vars, WindowSpec, encode_window, shape_key,
+                       window_bounds)
 from .errors import (CompileTimeout, ConsistencyError, InfeasibleError,
                      VerificationError)
 from .schedule import AOD, SLM, CompileResult, QubitState, Schedule, Stage
@@ -112,16 +119,20 @@ def _extract(model: dict[str, int], v: Vars, w: WindowSpec) -> WindowResult:
                         w.stages - (w.boundary.xy is not None))
 
 
-def solve_window(context: WindowSpec, *, backend, stats: _Stats,
-                 memo: dict | None = None) -> WindowResult | None:
+def solve_window(context: WindowSpec, *, gates: Mapping[int, tuple[int, int]],
+                 shapes: dict, stats: _Stats) -> WindowResult | None:
     """Solve one window, firing as many of its gates as possible.
 
-    The window is encoded once and decided by a sequence of checks, each a
-    separate solver call; the first sat check is extracted.  The checks run
-    over k from `matching_number` down to 1, and for each k over the
-    k-matchings of the pending gates in lexicographic order of their sorted
-    ids (`matchings`).  Each check fixes the fire variables to that
-    matching by bounds alone, so every check shares one constraint matrix.
+    `gates` are all of the compile's gates (`context.gates` holds the
+    pending ones), and `shapes` is the compile's dict of encoded shapes,
+    `shape_key` -> (backend, vars), filled here on a shape's first window.
+    The window is decided by a sequence of checks on its shape's model,
+    each a separate solver call; the first sat check is extracted.  The
+    checks run over k from `matching_number` down to 1, and for each k over
+    the k-matchings of the pending gates in lexicographic order of their
+    sorted ids (`matchings`).  Each check fixes the window's bounds
+    (`window_bounds`) and the fire variables of that matching, by bounds
+    alone, so every check of a shape shares one constraint matrix.
     These checks own C8: the encoding states no coverage rule, since no
     check lets two gates that share a qubit fire together.  So the first
     sat check fires the window's optimum: every larger matching was refuted
@@ -144,14 +155,17 @@ def solve_window(context: WindowSpec, *, backend, stats: _Stats,
     `line_order` at stage 1 follows from stage 0.  By `c5_occupancy` at
     stage 0 two static qubits never share a site, so no two static qubits
     share one at stage 1 either.  A window with gates lists no `final_slm`
-    qubit, so `final_slm_rows` does not bind the truncation.
-
-    `memo` is the compile's encoding memo (see `encode_window`).
+    qubit, so its bounds do not bind the truncation's last stage.
     """
-    backend.reset()
-    v = encode_window(backend, context, memo=memo)
-    for fixed in _probes(context, v):
-        if _checked(backend, stats, fixed) == "sat":
+    key = shape_key(context)
+    if key not in shapes:
+        backend = MilpBackend()
+        shapes[key] = backend, encode_window(backend,
+                                             replace(context, gates=gates))
+    backend, v = shapes[key]
+    bounds = window_bounds(v, context)
+    for probe in _probes(context, v):
+        if _checked(backend, stats, {**bounds, **probe}) == "sat":
             return _extract(backend.model(), v, context)
     return None
 
@@ -344,9 +358,9 @@ def _run(circuit, region, boundary, avoid, final_slm,
     qubits = list(range(circuit.num_qubits))
     if not qubits:
         return [WindowResult([Stage({}, ())], (), 1)]
-    backend = MilpBackend()
-    memo: dict = {}  # this compile's only: pac runs two compiles at once
-    pending = dict(enumerate(circuit.gates))
+    shapes: dict = {}  # this compile's only: pac runs two compiles at once
+    all_gates = dict(enumerate(circuit.gates))
+    pending = dict(all_gates)
     windows: list[WindowResult] = []
 
     def grow(boundary, gates, **spec) -> WindowResult | None:
@@ -355,8 +369,8 @@ def _run(circuit, region, boundary, avoid, final_slm,
         for horizon in range(1, MAX_HORIZON + 1):
             w = _window_spec(boundary, horizon, qubits, gates, region,
                              avoid, **spec)
-            result = solve_window(w, backend=backend, stats=stats,
-                                  memo=memo)
+            result = solve_window(w, gates=all_gates, shapes=shapes,
+                                  stats=stats)
             if result is not None:
                 stats.budget_history.append(result.horizon)
                 return result

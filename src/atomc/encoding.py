@@ -7,6 +7,17 @@ and t+1 is governed by stage-t trap membership; gates fire at the last
 stage only (`fire_stage`; `compiler.solve_window` says why that loses no
 schedule).
 
+One encoded model serves every window of a shape (`shape_key`): its stage
+count, whether stage 0 is pinned, and the order of its held lines.  The
+families read nothing else of a window but the compile's qubits, region
+and avoided sites, and the gates they are given.  A compile encodes each
+shape once over all of its gates; `window_bounds` then fixes by bounds
+what tells one window of the shape from another (its stage-0 pins, the
+lines its tied qubits hold, its parked qubits and its gates no longer
+pending), so a window is a set of bounds on a shared matrix.  A fire
+variable fixed at 0 leaves its gate's C6 and C7 items inert, as if the
+gate were absent.
+
 Families C2..C7 mirror the hardware rules: static-trap stationarity, rigid
 and non-crossing lines (C3 and C4 as one family, line_order: index order
 bounds coordinate order), trap occupancy, gate co-siting, blockade isolation
@@ -25,7 +36,7 @@ a site) and `c6_gate_cosite` leave each firing pair a movable trap.
 
 static_lines adds no rule of its own: it removes symmetry.  The line
 indices c/r of a statically trapped qubit mean nothing: line_order, C5
-and prev_traps read them only under a[q,t], trap_transfer only under
+and boundary_rows read them only under a[q,t], trap_transfer only under
 a[q,t-1], and extraction drops them.  So a qubit static at t-1 and t (or
 at stage 0) can hold the region's first index without losing any schedule,
 and the solver no longer searches relabelings that change nothing.  The
@@ -70,7 +81,9 @@ class WindowSpec:
     """One windowed constraint problem."""
 
     qubits: Sequence[int]
-    gates: Mapping[int, tuple[int, int]]  # pending gate id -> endpoints
+    # gate id -> endpoints: a window's pending gates, or all of a compile's
+    # gates in the spec its shape is encoded for
+    gates: Mapping[int, tuple[int, int]]
     stages: int
     region: Region
     boundary: Boundary
@@ -104,16 +117,21 @@ class Vars:
     r: dict[tuple[int, int], IntVar]
     a: dict[tuple[int, int], BoolVar]
     f: dict[int, BoolVar]  # gate id -> fires at the fire stage
+    # qubit -> the line a pinned stage 0 ties it to while up (boundary_rows)
+    pc: dict[int, IntVar]
+    pr: dict[int, IntVar]
 
 
 def make_vars(backend, w: WindowSpec) -> Vars:
     """Declare all window variables.
 
     Domain bounds realize C1: site coordinates range over the governing
-    region and line indices over the region-owned index ranges only.
+    region and line indices over the region-owned index ranges only.  A
+    pinned stage 0 adds each qubit's tied column and row, over the same
+    index ranges.
     """
     reg = w.region
-    x, y, c, r, a, f = {}, {}, {}, {}, {}, {}
+    x, y, c, r, a, f, pc, pr = {}, {}, {}, {}, {}, {}, {}, {}
     for q in w.qubits:
         for t in range(w.stages):
             x[q, t] = backend.int_var(f"x_q{q}_t{t}", reg.x_range.start,
@@ -127,7 +145,13 @@ def make_vars(backend, w: WindowSpec) -> Vars:
             a[q, t] = backend.bool_var(f"a_q{q}_t{t}")
     for g in sorted(w.gates):
         f[g] = backend.bool_var(f"f_g{g}_s{w.fire_stage}")
-    return Vars(x, y, c, r, a, f)
+    if w.boundary.xy is not None:
+        for q in w.qubits:
+            pc[q] = backend.int_var(f"pc_q{q}", reg.col_range.start,
+                                    reg.col_range.stop - 1)
+            pr[q] = backend.int_var(f"pr_q{q}", reg.row_range.start,
+                                    reg.row_range.stop - 1)
+    return Vars(x, y, c, r, a, f, pc, pr)
 
 
 def c2_slm_stationary(v: Vars, w: WindowSpec) -> Iterator[Clause]:
@@ -248,26 +272,17 @@ def avoid_rows(v: Vars, w: WindowSpec) -> Iterator[Clause]:
                 yield NE(_site_id(v, w, q, t), width * fx + fy)
 
 
-def final_slm_rows(v: Vars, w: WindowSpec) -> Iterator[Clause]:
-    """Listed qubits end the window in static traps."""
-    last = w.stages - 1
-    for q in sorted(w.final_slm):
-        yield (neg(v.a[q, last]),)
-
-
 def boundary_rows(v: Vars, w: WindowSpec) -> Iterator[Clause]:
-    """Pin stage 0 according to the boundary condition."""
+    """A pinned stage 0: a qubit up there holds its tied line (pc, pr),
+    and the held lines keep their order.  `window_bounds` fixes the tied
+    line of each `prev_traps` qubit (staying in or returning to a movable
+    trap means the same line) and leaves the others free."""
     b = w.boundary
     if b.xy is None:
         return
     for q in w.qubits:
-        px, py = b.xy[q]
-        yield (EQ(v.x[q, 0], px),)
-        yield (EQ(v.y[q, 0], py),)
-    for q, (pc, pr) in sorted(b.prev_traps.items()):
-        # staying in or returning to a movable trap means the same line
-        yield neg(v.a[q, 0]), EQ(v.c[q, 0], pc)
-        yield neg(v.a[q, 0]), EQ(v.r[q, 0], pr)
+        yield neg(v.a[q, 0]), EQ(v.c[q, 0], v.pc[q])
+        yield neg(v.a[q, 0]), EQ(v.r[q, 0], v.pr[q])
     held = sorted(b.held)
     for axis, var in enumerate((v.c, v.r)):
         for i, u in enumerate(held):
@@ -277,20 +292,12 @@ def boundary_rows(v: Vars, w: WindowSpec) -> Iterator[Clause]:
                 yield (rel(var[u, 0], var[q, 0]),)
 
 
-# Family order does not fold pinned stages: single-variable pins tighten the
-# backend's bounds, but big-M sizing and clause pruning use the declared
-# domains (the variables' own lo and hi, read by MilpBackend._side).  HiGHS
-# presolve does that folding.  Family order is row order, and HiGHS's search
-# is sensitive to it.
-#
-# A family in WINDOW_INVARIANT reads only the qubits, the region, the stage
-# count and what its entry returns, never the gates or the boundary's pins;
-# within one compile those inputs repeat from window to window.  With a memo,
-# encode_window records such a family's effect on the backend once per
-# distinct input and replays it in later windows (MilpBackend.replay).
+# Pins are the bounds of one check (window_bounds), so big-M sizing and
+# clause pruning use the declared domains (the variables' own lo and hi, read
+# by MilpBackend._side); HiGHS presolve folds pinned stages.  Family order is
+# row order, and HiGHS's search is sensitive to it.
 ALL_FAMILIES = (
     boundary_rows,
-    final_slm_rows,
     c2_slm_stationary,
     line_order,
     trap_transfer,
@@ -301,44 +308,39 @@ ALL_FAMILIES = (
     avoid_rows,
 )
 
-WINDOW_INVARIANT = {
-    c2_slm_stationary: lambda w: None,
-    line_order: lambda w: None,
-    trap_transfer: lambda w: None,
-    static_lines: _directed,
-    c5_occupancy: lambda w: None,
-    avoid_rows: lambda w: w.avoid_sites,
-}
+
+def shape_key(w: WindowSpec) -> tuple:
+    """What `encode_window` reads of a window besides the compile's qubits,
+    region and avoided sites and the gates it is given: the stage count,
+    whether stage 0 is pinned, and the held lines when two or more qubits
+    hold lines (`boundary_rows` and `static_lines` read their order; one
+    compile holds one set of them)."""
+    held = tuple(sorted(w.boundary.held.items())) if _directed(w) else ()
+    return w.stages, w.boundary.xy is not None, held
 
 
-def encode_window(backend, w: WindowSpec, families: Iterable = ALL_FAMILIES,
-                  memo: dict | None = None) -> Vars:
-    """Declare variables and assert every constraint family.
+def window_bounds(v: Vars, w: WindowSpec) -> dict:
+    """The bounds that make `v`, encoded for w's shape over a superset of
+    w's gates, the model of window w: its stage-0 pins and the lines of
+    its tied qubits, its `final_slm` qubits static at the last stage, and
+    every fire variable of a gate w does not list at 0."""
+    fixed = {f: 0 for g, f in v.f.items() if g not in w.gates}
+    fixed.update({v.a[q, w.stages - 1]: 0 for q in w.final_slm})
+    b = w.boundary
+    if b.xy is not None:
+        for q in w.qubits:
+            fixed[v.x[q, 0]], fixed[v.y[q, 0]] = b.xy[q]
+        for q, (c, r) in b.prev_traps.items():
+            fixed[v.pc[q]], fixed[v.pr[q]] = c, r
+    return fixed
 
-    `memo` is a dict that one compile creates empty and passes to each of
-    its windows (never shared between compiles).  With it, each
-    WINDOW_INVARIANT family is keyed on the qubits, region, stage count and
-    its entry's value; the first window with a key encodes the family and
-    records what it did to the backend, and later windows with that key
-    replay the record instead: the same rows, reified binaries, hash-cons
-    entries and bound caps, with reified columns moved past this window's
-    fire variables.  A replay the backend refuses (its hash-cons table
-    differs in size from record time) is encoded afresh and recorded
-    again.  Either way the backend ends as a fresh encode leaves it.
-    """
+
+def encode_window(backend, w: WindowSpec, families: Iterable = ALL_FAMILIES
+                  ) -> Vars:
+    """Declare variables and assert every constraint family for w's shape
+    over w's gates; `window_bounds` fixes the rest of a window."""
     v = make_vars(backend, w)
     for family in families:
-        reads = WINDOW_INVARIANT.get(family) if memo is not None else None
-        if reads is None:
-            for clause in family(v, w):
-                backend.add(*clause)
-            continue
-        key = (family, tuple(w.qubits), w.region, w.stages, reads(w))
-        rec = memo.get(key)
-        if rec is not None and backend.replay(rec):
-            continue
-        mark = backend.begin_record()
         for clause in family(v, w):
             backend.add(*clause)
-        memo[key] = backend.end_record(mark)
     return v

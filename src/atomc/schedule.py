@@ -63,10 +63,6 @@ class Schedule:
         """Number of stages that fire at least one gate."""
         return sum(1 for s in self.stages if s.fired)
 
-    @property
-    def gates_fired(self) -> int:
-        return sum(len(s.fired) for s in self.stages)
-
     def fired_multiset(self) -> list[int]:
         out: list[int] = []
         for s in self.stages:
@@ -134,8 +130,11 @@ def schedule_from_json(text: str) -> tuple[Schedule, dict[str, Any]]:
         for entry in doc["stages"]:
             states = {}
             for rec in entry["qubits"]:
-                a = rec["a"]
-                states[int(rec["id"])] = QubitState(
+                a, q = rec["a"], int(rec["id"])
+                if q in states:
+                    raise ParseError(f"stage {len(stages)} lists qubit {q} "
+                                     "twice")
+                states[q] = QubitState(
                     x=int(rec["x"]), y=int(rec["y"]), a=int(a),
                     c=int(rec["c"]) if a == AOD else None,
                     r=int(rec["r"]) if a == AOD else None)

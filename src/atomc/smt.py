@@ -7,7 +7,8 @@ integer-linear rows and decides each check with scipy's HiGHS MILP engine.
 A check has no objective.  It may fix some variables by their bounds for
 that check alone; this lets the compiler check one encoded window against
 several candidate fired sets, all sharing one constraint matrix.  The
-compiler calls reset() before encoding each window.
+compiler encodes each window shape once into a backend of its own and tells
+windows apart by such fixes alone.
 
 A clause compiles in index space: each comparison is read once into its
 merged column coefficients, its right-hand side and the bounds of its terms
@@ -20,14 +21,6 @@ column indices): a repeat gets the same binary, and a comparison whose
 complement is already reified (x <= y against x > y, say) gets that binary
 negated, so a pair and its complement cost one binary and two rows.
 
-A run of `add` calls can be recorded (`begin_record`, `end_record`) and
-replayed on a later model whose declared columns the clauses name alike
-(`replay`).  Reified binaries are the last columns, so the replay moves
-them by the change in the number of declared columns.  A replay gives the
-rows, bounds and hash-cons entries the same clauses would, provided the
-hash-cons table holds what it held at record time; `replay` refuses unless
-it holds as many entries.
-
 All integer variables are finite-domain, so every comparison is exact
 (integer arithmetic: a strict bound is the non-strict one shifted by 1), and
 identical call sequences give identical models.
@@ -36,7 +29,7 @@ identical call sequences give identical models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -177,24 +170,6 @@ def neg(v: BoolVar) -> Lit:
 _Side = tuple[dict, int, int, int]
 
 
-@dataclass(frozen=True)
-class Recording:
-    """What a run of `add` calls did to a backend (see `begin_record`)."""
-
-    base: int  # column of the first reified binary, then or later
-    reified: int  # hash-cons entries before the run
-    cols: list[int]  # the new rows, flat as in MilpBackend
-    vals: list[float]
-    lengths: list[int]
-    row_lo: list[float]
-    row_hi: list[float]
-    new_vars: tuple[BoolVar, ...]  # the new reified binaries, in order
-    keys: tuple[tuple, ...]  # their hash-cons keys, in the same order
-    # (column, lo, hi) caps, all on declared columns: reified binaries are
-    # never capped, since only live comparisons are reified
-    bounds: list[tuple[int, int | None, int | None]]
-
-
 class MilpBackend:
     """Exact big-M integer-linear compilation solved by scipy's HiGHS.
 
@@ -219,7 +194,6 @@ class MilpBackend:
         self._row_hi: list[float] = []
         # hash-cons key of a reified comparison -> its binary's column
         self._reify: dict[tuple, int] = {}
-        self._log: list | None = None  # bound caps, while recording
         self._model: dict[str, int] | None = None
         # the rows as `_constraint` compiled them; None when stale
         self._built: tuple | None = None
@@ -251,13 +225,11 @@ class MilpBackend:
 
     def _cap(self, idx: int, lo: int | None, hi: int | None) -> None:
         """Raise a column's lower bound to lo and lower its upper bound to
-        hi (None: leave it); logged while recording."""
+        hi (None: leave it)."""
         if lo is not None:
             self._lo[idx] = max(self._lo[idx], lo)
         if hi is not None:
             self._hi[idx] = min(self._hi[idx], hi)
-        if self._log is not None:
-            self._log.append((idx, lo, hi))
 
     # -- constraints
 
@@ -418,59 +390,6 @@ class MilpBackend:
             else:
                 coeffs[idx] = coeffs.get(idx, 0.0) + 1.0
         self._add_row(coeffs, rhs, np.inf)
-
-    # -- recording and replay
-
-    def begin_record(self) -> tuple[int, int, int, int]:
-        """Start recording what the following `add` calls do; pass the
-        returned mark to `end_record`.  Every declared variable must come
-        before the first reified binary."""
-        self._log = []
-        return (len(self._cols), len(self._lengths), len(self._vars),
-                len(self._reify))
-
-    def end_record(self, mark: tuple[int, int, int, int]) -> Recording:
-        nnz, rows, nvars, reified = mark
-        log, self._log = self._log, None
-        return Recording(
-            base=nvars - reified, reified=reified,
-            cols=self._cols[nnz:], vals=self._vals[nnz:],
-            lengths=self._lengths[rows:], row_lo=self._row_lo[rows:],
-            row_hi=self._row_hi[rows:], new_vars=tuple(self._vars[nvars:]),
-            keys=tuple(islice(self._reify, reified, None)), bounds=log)
-
-    def replay(self, rec: Recording) -> bool:
-        """Apply a recording: its rows, its reified binaries with their
-        hash-cons entries, and its bound caps, with the rows' reified
-        columns moved to this model's.  Returns False, and does nothing, unless the
-        hash-cons table holds as many entries as it did at record time."""
-        reified = len(self._reify)
-        if reified != rec.reified:
-            return False
-        names = [v.name for v in rec.new_vars]
-        if not self._names.keys().isdisjoint(names):
-            raise BackendError("a declared variable takes a reified name")
-        first = len(self._vars)
-        shift = first - reified - rec.base
-        cols = rec.cols
-        if shift:
-            cols = np.asarray(cols)
-            cols = np.where(cols >= rec.base, cols + shift, cols).tolist()
-        self._cols.extend(cols)
-        self._vals.extend(rec.vals)
-        self._lengths.extend(rec.lengths)
-        self._row_lo.extend(rec.row_lo)
-        self._row_hi.extend(rec.row_hi)
-        new = range(first, first + len(names))
-        self._names.update(zip(names, new))
-        self._reify.update(zip(rec.keys, new))
-        self._vars.extend(rec.new_vars)
-        self._lo.extend([0] * len(new))
-        self._hi.extend([1] * len(new))
-        for idx, lo, hi in rec.bounds:
-            self._cap(idx, lo, hi)
-        self._built = None
-        return True
 
     # -- solving
 

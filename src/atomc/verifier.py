@@ -37,8 +37,6 @@ class Violation:
 class VerifierReport:
     ok: bool
     violations: list[Violation]
-    depth: int
-    gates_fired: int
 
     def by_rule(self, rule: str) -> list[Violation]:
         return [v for v in self.violations if v.rule == rule]
@@ -80,8 +78,7 @@ def verify(s: Schedule, c: Circuit, a: ArraySpec | None = None,
     for t in range(len(s.stages) - 1):
         _check_transition(out, t, s.stages[t], s.stages[t + 1])
 
-    return VerifierReport(ok=not out, violations=out, depth=s.depth,
-                          gates_fired=len(fired_all))
+    return VerifierReport(ok=not out, violations=out)
 
 
 def _check_stage(out, t, stage: Stage, c: Circuit, scope: Region,
@@ -292,10 +289,4 @@ def verify_phases(phases: "PhaseResults", c: Circuit,
                     out.append(Violation(0, "E5", f"row order of {u},{v} "
                                          "does not match the last held lines"))
 
-    gates_fired = (phases.r1.schedule.gates_fired
-                   + phases.r2.schedule.gates_fired
-                   + phases.r3.schedule.gates_fired)
-    merged_depth = (max(phases.r1.schedule.depth, phases.r2.schedule.depth)
-                    + phases.r3.schedule.depth)
-    return VerifierReport(ok=not out, violations=out, depth=merged_depth,
-                          gates_fired=gates_fired)
+    return VerifierReport(ok=not out, violations=out)

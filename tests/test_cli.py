@@ -48,3 +48,13 @@ def test_cli_reports_a_missing_circuit_file(tmp_path, capsys):
         main([str(tmp_path / "missing.txt"), "--array", "2"])
     assert exc.value.code == 1
     assert "atomc: error:" in capsys.readouterr().err
+
+
+def test_cli_reports_an_unwritable_output_file(tmp_path, capsys):
+    src = tmp_path / "k4.txt"
+    src.write_text(serialize_circuit(K4))
+    with pytest.raises(SystemExit) as exc:
+        main([str(src), "--array", "2",
+              "-o", str(tmp_path / "missing" / "k4.json")])
+    assert exc.value.code == 1
+    assert "atomc: error:" in capsys.readouterr().err

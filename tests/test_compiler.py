@@ -63,16 +63,16 @@ def _probed(spec, matrices=None):
     calls).  The probe is the sorted ids of the gates the check fixes to
     fire.  The constraint matrix each check hands HiGHS is appended to
     `matrices`."""
-    backend = MilpBackend()
     stats = compiler._Stats(t0=0.0, deadline=float("inf"))
     probes = []
-    check = backend.check
+    check = MilpBackend.check
 
-    def recording(timeout=None, fixed=None):
-        answer = check(timeout=timeout, fixed=fixed)
+    def recording(backend, timeout=None, fixed=None):
+        answer = check(backend, timeout=timeout, fixed=fixed)
         # fire variables are named f_g<gate>_s<stage>
         probe = tuple(sorted(int(var.name.split("_")[1][1:])
-                             for var, on in (fixed or {}).items() if on))
+                             for var, on in (fixed or {}).items()
+                             if on and var.name.startswith("f_")))
         probes.append((probe, answer))
         return answer
 
@@ -80,11 +80,12 @@ def _probed(spec, matrices=None):
         matrices.append(kwargs["constraints"].A)
         return real(**kwargs)
 
-    backend.check = recording
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MilpBackend, "check", recording)
         if matrices is not None:
             mp.setattr(scipy.optimize, "milp", milp)
-        result = compiler.solve_window(spec, backend=backend, stats=stats)
+        result = compiler.solve_window(spec, gates=spec.gates, shapes={},
+                                       stats=stats)
     return result, probes, stats.calls
 
 

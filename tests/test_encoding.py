@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,12 +12,13 @@ from atomc.compiler import (_internal_boundary, _Stats, _window_spec,
                             compile_circuit, extract_schedule, matchings,
                             solve_window)
 from atomc.encoding import (ALL_FAMILIES, Boundary, WindowSpec, encode_window,
-                            line_order, make_vars, static_lines)
+                            line_order, make_vars, shape_key, static_lines,
+                            window_bounds)
 from atomc.orchestrator import pac_compile
 from atomc.schedule import AOD, SLM, QubitState, Schedule, Stage
-from atomc.smt import LE, MilpBackend
+from atomc.smt import EQ, LE, MilpBackend
 from atomc.verifier import verify
-from test_smt import backend_state, evaluate, maximize, total
+from test_smt import evaluate, maximize, total
 
 K4 = Circuit(4, tuple(itertools.combinations(range(4), 2)), name="k4")
 NO_PIN = tuple(f for f in ALL_FAMILIES if f is not static_lines)
@@ -38,10 +40,13 @@ def one_gate_per_qubit(v, w):
 
 
 def solve(spec, families=ALL_FAMILIES):
-    """Maximize the fired count over `families` and `one_gate_per_qubit`;
-    (fired count, model, vars) or None."""
+    """Maximize the fired count over `families` and `one_gate_per_qubit`,
+    encoded for the spec's pending gates only, and the window's bounds as
+    rows; (fired count, model, vars) or None."""
     backend = MilpBackend()
     v = encode_window(backend, spec, (*families, one_gate_per_qubit))
+    for var, value in window_bounds(v, spec).items():
+        backend.add(EQ(var, value))
     best = maximize(backend, total(v.f.values()))
     return None if best is None else (*best, v)
 
@@ -68,14 +73,15 @@ def greedy_windows(c, region, count):
     """The first `count` greedy window specs (horizon 1), each solved with
     every family so that the next boundary is the committed schedule's."""
     stats = _Stats(t0=0.0, deadline=float("inf"))
-    backend = MilpBackend()
+    shapes = {}
     pending = dict(enumerate(c.gates))
     boundary, done, specs = Boundary(), [], []
     for _ in range(count):
         spec = _window_spec(boundary, 1, list(range(c.num_qubits)),
                             dict(pending), region, frozenset())
         specs.append(spec)
-        res = solve_window(spec, backend=backend, stats=stats)
+        res = solve_window(spec, gates=dict(enumerate(c.gates)),
+                           shapes=shapes, stats=stats)
         assert res is not None
         done.append(res)
         for g in res.fired:
@@ -191,13 +197,12 @@ def test_matchings_are_the_disjoint_combinations_in_order(pairs, k):
 
 
 def _record(run):
-    """(spec, fired count, or None when grown) of every window `run`
-    solves."""
+    """(spec, result, or None when grown) of every window `run` solves."""
     solved = []
 
     def recording(spec, **kwargs):
         result = solve_window(spec, **kwargs)
-        solved.append((spec, None if result is None else len(result.fired)))
+        solved.append((spec, result))
         return result
 
     with pytest.MonkeyPatch.context() as mp:
@@ -219,7 +224,7 @@ def pac_global_windows():
     """The greedy windows of pac rand3reg(12, 6)'s global phase on 8x8."""
     a = ArraySpec(8)
     solved = _record(lambda: pac_compile(generate_rand3reg(12, 6), a))
-    return [(spec, fired) for spec, fired in solved
+    return [(spec, result) for spec, result in solved
             if spec.region == full_region(a)]
 
 
@@ -230,38 +235,78 @@ def grown_windows():
     solved = _record(lambda: [
         compile_circuit(generate_rand3reg(q, seed), full_region(ArraySpec(n)))
         for q, seed, n in ((6, 15, 3), (6, 34, 3), (8, 3, 4))])
-    return [(spec, fired) for spec, fired in solved
+    return [(spec, result) for spec, result in solved
             if spec.stages - (spec.boundary.xy is not None) == 2]
 
 
-@pytest.mark.parametrize("windows", ["direct_windows", "pac_global_windows",
-                                     "grown_windows"])
+WINDOWS = ["direct_windows", "pac_global_windows", "grown_windows"]
+
+
+@pytest.mark.parametrize("windows", WINDOWS)
 def test_probes_fire_as_many_gates_as_a_maximize(windows, request):
-    solved = [(spec, fired) for spec, fired in request.getfixturevalue(windows)
+    solved = [(spec, result)
+              for spec, result in request.getfixturevalue(windows)
               if spec.gates]
     assert solved
-    for spec, fired in solved:
+    for spec, result in solved:
         best = solve(spec)
         assert best is not None
-        assert (fired or 0) == best[0]
+        assert (0 if result is None else len(result.fired)) == best[0]
 
 
-@pytest.mark.parametrize("windows", ["direct_windows", "pac_global_windows",
-                                     "grown_windows"])
-def test_a_replayed_encode_equals_a_fresh_one(windows, request):
-    # one memo across the fixture's windows, as one compile keeps it: a
-    # window after the first of its stage count replays families recorded
-    # with another gate count, so reified columns move
-    specs = [spec for spec, _ in request.getfixturevalue(windows)]
-    if windows == "pac_global_windows":
-        assert len(specs[0].boundary.held) >= 2 and specs[0].avoid_sites
-    backend, memo, replays = MilpBackend(), {}, []
-    replay = backend.replay
-    backend.replay = lambda rec: replays.append(replay(rec)) or replays[-1]
-    for spec in specs:
-        backend.reset()
-        encode_window(backend, spec, memo=memo)
-        fresh = MilpBackend()
-        encode_window(fresh, spec)
-        assert backend_state(backend) == backend_state(fresh)
-    assert replays and all(replays)
+@pytest.mark.parametrize("windows", WINDOWS)
+def test_a_tied_qubit_up_at_stage0_rides_its_tied_line(windows, request):
+    tied = 0
+    for spec, result in request.getfixturevalue(windows):
+        if result is None:
+            continue
+        stage0 = result.stages[0].states
+        for q, line in spec.boundary.prev_traps.items():
+            if stage0[q].a == AOD:
+                assert (stage0[q].c, stage0[q].r) == line, (spec, q)
+                tied += 1
+    assert tied
+
+
+@pytest.fixture(scope="module")
+def shaped_compile():
+    """Direct rand3reg(6, 15) on 3x3, traced: the key of every shape
+    `encode_window` encodes, and per check its window's number and shape
+    and the constraint matrix it hands HiGHS."""
+    encoded, checks, windows = [], [], []
+    encode, solve_one = compiler.encode_window, compiler.solve_window
+
+    def encoding(backend, w, *args):
+        encoded.append(shape_key(w))
+        return encode(backend, w, *args)
+
+    def solving(spec, **kwargs):
+        windows.append(shape_key(spec))
+        return solve_one(spec, **kwargs)
+
+    def milp(real=scipy.optimize.milp, **kwargs):
+        checks.append((len(windows), windows[-1], kwargs["constraints"].A))
+        return real(**kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compiler, "encode_window", encoding)
+        mp.setattr(compiler, "solve_window", solving)
+        mp.setattr(scipy.optimize, "milp", milp)
+        compile_circuit(generate_rand3reg(6, 15), full_region(ArraySpec(3)))
+    return encoded, checks
+
+
+def test_each_shape_is_encoded_once_per_compile(shaped_compile):
+    # a free first window, pinned horizon-1 windows and one pinned window
+    # grown to horizon 2
+    encoded, _ = shaped_compile
+    assert sorted(encoded) == [(1, False, ()), (2, True, ()), (3, True, ())]
+
+
+def test_every_check_of_a_shape_shares_one_matrix(shaped_compile):
+    _, checks = shaped_compile
+    first = {}
+    for _, key, matrix in checks:
+        assert matrix is first.setdefault(key, matrix), key
+    # the pinned horizon-1 shape serves several windows
+    assert len({n for n, key, _ in checks if key == (2, True, ())}) > 1

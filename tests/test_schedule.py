@@ -47,6 +47,11 @@ def test_roundtrip_compiled_schedule():
     "not json",
     '{"format": 99, "stages": []}',
     '{"format": 1, "circuit": {}, "array": 2, "stages": [{"gates": []}]}',
+    # one qubit on two sites at once
+    pytest.param('{"format": 1, "circuit": {}, "array": 2, "stages": '
+                 '[{"gates": [], "qubits": [{"id": 0, "x": 0, "y": 0, '
+                 '"a": 0}, {"id": 0, "x": 1, "y": 1, "a": 0}]}]}',
+                 id="a-qubit-listed-twice"),
 ])
 def test_malformed_documents_are_rejected(text):
     with pytest.raises(ParseError):

@@ -1,4 +1,3 @@
-import copy
 import itertools
 import random
 
@@ -303,44 +302,3 @@ OPERANDS = st.one_of(
 @given(a=OPERANDS, b=OPERANDS)
 def test_comparisons_equal_their_arithmetic_definitions(op, a, b):
     assert op(a, b) == DEFINITIONS[op](a, b)
-
-
-def backend_state(b):
-    """The columns, their bounds, the rows and the hash-cons table."""
-    return (b._vars, b._names, b._lo, b._hi, b._cols, b._vals, b._lengths,
-            b._row_lo, b._row_hi, b._reify)
-
-
-def _declare(b, extra):
-    """x and y, then `extra` more columns."""
-    x, y = b.int_var("x", 0, 3), b.int_var("y", 0, 3)
-    for i in range(extra):
-        b.bool_var(f"f{i}")
-    return x, y
-
-
-def _assert_clauses(b, x, y):
-    b.add(LE(x, y), GE(y, 2))  # two reified comparisons
-    b.add(GT(x, y), LE(x, 0))  # the complement of one, and one more
-    b.add(LE(x, 2))  # a bound cap
-
-
-def test_a_replay_equals_a_fresh_encode_after_more_columns():
-    a = MilpBackend()
-    x, y = _declare(a, 0)
-    mark = a.begin_record()
-    _assert_clauses(a, x, y)
-    rec = a.end_record(mark)
-    replayed, fresh = MilpBackend(), MilpBackend()
-    _declare(replayed, 2)
-    assert replayed.replay(rec)
-    _assert_clauses(fresh, *_declare(fresh, 2))
-    assert backend_state(replayed) == backend_state(fresh)
-    assert replayed._names["__r0"] == 4  # past the two extra columns
-    # a hash-cons table of another size refuses, and changes nothing
-    other = MilpBackend()
-    x, y = _declare(other, 0)
-    other.add(LE(x, 1), LE(y, 1))
-    before = copy.deepcopy(backend_state(other))
-    assert not other.replay(rec)
-    assert backend_state(other) == before
