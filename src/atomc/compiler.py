@@ -9,6 +9,12 @@ result is committed and the fired gates leave the pending set.  A window
 whose every check is refuted cannot fire anything and grows its horizon
 until it can, up to `MAX_HORIZON` new stages.
 
+Refuting a matching costs a solver call, so a pinned window with one new
+stage first reads its own rules without the solver (`can_fire`: which
+qubits can move, the order their lines keep, where pairs can meet) and
+skips every matching they rule out.  Only refuted matchings are skipped,
+so the first sat check, and every schedule, stays the same.
+
 A compile encodes each window shape (`encoding.shape_key`) once, over all
 of its gates, into a backend of its own; a window of that shape is then
 only bounds (`encoding.window_bounds`), which each of its checks merges
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import networkx as nx
 
@@ -80,6 +86,7 @@ class _Stats:
     t0: float
     deadline: float
     calls: int = 0
+    discarded: int = 0
     budget_history: list[int] = field(default_factory=list)
 
     def wall(self) -> float:
@@ -140,6 +147,15 @@ def solve_window(context: WindowSpec, *, gates: Mapping[int, tuple[int, int]],
     gate fits in the horizon (the caller grows the window).  A window with
     nothing pending is one plain feasibility check.
 
+    A matching `can_fire` discards is counted in `stats.discarded` and
+    never checked; that changes no answer.  Any model of a matching's check
+    gives each of its gates an option, the endpoints up at stage 0 and the
+    site where the pair meets, and the model's options pass every rule
+    `can_fire` reads, one by one and pairwise, since each rule is a
+    consequence of the families under the check's bounds.  So a discarded
+    matching's check has no model and would be refuted, and the first sat
+    check is the one it was without the filter.
+
     Gates fire at the window's last stage only, and that loses nothing.  A
     window grows to horizon h only after every shorter horizon with the
     same boundary and gates was refuted.  Suppose a horizon-h model could
@@ -164,20 +180,138 @@ def solve_window(context: WindowSpec, *, gates: Mapping[int, tuple[int, int]],
                                              replace(context, gates=gates))
     backend, v = shapes[key]
     bounds = window_bounds(v, context)
-    for probe in _probes(context, v):
+    for probe in _probes(context, v, stats):
         if _checked(backend, stats, {**bounds, **probe}) == "sat":
             return _extract(backend.model(), v, context)
     return None
 
 
-def _probes(context: WindowSpec, v: Vars) -> Iterator[dict]:
+def _probes(context: WindowSpec, v: Vars, stats: _Stats) -> Iterator[dict]:
     """The checks of `solve_window`, in order, each as the `fixed` mapping
-    of one `MilpBackend.check`."""
+    of one `MilpBackend.check`; a matching `can_fire` rules out is counted
+    and skipped."""
     if not context.gates:
         yield {}
+    possible = can_fire(context)
     for k in range(matching_number(context.gates), 0, -1):
         for m in matchings(context.gates, k):
-            yield {v.f[g]: int(g in m) for g in context.gates}
+            if possible(m):
+                yield {v.f[g]: int(g in m) for g in context.gates}
+            else:
+                stats.discarded += 1
+
+
+def can_fire(w: WindowSpec) -> Callable[[Sequence[int]], bool]:
+    """A solver-free test of a window's matchings: the returned predicate
+    is False only for a matching (gate ids of `w.gates`) that no model of
+    w can fire, so every check of it is refuted.
+
+    It reads a pinned window with one transition (horizon 1, not grown);
+    any other window passes every matching.  There only qubits up (in a
+    movable trap) at stage 0 move: `c2_slm_stationary` keeps static ones
+    still and `trap_transfer` forbids a pickup at stage 1.  A firing gate
+    (u, q) therefore takes one of three options: u up and q static, u
+    moving onto q's site; q up and u static; or both up, meeting at a
+    common site.  Neither up would leave two static qubits on one site at
+    stage 0 (`c5_occupancy`).  The rules an option must pass:
+
+    - Move order.  `line_order` turns a strict stage-0 coordinate order of
+      two up qubits into a strict line-index order, and so into a weak
+      stage-1 coordinate order, per axis.
+    - Known line order.  The stage-0 line indices of two up qubits are in
+      a known order when both are tied (`window_bounds` fixes their `pc`
+      and `pr`) or both are held (`boundary_rows` orders the held lines
+      when two or more qubits hold them; one held qubit forms no pair).
+      Index order then bounds coordinate order at stages 0 and 1, and
+      equal indices force equal coordinates.
+    - Meeting sites.  Each is in the region and not avoided
+      (`avoid_rows`), and no two firing pairs share one: by `c7_isolation`
+      two co-sited qubits at the fire stage fire a gate together, and
+      every other fire variable is fixed to 0.
+
+    A matching passes when each of its gates has an option that passes
+    alone and with every other gate's option, meeting sites included.
+    Bystanders are ignored, which only weakens the test.  Each gate's
+    options are read once per window, and each pair of options is decided
+    once and cached across the window's matchings."""
+    b = w.boundary
+    if b.xy is None or w.stages != 2:
+        return lambda m: True
+    xy = b.xy
+    sites = [(x, y) for x in w.region.x_range for y in w.region.y_range
+             if (x, y) not in w.avoid_sites]
+
+    def order(i: int, j: int) -> tuple | None:
+        """Per axis, whether i <= j and whether i >= j at stage 1 when i
+        and j are both up at stage 0; None when they cannot both be."""
+        out = []
+        for axis in (0, 1):
+            step = (xy[i][axis] > xy[j][axis]) - (xy[i][axis] < xy[j][axis])
+            le, ge = step < 0, step > 0
+            for lines in (b.prev_traps, b.held):
+                if i in lines and j in lines:
+                    li, lj = lines[i][axis], lines[j][axis]
+                    rank = (li > lj) - (li < lj)
+                    if step not in (0, rank):
+                        return None
+                    le, ge = le or rank <= 0, ge or rank >= 0
+            out.append((le, ge))
+        return tuple(out)
+
+    def meet(o1, o2) -> bool:
+        """Whether options of two disjoint gates pass every rule together:
+        their up qubits can be up together, and two distinct meeting sites
+        keep the stage-1 order those qubits ask for."""
+        (up1, s1), (up2, s2) = o1, o2
+        orders = [order(i, j) for i in up1 for j in up2]
+        if None in orders:
+            return False
+        need = [(any(o[axis][0] for o in orders),
+                 any(o[axis][1] for o in orders)) for axis in (0, 1)]
+        if all(le and ge for le, ge in need):
+            return False  # the two pairs would share one site
+        pairs = ((m1, m2) for m1 in (sites if s1 is None else (s1,))
+                 for m2 in (sites if s2 is None else (s2,)) if m1 != m2)
+        return any(all((m1[a] <= m2[a] or not le)
+                           and (m1[a] >= m2[a] or not ge)
+                           for a, (le, ge) in enumerate(need))
+                   for m1, m2 in pairs)
+
+    met: dict[tuple, bool] = {}
+
+    def fits(o1, o2) -> bool:
+        if (o1, o2) not in met:
+            met[o1, o2] = meet(o1, o2)
+        return met[o1, o2]
+
+    def alone(up, site) -> bool:
+        if site is None:  # both up, meeting at any site
+            return bool(sites) and order(*up) is not None
+        return site in sites
+
+    # gate -> its options (qubits up at stage 0, meeting site or None for
+    # any site) that pass alone
+    options = {g: [o for o in (((u,), xy[q]), ((q,), xy[u]), ((u, q), None))
+                   if alone(*o)]
+               for g, (u, q) in w.gates.items()}
+
+    def possible(m: Sequence[int]) -> bool:
+        chosen: list = []
+
+        def extend(i: int) -> bool:
+            if i == len(m):
+                return True
+            for o in options[m[i]]:
+                if all(fits(p, o) for p in chosen):
+                    chosen.append(o)
+                    if extend(i + 1):
+                        return True
+                    chosen.pop()
+            return False
+
+        return extend(0)
+
+    return possible
 
 
 def matching_number(gates: Mapping[int, tuple[int, int]]) -> int:
@@ -344,7 +478,8 @@ def compile_circuit(circuit: Circuit, region: Region, *,
     schedule = extract_schedule(windows)
     result = CompileResult(schedule=schedule, wall_time=stats.wall(),
                            solver_calls=stats.calls,
-                           stage_budget_history=stats.budget_history)
+                           stage_budget_history=stats.budget_history,
+                           discarded=stats.discarded)
     from .verifier import verify
     report = verify(schedule, circuit, scope=region)
     if not report.ok:

@@ -75,7 +75,11 @@ class CompileResult:
     """A schedule plus solve statistics.
 
     solver_calls counts every HiGHS check of the compile, refuted
-    matchings included (see `compiler.solve_window`).
+    matchings included (see `compiler.solve_window`); a matching that
+    `compiler.can_fire` rules out is never checked, so it is not counted
+    there.
+    discarded counts those matchings: the ones the compile reached and
+    skipped without a solver call.
     stage_budget_history records, per committed solver window, how many new
     stages that window used: the horizon it was solved at, not counting a
     replayed or given stage 0.
@@ -85,6 +89,7 @@ class CompileResult:
     wall_time: float
     solver_calls: int
     stage_budget_history: list[int] = field(default_factory=list)
+    discarded: int = 0
 
 
 def schedule_to_json(schedule: Schedule, *, circuit_name: str,

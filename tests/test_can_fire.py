@@ -1,0 +1,240 @@
+"""`compiler.can_fire`, the solver-free matching filter: every matching it
+discards is refuted by the window's MILP, and each rule it reads discards
+a matching of its own window."""
+
+import itertools
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from atomc import compiler
+from atomc.arrays import ArraySpec, full_region
+from atomc.circuits import generate_rand3reg
+from atomc.compiler import (can_fire, compile_circuit, matching_number,
+                            matchings)
+from atomc.encoding import Boundary, encode_window, window_bounds
+from atomc.orchestrator import pac_compile
+from atomc.smt import MilpBackend
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _recorded(run) -> list:
+    """The window specs `run()` solves, in order."""
+    specs = []
+    solve = compiler.solve_window
+
+    def recording(spec, **kwargs):
+        specs.append(spec)
+        return solve(spec, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compiler, "solve_window", recording)
+        run()
+    return specs
+
+
+def _direct_windows(q, seed, n):
+    c = generate_rand3reg(q, seed)
+    return _recorded(lambda: compile_circuit(c, full_region(ArraySpec(n))))
+
+
+def _pac_windows(q, seed, n):
+    return _recorded(lambda: pac_compile(generate_rand3reg(q, seed),
+                                         ArraySpec(n)))
+
+
+def _global_windows(q, seed, n):
+    """The windows of pac's global phase, the one compiled on the whole
+    array."""
+    whole = full_region(ArraySpec(n))
+    return [s for s in _pac_windows(q, seed, n) if s.region == whole]
+
+
+def _in_order(spec):
+    """Every matching of the window's gates, in the order of its checks."""
+    return [m for k in range(matching_number(spec.gates), 0, -1)
+            for m in matchings(spec.gates, k)]
+
+
+def _answer(spec, m, encoded=None) -> str:
+    """The answer of the window's check that fires matching m."""
+    backend, v = encoded or _encoded(spec)
+    fire = {v.f[g]: int(g in m) for g in spec.gates}
+    return backend.check(fixed={**window_bounds(v, spec), **fire})
+
+
+def _encoded(spec):
+    backend = MilpBackend()
+    return backend, encode_window(backend, spec)
+
+
+def _refuted_when_discarded(specs) -> int:
+    """Check every matching each window discards against the window's MILP,
+    for every k up to its matching number; return how many there were."""
+    count = 0
+    for spec in specs:
+        possible = can_fire(spec)
+        discarded = [m for m in _in_order(spec) if not possible(m)]
+        if discarded:
+            encoded = _encoded(spec)
+            for m in discarded:
+                assert _answer(spec, m, encoded) == "unsat", m
+        count += len(discarded)
+    return count
+
+
+def test_discarded_matchings_are_refuted():
+    specs = [s for seed in (1, 2, 3) for s in _direct_windows(6, seed, 3)]
+    specs += [s for seed in (1, 6) for s in _global_windows(12, seed, 8)]
+    assert _refuted_when_discarded(specs) >= 10
+
+
+@pytest.mark.slow
+def test_discarded_matchings_are_refuted_over_the_depth_sweep(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    from depth_sweep import SWEEP
+    specs = []
+    for mode, q, seed, n in SWEEP["roadmap"]:
+        if mode == "direct":
+            specs += _direct_windows(q, seed, n)
+        else:
+            specs += _pac_windows(q, seed, n)
+    assert _refuted_when_discarded(specs) > 0
+
+
+@st.composite
+def _pinned_windows(draw):
+    """A random horizon-1 window on 3x3 or 4x4: stage-0 sites with at most
+    two qubits on one, random gates, tied and held lines, and avoided sites
+    among the empty ones."""
+    n = draw(st.sampled_from([3, 4]))
+    sites = list(itertools.product(range(n), repeat=2))
+    qubits = range(draw(st.integers(2, 6)))
+    xy = draw(st.lists(st.sampled_from(sites), min_size=len(qubits),
+                       max_size=len(qubits))
+              .filter(lambda placed: max(Counter(placed).values()) <= 2))
+    pairs = list(itertools.combinations(qubits, 2))
+    gates = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6))
+    line = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    tied = draw(st.dictionaries(st.sampled_from(qubits), line))
+    held = draw(st.dictionaries(st.sampled_from(qubits), line))
+    empty = sorted(set(sites) - set(xy))
+    avoid = draw(st.frozensets(st.sampled_from(empty))) if empty else \
+        frozenset()
+    return compiler._window_spec(
+        Boundary(xy=dict(enumerate(xy)), prev_traps=tied, held=held), 1,
+        list(qubits), dict(enumerate(gates)), full_region(ArraySpec(n)),
+        avoid)
+
+
+@given(_pinned_windows())
+@settings(max_examples=100, deadline=None)
+def test_random_windows_refute_what_they_discard(spec):
+    _refuted_when_discarded([spec])
+
+
+def _window(n, xy, tied=None, held=None, avoid=()):
+    """A horizon-1 window that pins `xy` and lists gates (0, 1) and
+    (2, 3) as gates 0 and 1."""
+    return compiler._window_spec(
+        Boundary(xy=xy, prev_traps=tied or {}, held=held or {}), 1, list(xy),
+        {0: (0, 1), 1: (2, 3)}, full_region(ArraySpec(n)), frozenset(avoid))
+
+
+def _discards(spec, m=(0, 1)) -> bool:
+    """Whether the filter discards m; a discarded m is refuted too."""
+    if can_fire(spec)(m):
+        return False
+    assert _answer(spec, m) == "unsat"
+    return True
+
+
+def _fires(spec, m=(0, 1)) -> bool:
+    """Whether the filter passes m and the window's check finds it sat."""
+    return can_fire(spec)(m) and _answer(spec, m) == "sat"
+
+
+# four qubits on the diagonal of 4x4, so no two stand in one column
+DIAGONAL = {q: (q, q) for q in range(4)}
+
+
+def test_reversed_held_lines_keep_qubits_down():
+    # held columns run right to left while the qubits stand left to right,
+    # so no two of them can be up at stage 0; two gates need two movers
+    reversed_lines = {q: (3 - q, q) for q in DIAGONAL}
+    assert _discards(_window(4, DIAGONAL, held=reversed_lines))
+    # in the qubits' order the held lines let two of them be up together
+    assert _fires(_window(4, DIAGONAL, held={q: (q, q) for q in DIAGONAL}))
+
+
+def test_tied_lines_keep_qubits_down():
+    # the same with tied rows: they run top to bottom, the qubits bottom
+    # to top
+    reversed_lines = {q: (q, 3 - q) for q in DIAGONAL}
+    assert _discards(_window(4, DIAGONAL, tied=reversed_lines))
+    assert _fires(_window(4, DIAGONAL, tied={q: (q, q) for q in DIAGONAL}))
+
+
+def test_an_avoided_site_leaves_a_pair_nowhere_to_meet():
+    # y=2  .  2  x      x: avoided
+    # y=1  .  .  1
+    # y=0  0  3  .
+    # one way fires both gates without crossing two moves or sharing a
+    # site: 0 moves onto 1 at (2, 1) while 2 and 3, which stand right of 0
+    # and not below it, meet at (2, 2); avoiding (2, 2) leaves none
+    xy = {0: (0, 0), 1: (2, 1), 2: (1, 2), 3: (1, 0)}
+    assert _discards(_window(3, xy, avoid={(2, 2)}))
+    assert _fires(_window(3, xy))
+
+
+# the two pairs stand on the two diagonals of 3x3
+CROSSED = {0: (0, 0), 1: (2, 2), 2: (2, 0), 3: (0, 2)}
+
+
+def test_two_pairs_never_meet_on_one_site():
+    # move order lets both pairs fire only where they would share one site
+    spec = _window(3, CROSSED)
+    assert _discards(spec)
+    assert _fires(spec, (0,)) and _fires(spec, (1,))
+
+
+def test_strict_stage0_order_bounds_the_moves_weakly():
+    # y=2  .  2  0
+    # y=1  .  .  .
+    # y=0  1  3  .
+    # 2 and 3 are tied to rows in the reverse of their order, so one of
+    # them moves onto the other and stays in column 1; 1's tied column
+    # does not fit its site beside either, so 1 stays down.  0, right of
+    # the mover, would have to end left of it, at 1's site
+    xy = {0: (2, 2), 1: (0, 0), 2: (1, 2), 3: (1, 0)}
+    tied = {1: (1, 1), 2: (1, 0), 3: (0, 1)}
+    assert _discards(_window(3, xy, tied=tied))
+    # ending in the mover's column is allowed: 1 at (1, 1)
+    assert _fires(_window(3, {**xy, 1: (1, 1)}, tied=tied))
+
+
+def test_free_and_grown_windows_pass_every_matching():
+    spec = _window(3, CROSSED)
+    assert not can_fire(spec)((0, 1))
+    for other in (replace(spec, stages=3),
+                  replace(spec, stages=1, boundary=Boundary())):
+        assert can_fire(other)((0, 1))
+
+
+def test_pac_global_window_checks_its_optimum_alone():
+    # the first global window of pac rand3reg(12, 6) on 8x8 checks five
+    # matchings ahead of (1, 2), its first sat one, and the MILP refutes
+    # each; the filter discards all five, so (1, 2) is the only check
+    spec = _global_windows(12, 6, 8)[0]
+    ahead = list(itertools.takewhile(lambda m: m != (1, 2), _in_order(spec)))
+    assert len(ahead) == 5 and not any(map(can_fire(spec), ahead))
+    stats = compiler._Stats(t0=0.0, deadline=float("inf"))
+    result = compiler.solve_window(spec, gates=spec.gates, shapes={},
+                                   stats=stats)
+    assert (stats.calls, stats.discarded) == (1, 5)
+    assert sorted(result.fired) == [1, 2]

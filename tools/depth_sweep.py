@@ -5,11 +5,12 @@
 Imports `atomc` from SRC_DIR and compiles `generate_rand3reg(Q, SEED)` on
 an N x N array in MODE (direct or pac) for each case; without --case, it
 runs the fixed sweep below.  Per case it prints the schedule depth, the
-solver calls, the grown windows (those that fired at a horizon above 1),
-the wall time of the compile, in pac over all three phases, and the sha256
-of the schedule's JSON (as `milp_digest.py` prints it); per group of cases
-and over all of them it prints the sums.  A case with no grown window never
-takes the growth path.
+solver calls, the matchings discarded without a call (`compiler.can_fire`;
+0 for a tree that has no such count), the grown windows (those that fired
+at a horizon above 1), the wall time of the compile, in pac over all three
+phases, and the sha256 of the schedule's JSON (as `milp_digest.py` prints
+it); per group of cases and over all of them it prints the sums.  A case
+with no grown window never takes the growth path.
 
 Every window fires as many gates as it can, but which of several equally
 good windows the solver returns decides later windows, so a change to the
@@ -46,9 +47,10 @@ SWEEP = {
 
 
 def _print_sum(label: str, runs) -> None:
-    depth, calls, grown, wall = (sum(column) for column in zip(*runs))
+    depth, calls, discarded, grown, wall = (sum(column)
+                                            for column in zip(*runs))
     print(f"{label} ({len(runs)} cases): depth {depth}, {calls} calls, "
-          f"{grown} grown, {wall:.2f} s", flush=True)
+          f"{discarded} discarded, {grown} grown, {wall:.2f} s", flush=True)
 
 
 def main(argv=None) -> int:
@@ -68,7 +70,7 @@ def main(argv=None) -> int:
         parser.error(f"atomc was imported from {compiler.__file__}")
 
     groups = {"cases": tuple(args.case)} if args.case else SWEEP
-    runs = []  # (depth, calls, grown, wall) of every case
+    runs = []  # (depth, calls, discarded, grown, wall) of every case
     for group, cases in groups.items():
         done = []
         for mode, q, seed, n in cases:
@@ -83,13 +85,14 @@ def main(argv=None) -> int:
                 sched, results = res.schedule, (res,)
             wall = time.perf_counter() - t0
             calls = sum(r.solver_calls for r in results)
+            discarded = sum(getattr(r, "discarded", 0) for r in results)
             grown = sum(h > 1 for r in results
                         for h in r.stage_budget_history)
             print(f"{mode} rand3reg({q}, {seed}) {n}x{n}: depth "
-                  f"{sched.depth}, {calls} calls, {grown} grown, "
-                  f"{wall:.2f} s, schedule "
+                  f"{sched.depth}, {calls} calls, {discarded} discarded, "
+                  f"{grown} grown, {wall:.2f} s, schedule "
                   f"{schedule_digest(sched, c, n, mode)}", flush=True)
-            done.append((sched.depth, calls, grown, wall))
+            done.append((sched.depth, calls, discarded, grown, wall))
         _print_sum(group, done)
         runs += done
     if len(groups) > 1:
