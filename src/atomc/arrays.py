@@ -32,12 +32,12 @@ class ArraySpec:
 
 @dataclass(frozen=True)
 class Region:
-    """A rectangular block of sites plus the movable-line indices it owns."""
+    """A rectangular block of sites.  It owns the movable line of each of
+    its grid lines, so its column indices are `x_range` and its row indices
+    `y_range`."""
 
     x_range: range
     y_range: range
-    col_range: range
-    row_range: range
 
     @property
     def num_sites(self) -> int:
@@ -57,15 +57,15 @@ def split_plane(a: ArraySpec) -> tuple[Region, Region]:
         raise RegionTooSmallError(
             f"need n >= 4 to split an array into two regions, got n={n}")
     m = (n + 1) // 2
-    r1 = Region(range(0, m), range(0, m), range(0, m), range(0, m))
-    r2 = Region(range(m, n), range(m, n), range(m, n), range(m, n))
+    r1 = Region(range(0, m), range(0, m))
+    r2 = Region(range(m, n), range(m, n))
     return r1, r2
 
 
 def full_region(a: ArraySpec) -> Region:
     """The whole array viewed as a single region."""
     whole = range(0, a.n)
-    return Region(whole, whole, whole, whole)
+    return Region(whole, whole)
 
 
 def site_in_region(r: Region, x: int, y: int) -> bool:

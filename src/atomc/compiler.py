@@ -404,14 +404,6 @@ def _internal_boundary(stages: Sequence[Stage]) -> Boundary:
                     prev_traps=prev_traps)
 
 
-def _window_spec(boundary: Boundary, horizon: int, qubits, pending, region,
-                 avoid, final_slm=frozenset()) -> WindowSpec:
-    return WindowSpec(
-        qubits=qubits, gates=pending,
-        stages=horizon + (boundary.xy is not None), region=region,
-        boundary=boundary, avoid_sites=avoid, final_slm=final_slm)
-
-
 def _validate_inputs(circuit, region, init_xy, held_lines, avoid,
                      final_slm):
     qubits = list(range(circuit.num_qubits))
@@ -502,8 +494,9 @@ def _run(circuit, region, boundary, avoid, final_slm,
         """Solve the window at horizons 1 to MAX_HORIZON in turn; return the
         first sat one, recorded in the budget history, or None."""
         for horizon in range(1, MAX_HORIZON + 1):
-            w = _window_spec(boundary, horizon, qubits, gates, region,
-                             avoid, **spec)
+            w = WindowSpec(qubits, gates,
+                           horizon + (boundary.xy is not None), region,
+                           boundary, avoid, **spec)
             result = solve_window(w, gates=all_gates, shapes=shapes,
                                   stats=stats)
             if result is not None:

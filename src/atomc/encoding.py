@@ -126,9 +126,9 @@ def make_vars(backend, w: WindowSpec) -> Vars:
     """Declare all window variables.
 
     Domain bounds realize C1: site coordinates range over the governing
-    region and line indices over the region-owned index ranges only.  A
-    pinned stage 0 adds each qubit's tied column and row, over the same
-    index ranges.
+    region, and column and row indices over the lines it owns, which are
+    its site ranges.  A pinned stage 0 adds each qubit's tied column and
+    row, over the same ranges.
     """
     reg = w.region
     x, y, c, r, a, f, pc, pr = {}, {}, {}, {}, {}, {}, {}, {}
@@ -138,19 +138,19 @@ def make_vars(backend, w: WindowSpec) -> Vars:
                                       reg.x_range.stop - 1)
             y[q, t] = backend.int_var(f"y_q{q}_t{t}", reg.y_range.start,
                                       reg.y_range.stop - 1)
-            c[q, t] = backend.int_var(f"c_q{q}_t{t}", reg.col_range.start,
-                                      reg.col_range.stop - 1)
-            r[q, t] = backend.int_var(f"r_q{q}_t{t}", reg.row_range.start,
-                                      reg.row_range.stop - 1)
+            c[q, t] = backend.int_var(f"c_q{q}_t{t}", reg.x_range.start,
+                                      reg.x_range.stop - 1)
+            r[q, t] = backend.int_var(f"r_q{q}_t{t}", reg.y_range.start,
+                                      reg.y_range.stop - 1)
             a[q, t] = backend.bool_var(f"a_q{q}_t{t}")
     for g in sorted(w.gates):
         f[g] = backend.bool_var(f"f_g{g}_s{w.fire_stage}")
     if w.boundary.xy is not None:
         for q in w.qubits:
-            pc[q] = backend.int_var(f"pc_q{q}", reg.col_range.start,
-                                    reg.col_range.stop - 1)
-            pr[q] = backend.int_var(f"pr_q{q}", reg.row_range.start,
-                                    reg.row_range.stop - 1)
+            pc[q] = backend.int_var(f"pc_q{q}", reg.x_range.start,
+                                    reg.x_range.stop - 1)
+            pr[q] = backend.int_var(f"pr_q{q}", reg.y_range.start,
+                                    reg.y_range.stop - 1)
     return Vars(x, y, c, r, a, f, pc, pr)
 
 
@@ -220,8 +220,8 @@ def static_lines(v: Vars, w: WindowSpec) -> Iterator[Clause]:
                 not_static = (pos(v.a[q, 0]),)
             else:
                 not_static = pos(v.a[q, t - 1]), pos(v.a[q, t])
-            yield (*not_static, EQ(v.c[q, t], reg.col_range.start))
-            yield (*not_static, EQ(v.r[q, t], reg.row_range.start))
+            yield (*not_static, EQ(v.c[q, t], reg.x_range.start))
+            yield (*not_static, EQ(v.r[q, t], reg.y_range.start))
 
 
 def c5_occupancy(v: Vars, w: WindowSpec) -> Iterator[Clause]:

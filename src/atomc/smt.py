@@ -180,9 +180,6 @@ class MilpBackend:
     """
 
     def __init__(self):
-        self.reset()
-
-    def reset(self) -> None:
         self._names: dict[str, int] = {}
         self._vars: list[Var] = []
         self._lo: list[int] = []
@@ -222,14 +219,6 @@ class MilpBackend:
         v = BoolVar(name)
         self._register(v, 0, 1)
         return v
-
-    def _cap(self, idx: int, lo: int | None, hi: int | None) -> None:
-        """Raise a column's lower bound to lo and lower its upper bound to
-        hi (None: leave it)."""
-        if lo is not None:
-            self._lo[idx] = max(self._lo[idx], lo)
-        if hi is not None:
-            self._hi[idx] = min(self._hi[idx], hi)
 
     # -- constraints
 
@@ -343,32 +332,12 @@ class MilpBackend:
         if not lits and not live:
             self._add_row({}, 1.0, np.inf)  # empty clause: unsatisfiable
             return
-        if len(lits) == 1 and not live:
-            idx, negated = lits[0]
-            if negated:
-                self._cap(idx, None, 0)
-            else:
-                self._cap(idx, 1, None)
-            return
-        if len(live) == 1 and not lits:
-            coeffs, rhs, _, _ = live[0]
-            if len(coeffs) == 1:
-                # a +-x row tightens the domain instead
-                (idx, k), = coeffs.items()
-                if k == 1.0:
-                    self._cap(idx, None, rhs)
-                    return
-                if k == -1.0:
-                    self._cap(idx, -rhs, None)
-                    return
-            self._add_row(coeffs, -np.inf, float(rhs))
-            return
         if len(live) > 1:
             lits = lits + [self._reified(side) for side in live]
             live = []
         if live:
-            # exactly one comparison guarded by literals: when every literal
-            # is false the comparison must hold
+            # exactly one comparison, guarded by any literals: when every
+            # literal is false the comparison must hold
             coeffs, rhs, _, hi = live[0]
             coeffs = dict(coeffs)
             m = float(hi - rhs)
@@ -395,8 +364,7 @@ class MilpBackend:
 
     def _constraint(self):
         """The rows as a CSC matrix with row bounds, or None when there are
-        none.  Built once and reused until the next variable, row or
-        reset."""
+        none.  Built once and reused until the next variable or row."""
         if self._built is None and self._lengths:
             from scipy.sparse import csc_matrix
             lengths = np.array(self._lengths, dtype=np.intp)
@@ -411,8 +379,8 @@ class MilpBackend:
 
     def check(self, timeout: float | None = None,
               fixed: Mapping[Var, int] | None = None) -> str:
-        """Decide the rows added since the last reset: "sat" (a model is
-        available), "unsat" or "unknown" (the time limit hit first).
+        """Decide the rows added so far: "sat" (a model is available),
+        "unsat" or "unknown" (the time limit hit first).
 
         `fixed` maps variables to values that this check alone holds them
         at, by their bounds; a value outside a variable's domain makes the
@@ -435,7 +403,7 @@ class MilpBackend:
             idx = self._names[var.name]
             lo[idx] = max(lo[idx], value)
             hi[idx] = min(hi[idx], value)
-        if np.any(lo > hi):  # bound absorption or `fixed` emptied a domain
+        if np.any(lo > hi):  # `fixed` emptied a domain
             self._model = None
             return "unsat"
         options: dict = {"presolve": True}

@@ -96,8 +96,8 @@ def _check_stage(out, t, stage: Stage, c: Circuit, scope: Region,
         if st.x not in scope.x_range or st.y not in scope.y_range:
             out.append(Violation(t, "C1", f"qubit {q} at ({st.x},{st.y}) "
                                  "outside the region"))
-        if st.a == AOD and (st.c not in scope.col_range
-                            or st.r not in scope.row_range):
+        if st.a == AOD and (st.c not in scope.x_range
+                            or st.r not in scope.y_range):
             out.append(Violation(t, "C1", f"qubit {q} on line ({st.c},{st.r}) "
                                  "not owned by the region"))
 

@@ -6,10 +6,10 @@ from atomc.errors import RegionTooSmallError
 
 def test_split_n6():
     r1, r2 = split_plane(ArraySpec(6))
-    assert list(r1.col_range) == [0, 1, 2]
-    assert list(r1.row_range) == [0, 1, 2]
-    assert list(r2.col_range) == [3, 4, 5]
-    assert list(r2.row_range) == [3, 4, 5]
+    assert list(r1.x_range) == [0, 1, 2]
+    assert list(r1.y_range) == [0, 1, 2]
+    assert list(r2.x_range) == [3, 4, 5]
+    assert list(r2.y_range) == [3, 4, 5]
 
 
 def test_split_n7_ceil():
@@ -34,10 +34,9 @@ def test_regions_disjoint_in_everything(n):
     r1, r2 = split_plane(ArraySpec(n))
     assert not set(r1.x_range) & set(r2.x_range)
     assert not set(r1.y_range) & set(r2.y_range)
-    assert not set(r1.col_range) & set(r2.col_range)
-    assert not set(r1.row_range) & set(r2.row_range)
-    # together the index ranges cover the array
-    assert set(r1.col_range) | set(r2.col_range) == set(range(n))
+    # together the site (and so the line index) ranges cover the array
+    assert set(r1.x_range) | set(r2.x_range) == set(range(n))
+    assert set(r1.y_range) | set(r2.y_range) == set(range(n))
     sites = {(x, y) for x in r1.x_range for y in r1.y_range}
     sites |= {(x, y) for x in r2.x_range for y in r2.y_range}
     assert len(sites) == r1.num_sites + r2.num_sites

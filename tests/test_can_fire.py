@@ -16,7 +16,7 @@ from atomc.arrays import ArraySpec, full_region
 from atomc.circuits import generate_rand3reg
 from atomc.compiler import (can_fire, compile_circuit, matching_number,
                             matchings)
-from atomc.encoding import Boundary, encode_window, window_bounds
+from atomc.encoding import Boundary, WindowSpec, encode_window, window_bounds
 from atomc.orchestrator import pac_compile
 from atomc.smt import MilpBackend
 
@@ -126,10 +126,9 @@ def _pinned_windows(draw):
     empty = sorted(set(sites) - set(xy))
     avoid = draw(st.frozensets(st.sampled_from(empty))) if empty else \
         frozenset()
-    return compiler._window_spec(
-        Boundary(xy=dict(enumerate(xy)), prev_traps=tied, held=held), 1,
-        list(qubits), dict(enumerate(gates)), full_region(ArraySpec(n)),
-        avoid)
+    return WindowSpec(
+        list(qubits), dict(enumerate(gates)), 2, full_region(ArraySpec(n)),
+        Boundary(xy=dict(enumerate(xy)), prev_traps=tied, held=held), avoid)
 
 
 @given(_pinned_windows())
@@ -141,9 +140,10 @@ def test_random_windows_refute_what_they_discard(spec):
 def _window(n, xy, tied=None, held=None, avoid=()):
     """A horizon-1 window that pins `xy` and lists gates (0, 1) and
     (2, 3) as gates 0 and 1."""
-    return compiler._window_spec(
-        Boundary(xy=xy, prev_traps=tied or {}, held=held or {}), 1, list(xy),
-        {0: (0, 1), 1: (2, 3)}, full_region(ArraySpec(n)), frozenset(avoid))
+    return WindowSpec(
+        list(xy), {0: (0, 1), 1: (2, 3)}, 2, full_region(ArraySpec(n)),
+        Boundary(xy=xy, prev_traps=tied or {}, held=held or {}),
+        frozenset(avoid))
 
 
 def _discards(spec, m=(0, 1)) -> bool:

@@ -10,7 +10,7 @@ from atomc.arrays import ArraySpec, full_region
 from atomc.circuits import Circuit, generate_rand3reg
 from atomc.compiler import (SolverOptions, compile_circuit, matching_number,
                             matchings)
-from atomc.encoding import Boundary
+from atomc.encoding import Boundary, WindowSpec
 from atomc.errors import CompileTimeout, InfeasibleError, MergeError
 from atomc.orchestrator import PacOptions, _zip_local, pac_compile
 from atomc.schedule import SLM, QubitState, Stage
@@ -94,8 +94,8 @@ def test_probes_refute_down_to_the_optimum():
     # at most two of them fire within one new stage
     xy = {0: (0, 2), 1: (0, 1), 2: (2, 2), 3: (0, 0), 4: (1, 0), 5: (1, 1)}
     gates = {0: (0, 1), 1: (2, 3), 2: (4, 5), 3: (1, 2)}
-    spec = compiler._window_spec(Boundary(xy=xy), 1, list(range(6)), gates,
-                                 full_region(ArraySpec(3)), frozenset())
+    spec = WindowSpec(list(range(6)), gates, 2, full_region(ArraySpec(3)),
+                      Boundary(xy=xy))
     assert matching_number(gates) == 3
     matrices = []
     result, probes, calls = _probed(spec, matrices)
@@ -119,9 +119,8 @@ def test_a_window_that_fires_nothing_is_grown():
         prev_traps={0: (2, 2), 2: (2, 1), 3: (1, 2), 5: (0, 0)})
     solved = []
     for horizon in (1, 2):
-        spec = compiler._window_spec(boundary, horizon, list(range(6)),
-                                     {7: (2, 5)}, full_region(ArraySpec(3)),
-                                     frozenset())
+        spec = WindowSpec(list(range(6)), {7: (2, 5)}, horizon + 1,
+                          full_region(ArraySpec(3)), boundary)
         solved.append(_probed(spec))
     (grown, probes1, calls1), (result, probes2, calls2) = solved
     assert grown is None and probes1 == [((7,), "unsat")] and calls1 == 1

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from atomc import compiler
 from atomc.arrays import ArraySpec, full_region, split_plane
 from atomc.circuits import Circuit, generate_rand3reg
-from atomc.compiler import (_internal_boundary, _Stats, _window_spec,
-                            compile_circuit, extract_schedule, matchings,
-                            solve_window)
+from atomc.compiler import (_internal_boundary, _Stats, compile_circuit,
+                            extract_schedule, matchings, solve_window)
 from atomc.encoding import (ALL_FAMILIES, Boundary, WindowSpec, encode_window,
                             line_order, make_vars, shape_key, static_lines,
                             window_bounds)
@@ -24,9 +23,9 @@ K4 = Circuit(4, tuple(itertools.combinations(range(4), 2)), name="k4")
 NO_PIN = tuple(f for f in ALL_FAMILIES if f is not static_lines)
 
 
-def window(c, region, horizon=1, boundary=Boundary(), **kw):
-    return _window_spec(boundary, horizon, list(range(c.num_qubits)),
-                        dict(enumerate(c.gates)), region, frozenset(), **kw)
+def window(c, region, stages=1, boundary=Boundary(), **kw):
+    return WindowSpec(list(range(c.num_qubits)), dict(enumerate(c.gates)),
+                      stages, region, boundary, **kw)
 
 
 def one_gate_per_qubit(v, w):
@@ -64,8 +63,8 @@ def assert_pinned(spec, model, v, exempt=frozenset()):
                 continue
             if static:
                 checked += 1
-                assert model[v.c[q, t].name] == reg.col_range.start, (q, t)
-                assert model[v.r[q, t].name] == reg.row_range.start, (q, t)
+                assert model[v.c[q, t].name] == reg.x_range.start, (q, t)
+                assert model[v.r[q, t].name] == reg.y_range.start, (q, t)
     return checked
 
 
@@ -77,8 +76,8 @@ def greedy_windows(c, region, count):
     pending = dict(enumerate(c.gates))
     boundary, done, specs = Boundary(), [], []
     for _ in range(count):
-        spec = _window_spec(boundary, 1, list(range(c.num_qubits)),
-                            dict(pending), region, frozenset())
+        spec = WindowSpec(list(range(c.num_qubits)), dict(pending),
+                          1 + (boundary.xy is not None), region, boundary)
         specs.append(spec)
         res = solve_window(spec, gates=dict(enumerate(c.gates)),
                            shapes=shapes, stats=stats)
@@ -92,7 +91,7 @@ def greedy_windows(c, region, count):
 
 def test_pin_holds_on_quadrant():
     # region 2 of a 4x4 array starts at column and row 2, not 0
-    spec = window(K4, split_plane(ArraySpec(4))[1], horizon=2)
+    spec = window(K4, split_plane(ArraySpec(4))[1], stages=2)
     fired, model, v = solve(spec)
     assert fired >= 2
     assert assert_pinned(spec, model, v) > 0
@@ -109,9 +108,8 @@ def test_pin_holds_across_a_window_boundary():
 def _static_stage0(held):
     """A one-stage window whose three qubits all end (so start) static."""
     boundary = Boundary(xy={0: (0, 0), 1: (1, 1), 2: (2, 2)}, held=held)
-    spec = window(Circuit(3, ()), full_region(ArraySpec(3)), 0, boundary,
+    spec = window(Circuit(3, ()), full_region(ArraySpec(3)), 1, boundary,
                   final_slm=frozenset({0, 1, 2}))
-    assert spec.stages == 1
     solved = solve(spec)
     assert solved is not None
     return (spec, *solved[1:])

@@ -69,18 +69,12 @@ def random_clause(rng, ints, bools, drawn):
     return tuple(clause)
 
 
-@pytest.fixture(params=["milp"], scope="module")
-def backend(request):
+@pytest.fixture(params=["milp"])
+def b(request):
     return MilpBackend()
 
 
-def fresh(backend):
-    backend.reset()
-    return backend
-
-
-def test_basic_sat_unsat(backend):
-    b = fresh(backend)
+def test_basic_sat_unsat(b):
     x = b.int_var("x", 0, 3)
     y = b.int_var("y", 0, 3)
     b.add(EQ(lin(x) + lin(y), 5))
@@ -92,8 +86,7 @@ def test_basic_sat_unsat(backend):
     assert b.check() == "unsat"
 
 
-def test_bool_logic(backend):
-    b = fresh(backend)
+def test_bool_logic(b):
     p = b.bool_var("p")
     q = b.bool_var("q")
     b.add(Lit(p), Lit(q))
@@ -103,8 +96,7 @@ def test_bool_logic(backend):
     assert b.model() == {"p": 0, "q": 1}
 
 
-def test_implication_with_comparison(backend):
-    b = fresh(backend)
+def test_implication_with_comparison(b):
     p = b.bool_var("p")
     x = b.int_var("x", 0, 9)
     b.add(Lit(p, neg=True), EQ(x, 7))
@@ -113,8 +105,7 @@ def test_implication_with_comparison(backend):
     assert b.model()["x"] == 7
 
 
-def test_cardinality_over_bools(backend):
-    b = fresh(backend)
+def test_cardinality_over_bools(b):
     fs = [b.bool_var(f"f{i}") for i in range(5)]
     b.add(GE(total(fs), 3))
     b.add(Lit(fs[0], neg=True))
@@ -126,8 +117,7 @@ def test_cardinality_over_bools(backend):
     assert b.check() == "unsat"
 
 
-def test_negative_values_roundtrip(backend):
-    b = fresh(backend)
+def test_negative_values_roundtrip(b):
     x = b.int_var("x", -5, 5)
     b.add(LE(x, -3))
     assert b.check() == "sat"
@@ -177,8 +167,6 @@ def maximize(backend, expr):
     from scipy.optimize import Bounds, LinearConstraint, milp
     n = len(backend._vars)
     lo, hi = np.array(backend._lo, float), np.array(backend._hi, float)
-    if np.any(lo > hi):
-        return None
     c = np.zeros(n)
     for k, v in expr.terms:
         c[backend._names[v.name]] -= k
@@ -196,9 +184,8 @@ def maximize(backend, expr):
 
 def test_differential_against_bruteforce():
     rng = random.Random(20250811)
-    milp = MilpBackend()
     for trial in range(160):
-        milp.reset()
+        milp = MilpBackend()
         ints = [milp.int_var(f"x{i}", 0, 3) for i in range(3)]
         bools = [milp.bool_var(f"b{i}") for i in range(2)]
         drawn = []
@@ -214,18 +201,6 @@ def test_differential_against_bruteforce():
             m = milp.model()
             env = {v.name: m[v.name] for v in ints + bools}
             assert all(evaluate(c, env) for c in clauses)
-
-
-def test_reset_discards_variables_and_constraints():
-    b = MilpBackend()
-    x = b.int_var("x", 0, 5)
-    b.add(LE(x, 1))
-    b.reset()
-    x = b.int_var("x", 0, 5)
-    b.add(GE(x, 4))
-    assert b.check() == "sat"
-    m = b.model()
-    assert set(m) == {"x"} and m["x"] >= 4
 
 
 @pytest.mark.parametrize("x_at,y_at,z_range", [(3, 0, (2, 3)),

@@ -178,7 +178,7 @@ def test_e2_local_qubit_not_parked(two_triangles):
     last = len(r1.schedule.stages) - 1
     st = r1.schedule.stages[last].states[0]
     lifted = QubitState(x=st.x, y=st.y, a=AOD,
-                        c=region1.col_range[0], r=region1.row_range[0])
+                        c=region1.x_range[0], r=region1.y_range[0])
     phases = replace(two_triangles, r1=replace(
         r1, schedule=_set(r1.schedule, last, 0, lifted)))
     report = verify_phases(phases, TWO_TRIANGLES, ArraySpec(4))

@@ -1,32 +1,44 @@
-"""Depth, solver calls and wall time of a fixed sweep of compiles.
+"""Depth, solver calls, wall time and HiGHS inputs of a fixed sweep of
+compiles.
 
     python tools/depth_sweep.py SRC_DIR [--case MODE:Q:SEED:N ...]
 
-Imports `atomc` from SRC_DIR and compiles `generate_rand3reg(Q, SEED)` on
-an N x N array in MODE (direct or pac) for each case; without --case, it
-runs the fixed sweep below.  Per case it prints the schedule depth, the
-solver calls, the matchings discarded without a call (`compiler.can_fire`;
-0 for a tree that has no such count), the grown windows (those that fired
-at a horizon above 1), the wall time of the compile, in pac over all three
-phases, and the sha256 of the schedule's JSON (as `milp_digest.py` prints
-it); per group of cases and over all of them it prints the sums.  A case
-with no grown window never takes the growth path.
+Imports `atomc` from SRC_DIR, wraps `scipy.optimize.milp`, and compiles
+`generate_rand3reg(Q, SEED)` on an N x N array in MODE (direct or pac) for
+each case; without --case, it runs the fixed sweep below.  Per case it
+prints one line: the schedule depth, the solver calls, the matchings
+discarded without a call (`compiler.can_fire`; 0 for a tree that has no
+such count), the grown windows (those that fired at a horizon above 1), the
+wall time of the compile (digests included), in pac over all three
+phases, and the sha256 of the `schedule_to_json` bytes.  Under it,
+indented, come the sorted digests
+of the case's `milp` calls, one a line.  A call's digest covers `c`,
+`integrality`, the variable bounds, the constraint matrix (data, indices,
+indptr, shape), the row bounds and the options without `time_limit`, which
+is the remaining budget and so differs from run to run.  The pac local
+phases solve in two threads, so calls are compared as a sorted multiset,
+not in call order.  Per group of cases and over all of them it prints the
+sums.  A case with no grown window never takes the growth path.
 
 Every window fires as many gates as it can, but which of several equally
 good windows the solver returns decides later windows, so a change to the
-solve can move depth either way.  Run it on the parent's `src` and on the
-change's to see by how much, and diff the schedule digests to see which
-cases changed at all.
+solve can move depth either way.  Two source trees whose outputs are equal
+once the wall figures are masked hand HiGHS the same problems and write the
+same schedules:
+
+    mask() { python tools/depth_sweep.py "$1" | sed -E 's/[0-9]+\\.[0-9]+ s/- s/'; }
+    diff <(mask A/src) <(mask B/src)
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 import time
 
-from milp_digest import _case, schedule_digest
+import numpy as np
 
 SWEEP = {
     # the direct and pac instances of the ROADMAP's measurements
@@ -44,6 +56,50 @@ SWEEP = {
         *(("pac", 16, seed, 8) for seed in range(3, 7)),
     ),
 }
+
+
+def _case(text: str) -> tuple[str, int, int, int]:
+    mode, q, seed, n = text.split(":")
+    if mode not in ("direct", "pac"):
+        raise argparse.ArgumentTypeError(f"unknown mode {mode!r}")
+    return mode, int(q), int(seed), int(n)
+
+
+def call_digest(c, integrality=None, bounds=None, constraints=None,
+                options=None) -> str:
+    """The sha256 of one `milp` call's problem (not its time limit)."""
+    h = hashlib.sha256()
+
+    def put(tag: str, values, dtype=float) -> None:
+        arr = np.ascontiguousarray(np.asarray(values, dtype=dtype))
+        h.update(f"{tag}{arr.shape}".encode())
+        h.update(arr.tobytes())
+
+    put("c", c)
+    put("integrality", [] if integrality is None else integrality)
+    if bounds is not None:
+        put("lb", bounds.lb)
+        put("ub", bounds.ub)
+    if constraints is not None:
+        mat = constraints.A
+        put("data", mat.data)
+        put("indices", mat.indices, np.int64)
+        put("indptr", mat.indptr, np.int64)
+        put("shape", mat.shape, np.int64)
+        put("row_lb", constraints.lb)
+        put("row_ub", constraints.ub)
+    rest = {k: v for k, v in (options or {}).items() if k != "time_limit"}
+    h.update(repr(sorted(rest.items())).encode())
+    return h.hexdigest()
+
+
+def schedule_digest(sched, c, n: int, mode: str) -> str:
+    """The sha256 of a compile's `schedule_to_json` bytes."""
+    from atomc import schedule
+    text = schedule.schedule_to_json(
+        sched, circuit_name=c.name, circuit_digest=c.digest(),
+        num_qubits=c.num_qubits, num_gates=c.num_gates, array=n, mode=mode)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _print_sum(label: str, runs) -> None:
@@ -65,15 +121,26 @@ def main(argv=None) -> int:
 
     src = os.path.abspath(args.src)
     sys.path.insert(0, src)
+    import scipy.optimize
+
     from atomc import arrays, circuits, compiler, orchestrator
     if not os.path.abspath(compiler.__file__).startswith(src + os.sep):
         parser.error(f"atomc was imported from {compiler.__file__}")
 
+    digests: list[str] = []
+    milp = scipy.optimize.milp
+
+    def traced(*a, **kw):
+        digests.append(call_digest(*a, **kw))
+        return milp(*a, **kw)
+
+    scipy.optimize.milp = traced
     groups = {"cases": tuple(args.case)} if args.case else SWEEP
     runs = []  # (depth, calls, discarded, grown, wall) of every case
     for group, cases in groups.items():
         done = []
         for mode, q, seed, n in cases:
+            digests.clear()
             c = circuits.generate_rand3reg(q, seed)
             a = arrays.ArraySpec(n)
             t0 = time.perf_counter()
@@ -91,7 +158,10 @@ def main(argv=None) -> int:
             print(f"{mode} rand3reg({q}, {seed}) {n}x{n}: depth "
                   f"{sched.depth}, {calls} calls, {discarded} discarded, "
                   f"{grown} grown, {wall:.2f} s, schedule "
-                  f"{schedule_digest(sched, c, n, mode)}", flush=True)
+                  f"{schedule_digest(sched, c, n, mode)}")
+            for digest in sorted(digests):
+                print(f"  {digest}")
+            sys.stdout.flush()
             done.append((sched.depth, calls, discarded, grown, wall))
         _print_sum(group, done)
         runs += done
