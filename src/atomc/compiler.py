@@ -9,11 +9,15 @@ result is committed and the fired gates leave the pending set.  A window
 whose every check is refuted cannot fire anything and grows its horizon
 until it can, up to `MAX_HORIZON` new stages.
 
-Refuting a matching costs a solver call, so a pinned window with one new
-stage first reads its own rules without the solver (`can_fire`: which
-qubits can move, the order their lines keep, where pairs can meet) and
-skips every matching they rule out.  Only refuted matchings are skipped,
-so the first sat check, and every schedule, stays the same.
+A pinned window with one new stage reads its own rules without the
+solver first (`_Moves`: which qubits can move, the order their lines keep,
+where pairs can meet).  It skips every matching they rule out
+(`can_fire`), and before each remaining check it tries to build a model of
+that check by hand (`_Moves.witness`).  A witness that passes every row
+and bound of the check (`MilpBackend.accept`) decides it with no HiGHS
+call.  Only refuted matchings are skipped, and only sat checks are
+witnessed, so every window fires the matching it fires with HiGHS alone;
+a witness changes only where the qubits go and which lines they ride.
 
 A compile encodes each window shape (`encoding.shape_key`) once, over all
 of its gates, into a backend of its own; a window of that shape is then
@@ -37,7 +41,9 @@ cannot simply drop where it stands.
 
 from __future__ import annotations
 
+import heapq
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -55,6 +61,10 @@ from .smt import MilpBackend
 # the most new stages a window grows to, from 1, before the compile gives up
 # as infeasible
 MAX_HORIZON = 8
+
+# the most sites (meeting and drop sites) and line assignments one witness
+# search tries for one matching before the check goes to HiGHS
+WITNESS_BUDGET = 256
 
 
 @dataclass(frozen=True)
@@ -87,6 +97,7 @@ class _Stats:
     deadline: float
     calls: int = 0
     discarded: int = 0
+    witnessed: int = 0
     budget_history: list[int] = field(default_factory=list)
 
     def wall(self) -> float:
@@ -156,6 +167,20 @@ def solve_window(context: WindowSpec, *, gates: Mapping[int, tuple[int, int]],
     matching's check has no model and would be refuted, and the first sat
     check is the one it was without the filter.
 
+    A pinned window with one new stage tries a witness (`_Moves.witness`)
+    before each check it makes, counted in `stats.witnessed` when
+    accepted, and makes no HiGHS call for that check.  That fires the
+    matching HiGHS alone would fire, too.  `MilpBackend.accept` takes a
+    witness only when every row and bound of the check holds, its reified
+    binaries set to the truth of their comparisons, so an accepted witness
+    is a model of the check: the check is sat, and HiGHS would find it
+    sat.  A failed or rejected witness leaves the check to HiGHS.  So each
+    check before the accepted one was refuted, or discarded and so
+    refuted, as without witnesses, and the accepted check is the first
+    sat one: the lexicographically first feasible matching at the
+    window's optimum count.  Only the model differs, which `verify` still
+    judges with the rest of the schedule.
+
     Gates fire at the window's last stage only, and that loses nothing.  A
     window grows to horizon h only after every shorter horizon with the
     same boundary and gates was refuted.  Suppose a horizon-h model could
@@ -180,25 +205,31 @@ def solve_window(context: WindowSpec, *, gates: Mapping[int, tuple[int, int]],
                                              replace(context, gates=gates))
     backend, v = shapes[key]
     bounds = window_bounds(v, context)
-    for probe in _probes(context, v, stats):
-        if _checked(backend, stats, {**bounds, **probe}) == "sat":
+    moves = _Moves.of(context)
+    for m in _checks(context):
+        if moves is not None and not moves.possible(m):
+            stats.discarded += 1
+            continue
+        fixed = {**bounds, **{v.f[g]: int(g in m) for g in context.gates}}
+        if moves is not None:
+            stats.remaining()
+            witness = moves.witness(m, v)
+            if witness is not None and backend.accept(witness, fixed):
+                stats.witnessed += 1
+                return _extract(backend.model(), v, context)
+        if _checked(backend, stats, fixed) == "sat":
             return _extract(backend.model(), v, context)
     return None
 
 
-def _probes(context: WindowSpec, v: Vars, stats: _Stats) -> Iterator[dict]:
-    """The checks of `solve_window`, in order, each as the `fixed` mapping
-    of one `MilpBackend.check`; a matching `can_fire` rules out is counted
-    and skipped."""
+def _checks(context: WindowSpec) -> Iterator[tuple[int, ...]]:
+    """The matchings `solve_window` checks, in order: for k from
+    `matching_number` down to 1, the k-matchings in lexicographic order;
+    for a window with nothing pending, the empty one."""
     if not context.gates:
-        yield {}
-    possible = can_fire(context)
+        yield ()
     for k in range(matching_number(context.gates), 0, -1):
-        for m in matchings(context.gates, k):
-            if possible(m):
-                yield {v.f[g]: int(g in m) for g in context.gates}
-            else:
-                stats.discarded += 1
+        yield from matchings(context.gates, k)
 
 
 def can_fire(w: WindowSpec) -> Callable[[Sequence[int]], bool]:
@@ -207,13 +238,23 @@ def can_fire(w: WindowSpec) -> Callable[[Sequence[int]], bool]:
     w can fire, so every check of it is refuted.
 
     It reads a pinned window with one transition (horizon 1, not grown);
-    any other window passes every matching.  There only qubits up (in a
-    movable trap) at stage 0 move: `c2_slm_stationary` keeps static ones
-    still and `trap_transfer` forbids a pickup at stage 1.  A firing gate
-    (u, q) therefore takes one of three options: u up and q static, u
-    moving onto q's site; q up and u static; or both up, meeting at a
-    common site.  Neither up would leave two static qubits on one site at
-    stage 0 (`c5_occupancy`).  The rules an option must pass:
+    any other window passes every matching.  See `_Moves` for the rules."""
+    moves = _Moves.of(w)
+    return (lambda m: True) if moves is None else moves.possible
+
+
+class _Moves:
+    """The moves a pinned window with one transition allows, read from its
+    own rules with no solver: the matching filter of `can_fire` and the
+    witness search of `solve_window`.
+
+    There only qubits up (in a movable trap) at stage 0 move:
+    `c2_slm_stationary` keeps static ones still and `trap_transfer` forbids
+    a pickup at stage 1.  A firing gate (u, q) therefore takes one of three
+    options: u up and q static, u moving onto q's site; q up and u static;
+    or both up, meeting at a common site.  Neither up would leave two
+    static qubits on one site at stage 0 (`c5_occupancy`).  The rules an
+    option must pass:
 
     - Move order.  `line_order` turns a strict stage-0 coordinate order of
       two up qubits into a strict line-index order, and so into a weak
@@ -229,21 +270,49 @@ def can_fire(w: WindowSpec) -> Callable[[Sequence[int]], bool]:
       two co-sited qubits at the fire stage fire a gate together, and
       every other fire variable is fixed to 0.
 
-    A matching passes when each of its gates has an option that passes
-    alone and with every other gate's option, meeting sites included.
-    Bystanders are ignored, which only weakens the test.  Each gate's
-    options are read once per window, and each pair of options is decided
-    once and cached across the window's matchings."""
-    b = w.boundary
-    if b.xy is None or w.stages != 2:
-        return lambda m: True
-    xy = b.xy
-    sites = [(x, y) for x in w.region.x_range for y in w.region.y_range
-             if (x, y) not in w.avoid_sites]
+    A matching passes `possible` when each of its gates has an option that
+    passes alone and with every other gate's option, meeting sites
+    included.  Bystanders are ignored, which only weakens the test.  Each
+    gate's options are read once per window (`options`), and each pair of
+    options is decided once and cached across the window's matchings."""
 
-    def order(i: int, j: int) -> tuple | None:
+    def __init__(self, w: WindowSpec):
+        self.w = w
+        self.xy = xy = w.boundary.xy
+        self.sites = [(x, y) for x in w.region.x_range
+                      for y in w.region.y_range
+                      if (x, y) not in w.avoid_sites]
+        self._orders: dict[tuple[int, int], tuple | None] = {}
+        self._met: dict[tuple, bool] = {}
+        # gate -> its options (qubits up at stage 0, meeting site or None
+        # for any site) that pass alone
+        self.options = {
+            g: [o for o in (((u,), xy[q]), ((q,), xy[u]), ((u, q), None))
+                if self._alone(*o)]
+            for g, (u, q) in w.gates.items()}
+        held = w.boundary.held
+        # the held qubits whose stage-0 lines `boundary_rows` orders
+        self.directed = sorted(held) if len(held) >= 2 else []
+        self.stage0 = Counter(xy.values())
+        # (u, q) -> `_meetings`, and a qubit -> `_near`
+        self._sites: dict = {}
+
+    @classmethod
+    def of(cls, w: WindowSpec) -> "_Moves | None":
+        """The window's moves, or None for a free or grown window."""
+        if w.boundary.xy is None or w.stages != 2:
+            return None
+        return cls(w)
+
+    def order(self, i: int, j: int) -> tuple | None:
         """Per axis, whether i <= j and whether i >= j at stage 1 when i
         and j are both up at stage 0; None when they cannot both be."""
+        if (i, j) not in self._orders:
+            self._orders[i, j] = self._order(i, j)
+        return self._orders[i, j]
+
+    def _order(self, i: int, j: int) -> tuple | None:
+        b, xy = self.w.boundary, self.xy
         out = []
         for axis in (0, 1):
             step = (xy[i][axis] > xy[j][axis]) - (xy[i][axis] < xy[j][axis])
@@ -258,51 +327,44 @@ def can_fire(w: WindowSpec) -> Callable[[Sequence[int]], bool]:
             out.append((le, ge))
         return tuple(out)
 
-    def meet(o1, o2) -> bool:
+    def _meet(self, o1, o2) -> bool:
         """Whether options of two disjoint gates pass every rule together:
         their up qubits can be up together, and two distinct meeting sites
         keep the stage-1 order those qubits ask for."""
         (up1, s1), (up2, s2) = o1, o2
-        orders = [order(i, j) for i in up1 for j in up2]
+        orders = [self.order(i, j) for i in up1 for j in up2]
         if None in orders:
             return False
         need = [(any(o[axis][0] for o in orders),
                  any(o[axis][1] for o in orders)) for axis in (0, 1)]
         if all(le and ge for le, ge in need):
             return False  # the two pairs would share one site
+        sites = self.sites
         pairs = ((m1, m2) for m1 in (sites if s1 is None else (s1,))
                  for m2 in (sites if s2 is None else (s2,)) if m1 != m2)
         return any(all((m1[a] <= m2[a] or not le)
-                           and (m1[a] >= m2[a] or not ge)
-                           for a, (le, ge) in enumerate(need))
+                       and (m1[a] >= m2[a] or not ge)
+                       for a, (le, ge) in enumerate(need))
                    for m1, m2 in pairs)
 
-    met: dict[tuple, bool] = {}
+    def fits(self, o1, o2) -> bool:
+        if (o1, o2) not in self._met:
+            self._met[o1, o2] = self._meet(o1, o2)
+        return self._met[o1, o2]
 
-    def fits(o1, o2) -> bool:
-        if (o1, o2) not in met:
-            met[o1, o2] = meet(o1, o2)
-        return met[o1, o2]
-
-    def alone(up, site) -> bool:
+    def _alone(self, up, site) -> bool:
         if site is None:  # both up, meeting at any site
-            return bool(sites) and order(*up) is not None
-        return site in sites
+            return bool(self.sites) and self.order(*up) is not None
+        return site in self.sites
 
-    # gate -> its options (qubits up at stage 0, meeting site or None for
-    # any site) that pass alone
-    options = {g: [o for o in (((u,), xy[q]), ((q,), xy[u]), ((u, q), None))
-                   if alone(*o)]
-               for g, (u, q) in w.gates.items()}
-
-    def possible(m: Sequence[int]) -> bool:
+    def possible(self, m: Sequence[int]) -> bool:
         chosen: list = []
 
         def extend(i: int) -> bool:
             if i == len(m):
                 return True
-            for o in options[m[i]]:
-                if all(fits(p, o) for p in chosen):
+            for o in self.options[m[i]]:
+                if all(self.fits(p, o) for p in chosen):
                     chosen.append(o)
                     if extend(i + 1):
                         return True
@@ -311,7 +373,280 @@ def can_fire(w: WindowSpec) -> Callable[[Sequence[int]], bool]:
 
         return extend(0)
 
-    return possible
+    def witness(self, m: Sequence[int], v: Vars) -> dict | None:
+        """A model of the window's check that fires exactly m, as a value
+        for every variable of `v`, found with no solver; None when the
+        search finds none within `WITNESS_BUDGET` tries.
+
+        Each gate of m fires by one of its `options`, a pair that meets
+        taking the nearest site no qubit stands on at stage 0.  Every
+        other qubit stays static, but for one of two static qubits on one
+        stage-0 site: it goes up and drops on the nearest site free at
+        stage 1.  The qubits up at stage 0 keep their lines, and the
+        movers stay up at stage 1.  Line indices come from `_lines`.  A
+        site is taken only when every up qubit keeps the stage-1 order
+        `order` asks of it (`box`); the search backtracks over options,
+        sites and which qubit departs, and each candidate site it tries
+        and each line assignment costs one unit of the budget.
+
+        The caller accepts the result only through
+        `MilpBackend.accept`, so a mistake here costs a solver call,
+        never a wrong model."""
+        w, xy, gates = self.w, self.xy, self.w.gates
+        endpoints = {q for g in m for q in gates[g]}
+        at1: dict[int, tuple[int, int]] = {}  # up at stage 0 -> stage-1 site
+        dropped: set[int] = set()
+        # stage-1 site -> the qubits that stand there
+        taken: dict[tuple[int, int], tuple[int, ...]] = {}
+        chosen: list = []
+        left = WITNESS_BUDGET
+        span = w.region.x_range, w.region.y_range
+
+        def box(up: tuple[int, ...]) -> list | None:
+            """Per axis, the [lo, hi] a stage-1 site of the qubits `up`
+            keeps to agree with every placed up qubit on the order `order`
+            asks; None when one of them cannot be up beside one placed."""
+            lims = [[r.start, r.stop - 1] for r in span]
+            for i in up:
+                for j, s in at1.items():
+                    o = self.order(i, j)
+                    if o is None:
+                        return None
+                    for axis, (le, ge) in enumerate(o):
+                        if le:
+                            lims[axis][1] = min(lims[axis][1], s[axis])
+                        if ge:
+                            lims[axis][0] = max(lims[axis][0], s[axis])
+            return lims
+
+        def sites(lims: list, candidates) -> Iterator[tuple[int, int]]:
+            """The candidates in `lims` no one stands on at stage 1; each
+            candidate tried costs one unit of the budget."""
+            nonlocal left
+            (x0, x1), (y0, y1) = lims
+            for s in candidates:
+                if left <= 0:
+                    return
+                left -= 1
+                if s not in taken and x0 <= s[0] <= x1 and y0 <= s[1] <= y1:
+                    yield s
+
+        def place(up: tuple[int, ...], site: tuple[int, int],
+                  there: tuple[int, ...]) -> None:
+            taken[site] = there
+            for q in up:
+                at1[q] = site
+
+        def lift(up: tuple[int, ...], site: tuple[int, int]) -> None:
+            del taken[site]
+            for q in up:
+                del at1[q]
+
+        def fire(i: int) -> dict | None:
+            if i == len(m):
+                return depart()
+            u, q = gates[m[i]]
+            for o in self.options[m[i]]:
+                if not all(self.fits(p, o) for p in chosen):
+                    continue
+                up, site = o
+                lims = box(up)
+                if lims is None:
+                    continue
+                chosen.append(o)
+                for s in sites(lims, self._meetings(u, q) if site is None
+                               else (site,)):
+                    place(up, s, (u, q))
+                    found = fire(i + 1)
+                    if found is not None:
+                        return found
+                    lift(up, s)
+                chosen.pop()
+            return None
+
+        def depart() -> dict | None:
+            # the static qubits by stage-0 site: each site keeps one
+            groups: dict[tuple[int, int], list[int]] = {}
+            for q in w.qubits:
+                if q not in at1:
+                    groups.setdefault(xy[q], []).append(q)
+            plans = []  # per shared site, each (stayer, departers) to try
+            for site, group in sorted(groups.items()):
+                ends = [q for q in group if q in endpoints]
+                if len(ends) > 1:
+                    return None  # two static endpoints on one site
+                # a tied qubit stays rather than an untied one, whose line
+                # is free
+                stayers = ends or sorted(
+                    group, key=lambda z: (z not in w.boundary.prev_traps, z))
+                if site in taken:  # a mover lands on its static partner
+                    stayers = [z for z in stayers if z in taken[site]]
+                if not stayers:
+                    return None
+                if len(group) > 1:
+                    plans.append([tuple(p for p in group if p != z)
+                                  for z in stayers])
+            static = set(groups)
+
+            def drop(k: int, queue: tuple[int, ...]) -> dict | None:
+                if queue:
+                    p = queue[0]
+                    lims = box((p,))
+                    if lims is None:
+                        return None
+                    near = (s for s in self._near(p) if s not in static)
+                    for s in sites(lims, near):
+                        place((p,), s, (p,))
+                        dropped.add(p)
+                        found = drop(k, queue[1:])
+                        if found is not None:
+                            return found
+                        dropped.discard(p)
+                        lift((p,), s)
+                    return None
+                if k == len(plans):
+                    return lines()
+                for departers in plans[k]:
+                    found = drop(k + 1, departers)
+                    if found is not None:
+                        return found
+                return None
+
+            return drop(0, ())
+
+        def lines() -> dict | None:
+            nonlocal left
+            left -= 1
+            cols, rows = self._lines(at1, 0), self._lines(at1, 1)
+            if cols is None or rows is None:
+                return None
+            return self._values(m, v, at1, dropped, cols, rows)
+
+        return fire(0)
+
+    def _meetings(self, u: int, q: int) -> list[tuple[int, int]]:
+        """The sites where u and q, both up, may meet: those no qubit
+        stands on at stage 0, nearest to both first.  None for a pair on
+        one stage-0 site: its equal moves would leave both on one line."""
+        if (u, q) not in self._sites:
+            (ux, uy), (qx, qy) = self.xy[u], self.xy[q]
+
+            def far(s):
+                du, dq = abs(s[0] - ux) + abs(s[1] - uy), \
+                    abs(s[0] - qx) + abs(s[1] - qy)
+                return du + dq, abs(du - dq), s
+
+            self._sites[u, q] = [] if (ux, uy) == (qx, qy) else sorted(
+                (s for s in self.sites if not self.stage0[s]), key=far)
+        return self._sites[u, q]
+
+    def _near(self, p: int) -> list[tuple[int, int]]:
+        """Every site, nearest to p's stage-0 site first."""
+        if p not in self._sites:
+            px, py = self.xy[p]
+            self._sites[p] = sorted(
+                self.sites, key=lambda s: (abs(s[0] - px) + abs(s[1] - py), s))
+        return self._sites[p]
+
+    def _lines(self, at1: Mapping[int, tuple[int, int]], axis: int
+               ) -> dict[int, int] | None:
+        """Stage-0 line indices on one axis (0: columns, 1: rows) for the
+        qubits up at stage 0, `at1` giving each one's stage-1 site, and
+        for the directed held qubits; None when no indices fit.
+
+        The indices form one topological pass.  Two up qubits whose
+        coordinates differ at stage 0 or 1 take lines in that order
+        (`line_order`), and none when the two orders disagree; held qubits
+        keep the order of their held lines, equal ones sharing a line
+        (`boundary_rows`); a tied qubit keeps its tied line.  In the order
+        this imposes, each index sits as close to its qubit's stage-1
+        coordinate as the indices before it and the room left after it
+        allow."""
+        b, xy = self.w.boundary, self.xy
+        span = (self.w.region.x_range, self.w.region.y_range)[axis]
+        held = b.held
+        # each qubit's class: held qubits on one held line share one
+        cls = {q: (0, held[q][axis]) for q in self.directed}
+        cls.update({q: (1, q) for q in at1 if q not in cls})
+        keys = sorted(set(cls.values()))
+        succ: dict[tuple, set] = {k: set() for k in keys}
+        pred: dict[tuple, set] = {k: set() for k in keys}
+        target = {}
+        for q in sorted(cls, reverse=True):
+            target[cls[q]] = at1.get(q, xy[q])[axis]
+        fixed: dict[tuple, int] = {}
+        for q in at1:
+            if q in b.prev_traps:
+                line = b.prev_traps[q][axis]
+                if fixed.setdefault(cls[q], line) != line:
+                    return None
+        ups = sorted(at1)
+        edges = []
+        for i, u in enumerate(ups):
+            pu = xy[u][axis], at1[u][axis]
+            for q in ups[i + 1:]:
+                pq = xy[q][axis], at1[q][axis]
+                if pu == pq:
+                    continue
+                if pu[0] <= pq[0] and pu[1] <= pq[1]:
+                    edges.append((cls[u], cls[q]))
+                elif pu[0] >= pq[0] and pu[1] >= pq[1]:
+                    edges.append((cls[q], cls[u]))
+                else:
+                    return None  # the two lines would cross
+        lines = sorted({held[q][axis] for q in self.directed})
+        edges += [((0, lo), (0, hi)) for lo, hi in zip(lines, lines[1:])]
+        for lo, hi in edges:
+            if lo == hi:
+                return None
+            succ[lo].add(hi)
+            pred[hi].add(lo)
+        waiting = {k: len(pred[k]) for k in keys}
+        ready = [k for k in keys if not waiting[k]]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            k = heapq.heappop(ready)
+            order.append(k)
+            for s in succ[k]:
+                waiting[s] -= 1
+                if not waiting[s]:
+                    heapq.heappush(ready, s)
+        if len(order) < len(keys):
+            return None
+        lb, ub, val = {}, {}, {}
+        for k in order:
+            lb[k] = max([span.start, fixed.get(k, span.start)]
+                        + [lb[p] + 1 for p in pred[k]])
+        for k in reversed(order):
+            ub[k] = min([span.stop - 1, fixed.get(k, span.stop - 1)]
+                        + [ub[s] - 1 for s in succ[k]])
+            if lb[k] > ub[k]:
+                return None
+        for k in order:
+            low = max([lb[k]] + [val[p] + 1 for p in pred[k]])
+            val[k] = min(max(target[k], low), ub[k])
+        return {q: val[k] for q, k in cls.items()}
+
+    def _values(self, m, v: Vars, at1, dropped, cols, rows) -> dict:
+        """The witness: a value for every variable of `v`."""
+        w, xy = self.w, self.xy
+        first = w.region.x_range.start, w.region.y_range.start
+        out = {}
+        for q in w.qubits:
+            up = q in at1
+            line = cols.get(q, first[0]), rows.get(q, first[1])
+            for t, (x, y) in enumerate((xy[q], at1.get(q, xy[q]))):
+                out[v.x[q, t]], out[v.y[q, t]] = x, y
+            out[v.a[q, 0]], out[v.a[q, 1]] = int(up), int(up and q
+                                                          not in dropped)
+            out[v.c[q, 0]], out[v.r[q, 0]] = line
+            out[v.c[q, 1]], out[v.r[q, 1]] = line if up else first
+            out[v.pc[q]], out[v.pr[q]] = (
+                line if up else w.boundary.prev_traps.get(q, first))
+        fired = set(m)
+        out.update({f: int(g in fired) for g, f in v.f.items()})
+        return out
 
 
 def matching_number(gates: Mapping[int, tuple[int, int]]) -> int:
@@ -471,7 +806,8 @@ def compile_circuit(circuit: Circuit, region: Region, *,
     result = CompileResult(schedule=schedule, wall_time=stats.wall(),
                            solver_calls=stats.calls,
                            stage_budget_history=stats.budget_history,
-                           discarded=stats.discarded)
+                           discarded=stats.discarded,
+                           witnessed=stats.witnessed)
     from .verifier import verify
     report = verify(schedule, circuit, scope=region)
     if not report.ok:

@@ -74,12 +74,14 @@ class Schedule:
 class CompileResult:
     """A schedule plus solve statistics.
 
-    solver_calls counts every HiGHS check of the compile, refuted
-    matchings included (see `compiler.solve_window`); a matching that
-    `compiler.can_fire` rules out is never checked, so it is not counted
-    there.
+    solver_calls counts the compile's HiGHS calls only, refuted matchings
+    included (see `compiler.solve_window`).  A matching that
+    `compiler.can_fire` rules out is never checked, and a check decided by
+    a witness makes no call, so neither is counted there.
     discarded counts those matchings: the ones the compile reached and
     skipped without a solver call.
+    witnessed counts the checks decided by an accepted witness, each a sat
+    check with no HiGHS call.
     stage_budget_history records, per committed solver window, how many new
     stages that window used: the horizon it was solved at, not counting a
     replayed or given stage 0.
@@ -90,6 +92,7 @@ class CompileResult:
     solver_calls: int
     stage_budget_history: list[int] = field(default_factory=list)
     discarded: int = 0
+    witnessed: int = 0
 
 
 def schedule_to_json(schedule: Schedule, *, circuit_name: str,

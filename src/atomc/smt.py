@@ -10,6 +10,13 @@ several candidate fired sets, all sharing one constraint matrix.  The
 compiler encodes each window shape once into a backend of its own and tells
 windows apart by such fixes alone.
 
+A check can also be decided without HiGHS: `accept` takes a candidate
+model built elsewhere (a witness), sets each reified binary to the truth
+of its comparison, and accepts it only when every row and every bound of
+that check, its fixes included, holds.  An accepted witness is a model of
+the check, so the check is sat, and it becomes the model a sat check
+leaves.
+
 A clause compiles in index space: each comparison is read once into its
 merged column coefficients, its right-hand side and the bounds of its terms
 over the declared domains, and rows are kept as flat column and value lists
@@ -191,6 +198,9 @@ class MilpBackend:
         self._row_hi: list[float] = []
         # hash-cons key of a reified comparison -> its binary's column
         self._reify: dict[tuple, int] = {}
+        # per reified binary: its column, the row of its p = 1 side (its
+        # comparison's terms plus the binary) and the comparison's rhs
+        self._tied: list[tuple[int, int, int]] = []
         self._model: dict[str, int] | None = None
         # the rows as `_constraint` compiled them; None when stale
         self._built: tuple | None = None
@@ -283,6 +293,7 @@ class MilpBackend:
             return hit, True
         p = self._register(BoolVar(f"__r{len(self._reify)}"), 0, 1)
         self._reify[key] = p
+        self._tied.append((p, len(self._lengths), rhs))
         # p = 1  =>  e <= rhs:            e + (hi - rhs) p <= hi
         row = dict(coeffs)
         row[p] = float(hi - rhs)
@@ -397,12 +408,7 @@ class MilpBackend:
                      for lo, hi in zip(self._row_lo, self._row_hi))
             self._model = {} if ok else None
             return "sat" if ok else "unsat"
-        lo = np.array(self._lo, dtype=float)
-        hi = np.array(self._hi, dtype=float)
-        for var, value in (fixed or {}).items():
-            idx = self._names[var.name]
-            lo[idx] = max(lo[idx], value)
-            hi[idx] = min(hi[idx], value)
+        lo, hi = self._bounds(fixed)
         if np.any(lo > hi):  # `fixed` emptied a domain
             self._model = None
             return "unsat"
@@ -425,6 +431,55 @@ class MilpBackend:
         if res.status == 1:
             return "unknown"
         raise BackendError(f"solver failure: status={res.status} {res.message}")
+
+    def _bounds(self, fixed: Mapping[Var, int] | None):
+        """Every column's (lo, hi) as arrays, `fixed` applied."""
+        lo = np.array(self._lo, dtype=float)
+        hi = np.array(self._hi, dtype=float)
+        for var, value in (fixed or {}).items():
+            idx = self._names[var.name]
+            lo[idx] = max(lo[idx], value)
+            hi[idx] = min(hi[idx], value)
+        return lo, hi
+
+    def accept(self, witness: Mapping[Var, int],
+               fixed: Mapping[Var, int] | None = None) -> bool:
+        """Whether `witness`, a value for every declared variable, is a
+        model of the rows under the bounds and `fixed` of one `check`; if
+        it is, it becomes the model, as a sat check's would.
+
+        Each reified binary is set to the truth of the comparison it stands
+        for, which is the only value its two big-M rows admit.  Then every
+        row and every bound must hold.  So an accepted witness proves the
+        check sat, and the same check handed to HiGHS would answer sat.
+        Values are small integers, so the row sums are exact."""
+        self._model = None
+        n = len(self._vars)
+        x = np.full(n, np.nan)
+        for var, value in witness.items():
+            x[self._names[var.name]] = value
+        binaries = np.array([p for p, _, _ in self._tied], dtype=np.intp)
+        x[binaries] = 0.0
+        if np.isnan(x).any():  # a declared variable has no value
+            return False
+        lo, hi = self._bounds(fixed)
+        built = self._constraint()
+        if built is not None:
+            a_mat, row_lo, row_hi = built
+            if binaries.size:
+                # with its binary at 0, the p = 1 row of a reified
+                # comparison sums the comparison's terms
+                rows = np.array([r for _, r, _ in self._tied], dtype=np.intp)
+                rhs = np.array([k for _, _, k in self._tied], dtype=float)
+                x[binaries] = (a_mat @ x)[rows] <= rhs
+            sums = a_mat @ x
+            if np.any(sums < row_lo) or np.any(sums > row_hi):
+                return False
+        if np.any(x < lo) or np.any(x > hi):
+            return False
+        xs = x.astype(int)
+        self._model = {v.name: int(xs[i]) for i, v in enumerate(self._vars)}
+        return True
 
     def model(self) -> dict[str, int]:
         if self._model is None:

@@ -122,7 +122,7 @@ def _check_stage(out, t, stage: Stage, c: Circuit, scope: Region,
 
     firing_pairs: set[frozenset[int]] = set()
     for g in stage.fired:
-        if g >= c.num_gates:
+        if g not in range(c.num_gates):
             continue  # already a C8 violation
         u, v = c.gates[g]
         su, sv = states.get(u), states.get(v)

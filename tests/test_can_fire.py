@@ -90,7 +90,7 @@ def _refuted_when_discarded(specs) -> int:
 
 def test_discarded_matchings_are_refuted():
     specs = [s for seed in (1, 2, 3) for s in _direct_windows(6, seed, 3)]
-    specs += [s for seed in (1, 6) for s in _global_windows(12, seed, 8)]
+    specs += [s for seed in (1, 5, 6) for s in _global_windows(12, seed, 8)]
     assert _refuted_when_discarded(specs) >= 10
 
 
@@ -227,14 +227,15 @@ def test_free_and_grown_windows_pass_every_matching():
 
 
 def test_pac_global_window_checks_its_optimum_alone():
-    # the first global window of pac rand3reg(12, 6) on 8x8 checks five
-    # matchings ahead of (1, 2), its first sat one, and the MILP refutes
-    # each; the filter discards all five, so (1, 2) is the only check
-    spec = _global_windows(12, 6, 8)[0]
-    ahead = list(itertools.takewhile(lambda m: m != (1, 2), _in_order(spec)))
-    assert len(ahead) == 5 and not any(map(can_fire(spec), ahead))
+    # the first global window of pac rand3reg(12, 22) on 8x8 checks six
+    # matchings ahead of (0, 2), its first sat one, and the MILP refutes
+    # each; the filter discards all six, so (0, 2) is the only check, and
+    # a witness decides it with no solver call
+    spec = _global_windows(12, 22, 8)[0]
+    ahead = list(itertools.takewhile(lambda m: m != (0, 2), _in_order(spec)))
+    assert len(ahead) == 6 and not any(map(can_fire(spec), ahead))
     stats = compiler._Stats(t0=0.0, deadline=float("inf"))
     result = compiler.solve_window(spec, gates=spec.gates, shapes={},
                                    stats=stats)
-    assert (stats.calls, stats.discarded) == (1, 5)
-    assert sorted(result.fired) == [1, 2]
+    assert (stats.calls, stats.discarded, stats.witnessed) == (0, 6, 1)
+    assert sorted(result.fired) == [0, 2]

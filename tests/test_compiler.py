@@ -59,10 +59,10 @@ def test_window_specs_keep_the_gates_pending_when_solved(monkeypatch):
 
 
 def _probed(spec, matrices=None):
-    """Solve one window; (result, (probe, answer) of each check, solver
-    calls).  The probe is the sorted ids of the gates the check fixes to
-    fire.  The constraint matrix each check hands HiGHS is appended to
-    `matrices`."""
+    """Solve one window; (result, (probe, answer) of each HiGHS check,
+    its `_Stats`).  The probe is the sorted ids of the gates the check
+    fixes to fire.  The constraint matrix each check hands HiGHS is
+    appended to `matrices`."""
     stats = compiler._Stats(t0=0.0, deadline=float("inf"))
     probes = []
     check = MilpBackend.check
@@ -86,26 +86,41 @@ def _probed(spec, matrices=None):
             mp.setattr(scipy.optimize, "milp", milp)
         result = compiler.solve_window(spec, gates=spec.gates, shapes={},
                                        stats=stats)
-    return result, probes, stats.calls
+    return result, probes, stats
 
 
-def test_probes_refute_down_to_the_optimum():
-    # the four gates hold a matching of three, but from this pinned start
-    # at most two of them fire within one new stage
-    xy = {0: (0, 2), 1: (0, 1), 2: (2, 2), 3: (0, 0), 4: (1, 0), 5: (1, 1)}
-    gates = {0: (0, 1), 1: (2, 3), 2: (4, 5), 3: (1, 2)}
-    spec = WindowSpec(list(range(6)), gates, 2, full_region(ArraySpec(3)),
-                      Boundary(xy=xy))
-    assert matching_number(gates) == 3
-    matrices = []
-    result, probes, calls = _probed(spec, matrices)
+# the four gates hold a matching of three, but from this pinned start at
+# most two of them fire within one new stage
+REFUTED_FIRST = WindowSpec(
+    list(range(6)), {0: (0, 1), 1: (2, 3), 2: (4, 5), 3: (1, 2)}, 2,
+    full_region(ArraySpec(3)),
+    Boundary(xy={0: (0, 2), 1: (0, 1), 2: (2, 2), 3: (0, 0), 4: (1, 0),
+                 5: (1, 1)}))
+
+
+def test_probes_refute_down_to_the_optimum(monkeypatch):
+    spec = REFUTED_FIRST
+    assert matching_number(spec.gates) == 3
     # {0, 1, 2} is the only 3-matching; the 2-matchings follow in
     # lexicographic order, and the first, {0, 1}, fires
-    assert list(matchings(gates, 3)) == [(0, 1, 2)]
+    assert list(matchings(spec.gates, 3)) == [(0, 1, 2)]
+    # without witnesses, HiGHS refutes {0, 1, 2} and finds {0, 1} sat
+    monkeypatch.setattr(compiler, "WITNESS_BUDGET", 0)
+    matrices = []
+    result, probes, stats = _probed(spec, matrices)
     assert probes == [((0, 1, 2), "unsat"), ((0, 1), "sat")]
-    assert calls == 2 and sorted(result.fired) == [0, 1]
+    assert stats.calls == 2 and sorted(result.fired) == [0, 1]
     # the window's matrix is assembled once and shared by every check
     assert len(matrices) == 2 and matrices[0] is matrices[1]
+
+
+def test_a_witness_decides_the_first_sat_check():
+    # the same window: no witness exists for the refuted {0, 1, 2}, so
+    # HiGHS refutes it, and a witness decides {0, 1} with no call
+    result, probes, stats = _probed(REFUTED_FIRST)
+    assert probes == [((0, 1, 2), "unsat")]
+    assert (stats.calls, stats.witnessed) == (1, 1)
+    assert sorted(result.fired) == [0, 1]
 
 
 def test_a_window_that_fires_nothing_is_grown():
@@ -122,20 +137,23 @@ def test_a_window_that_fires_nothing_is_grown():
         spec = WindowSpec(list(range(6)), {7: (2, 5)}, horizon + 1,
                           full_region(ArraySpec(3)), boundary)
         solved.append(_probed(spec))
-    (grown, probes1, calls1), (result, probes2, calls2) = solved
-    assert grown is None and probes1 == [((7,), "unsat")] and calls1 == 1
-    assert probes2 == [((7,), "sat")] and calls2 == 1
+    (grown, probes1, stats1), (result, probes2, stats2) = solved
+    assert grown is None and probes1 == [((7,), "unsat")]
+    assert probes2 == [((7,), "sat")]
+    assert stats1.calls == stats2.calls == 1
     assert list(result.fired) == [7] and result.horizon == 2
 
 
-@pytest.mark.parametrize("park,calls", [(frozenset(), 1),
-                                        (frozenset({0, 1}), 2)],
+@pytest.mark.parametrize("park,witnessed", [(frozenset(), 0),
+                                            (frozenset({0, 1}), 1)],
                          ids=["plain", "parked"])
-def test_a_one_gate_circuit_compiles(park, calls):
-    # the firing pair ends on one site, so parking it takes one more solve
+def test_a_one_gate_circuit_compiles(park, witnessed):
+    # the firing pair ends on one site, so parking it takes one more
+    # window, which a witness decides: one qubit leaves the site and drops
     c = Circuit(2, ((0, 1),))
     res = compile_circuit(c, full_region(ArraySpec(2)), final_stage_slm=park)
-    assert res.solver_calls == calls
+    assert (res.solver_calls, res.witnessed) == (1, witnessed)
+    assert len(res.stage_budget_history) == 1 + witnessed
     assert res.schedule.fired_multiset() == [0]
     assert verify(res.schedule, c, ArraySpec(2)).ok
 

@@ -31,15 +31,16 @@ def test_depth_sweep_reports_one_case_and_its_sum():
     case, *digests, total = lines
     # rand3reg(4, 1) is K4, whose qubits each sit in three gates
     found = re.fullmatch(r"direct rand3reg\(4, 1\) 2x2: depth (\d+), "
-                         r"(\d+) calls, (\d+) discarded, (\d+) grown, "
-                         r"\d+\.\d\d s, schedule [0-9a-f]{64}", case)
+                         r"(\d+) calls, (\d+) discarded, (\d+) witnessed, "
+                         r"(\d+) grown, \d+\.\d\d s, schedule [0-9a-f]{64}",
+                         case)
     assert found and int(found[1]) >= 3 and int(found[2]) >= 1
     # one digest per solver call, sorted
     assert len(digests) == int(found[2]) and digests == sorted(digests)
     assert all(re.fullmatch(r"  [0-9a-f]{64}", d) for d in digests)
     assert total.startswith(f"cases (1 cases): depth {found[1]}, "
                             f"{found[2]} calls, {found[3]} discarded, "
-                            f"{found[4]} grown, ")
+                            f"{found[4]} witnessed, {found[5]} grown, ")
 
 
 def test_depth_sweep_does_not_depend_on_the_hash_seed():

@@ -277,3 +277,98 @@ OPERANDS = st.one_of(
 @given(a=OPERANDS, b=OPERANDS)
 def test_comparisons_equal_their_arithmetic_definitions(op, a, b):
     assert op(a, b) == DEFINITIONS[op](a, b)
+
+
+def _assignment(rng, variables):
+    """Random values for `variables`, now and then one outside its
+    domain."""
+    env = {v.name: rng.randint(v.lo, v.hi) for v in variables}
+    if rng.random() < 0.15:
+        v = rng.choice(variables)
+        env[v.name] = rng.choice((v.lo - 1, v.hi + 1))
+    return env
+
+
+def test_accept_agrees_with_bruteforce():
+    # a witness is accepted exactly when it lies in the domains, meets
+    # `fixed` and satisfies every clause
+    rng = random.Random(20261019)
+    verdicts = set()
+    for trial in range(300):
+        milp = MilpBackend()
+        ints = [milp.int_var(f"x{i}", 0, 3) for i in range(3)]
+        bools = [milp.bool_var(f"b{i}") for i in range(2)]
+        variables = ints + bools
+        drawn = []
+        clauses = [random_clause(rng, ints, bools, drawn) for _ in range(4)]
+        for clause in clauses:
+            milp.add(*clause)
+        model = brute_force_sat(variables, clauses)
+        for env in (_assignment(rng, variables), model):
+            if env is None:
+                continue
+            fixed = {}
+            if rng.random() < 0.5:
+                v = rng.choice(variables)
+                fixed[v] = env[v.name] if rng.random() < 0.5 else \
+                    rng.randint(v.lo, v.hi)
+            expected = (all(v.lo <= env[v.name] <= v.hi for v in variables)
+                        and all(env[v.name] == k for v, k in fixed.items())
+                        and all(evaluate(c, env) for c in clauses))
+            witness = {v: env[v.name] for v in variables}
+            assert milp.accept(witness, fixed) == expected, \
+                f"trial {trial}: clauses {clauses}, env {env}, fixed {fixed}"
+            if expected:
+                assert milp.model() == {**milp.model(), **env}
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_accept_needs_every_declared_variable():
+    b = MilpBackend()
+    x = b.int_var("x", 0, 3)
+    b.int_var("y", 0, 3)
+    assert not b.accept({x: 1})
+
+
+def _window_witness(tied):
+    """A pinned one-stage window on 3x3 that fires gates (0, 1) and (2, 3)
+    by 0 and 2 moving right, its qubits `tied` to lines: its encoded
+    backend, vars, the check's bounds and an accepted witness."""
+    from atomc.arrays import ArraySpec, full_region
+    from atomc.compiler import _Moves
+    from atomc.encoding import (Boundary, WindowSpec, encode_window,
+                                window_bounds)
+    xy = {0: (0, 0), 1: (2, 0), 2: (0, 2), 3: (2, 2)}
+    spec = WindowSpec([0, 1, 2, 3], {0: (0, 1), 1: (2, 3)}, 2,
+                      full_region(ArraySpec(3)),
+                      Boundary(xy=xy, prev_traps=tied))
+    b = MilpBackend()
+    v = encode_window(b, spec)
+    fixed = {**window_bounds(v, spec), v.f[0]: 1, v.f[1]: 1}
+    witness = _Moves(spec).witness((0, 1), v)
+    assert witness is not None and b.accept(witness, fixed)
+    return b, v, fixed, witness
+
+
+def test_accept_rejects_a_witness_with_two_lines_swapped():
+    b, v, fixed, witness = _window_witness({})
+    # 0 and 2 are up at stage 0 in rows 0 and 2; swapped, the row order
+    # runs against their y order
+    assert witness[v.a[0, 0]] == witness[v.a[2, 0]] == 1
+    assert (witness[v.r[0, 0]], witness[v.r[2, 0]]) == (0, 2)
+    bad = dict(witness)
+    for rows in (v.pr, *({q: v.r[q, t] for q in (0, 2)} for t in (0, 1))):
+        bad[rows[0]], bad[rows[2]] = witness[rows[2]], witness[rows[0]]
+    assert not b.accept(bad, fixed)
+
+
+def test_accept_rejects_a_witness_that_moves_a_fixed_variable():
+    b, v, fixed, witness = _window_witness({0: (0, 0)})
+    # 0 is tied to column 0: any other column breaks `fixed` alone
+    bad = {**witness, v.pc[0]: 1}
+    for t in (0, 1):
+        bad[v.c[0, t]] = 1
+    assert not b.accept(bad, fixed)
+    assert b.accept(bad, {k: val for k, val in fixed.items()
+                          if k is not v.pc[0]})

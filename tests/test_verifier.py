@@ -164,6 +164,33 @@ def test_c8_unknown_gate_id(k4):
     assert f"unknown gate id {K4.num_gates}" in details
 
 
+# gate -1 would read as gates[-1], (2, 3), if ids counted from the end
+TWO_PAIRS = Circuit(4, ((0, 1), (2, 3)), name="two-pairs")
+
+
+def _fires_minus_one(site3: tuple[int, int]) -> list:
+    """The violations of one stage that fires gates 0 and -1 of TWO_PAIRS:
+    0 and 1 fire on one site, 2 stands at (2, 2) in a movable trap and 3
+    in a static trap at `site3`."""
+    stage = Stage({0: QubitState(x=0, y=0, a=AOD, c=0, r=0),
+                   1: QubitState(x=0, y=0, a=SLM),
+                   2: QubitState(x=2, y=2, a=AOD, c=2, r=2),
+                   3: QubitState(x=site3[0], y=site3[1], a=SLM)}, (0, -1))
+    return verify(Schedule([stage]), TWO_PAIRS, ArraySpec(3)).violations
+
+
+@pytest.mark.parametrize("site3,rule,detail", [
+    ((2, 2), "C7", "qubits 2,3 co-sited at (2, 2) without firing a gate"),
+    ((1, 1), "C8", "unknown gate id -1")], ids=["co-sited", "apart"])
+def test_a_negative_gate_id_is_only_unknown(site3, rule, detail):
+    # gate 1, (2, 3), does not fire: its co-sited pair breaks C7, and apart
+    # the pair breaks nothing, not C6 as gate -1's endpoints
+    found = {(v.rule, v.detail) for v in _fires_minus_one(site3)}
+    assert (rule, detail) in found
+    assert ("C8", "unknown gate id -1") in found
+    assert not any(r == "C6" for r, _ in found)
+
+
 def test_coherence_missing_qubit(k4):
     assert "coherence" in _rules(_set(k4, 0, 0, None))
 

@@ -8,10 +8,11 @@ Imports `atomc` from SRC_DIR, wraps `scipy.optimize.milp`, and compiles
 each case; without --case, it runs the fixed sweep below.  Per case it
 prints one line: the schedule depth, the solver calls, the matchings
 discarded without a call (`compiler.can_fire`; 0 for a tree that has no
-such count), the grown windows (those that fired at a horizon above 1), the
-wall time of the compile (digests included), in pac over all three
-phases, and the sha256 of the `schedule_to_json` bytes.  Under it,
-indented, come the sorted digests
+such count), the checks decided by a witness without a call
+(`CompileResult.witnessed`; 0 likewise), the grown windows (those that
+fired at a horizon above 1), the wall time of the compile (digests
+included), in pac over all three phases, and the sha256 of the
+`schedule_to_json` bytes.  Under it, indented, come the sorted digests
 of the case's `milp` calls, one a line.  A call's digest covers `c`,
 `integrality`, the variable bounds, the constraint matrix (data, indices,
 indptr, shape), the row bounds and the options without `time_limit`, which
@@ -103,10 +104,11 @@ def schedule_digest(sched, c, n: int, mode: str) -> str:
 
 
 def _print_sum(label: str, runs) -> None:
-    depth, calls, discarded, grown, wall = (sum(column)
-                                            for column in zip(*runs))
+    depth, calls, discarded, witnessed, grown, wall = (
+        sum(column) for column in zip(*runs))
     print(f"{label} ({len(runs)} cases): depth {depth}, {calls} calls, "
-          f"{discarded} discarded, {grown} grown, {wall:.2f} s", flush=True)
+          f"{discarded} discarded, {witnessed} witnessed, {grown} grown, "
+          f"{wall:.2f} s", flush=True)
 
 
 def main(argv=None) -> int:
@@ -136,7 +138,7 @@ def main(argv=None) -> int:
 
     scipy.optimize.milp = traced
     groups = {"cases": tuple(args.case)} if args.case else SWEEP
-    runs = []  # (depth, calls, discarded, grown, wall) of every case
+    runs = []  # (depth, calls, discarded, witnessed, grown, wall) per case
     for group, cases in groups.items():
         done = []
         for mode, q, seed, n in cases:
@@ -153,16 +155,18 @@ def main(argv=None) -> int:
             wall = time.perf_counter() - t0
             calls = sum(r.solver_calls for r in results)
             discarded = sum(getattr(r, "discarded", 0) for r in results)
+            witnessed = sum(getattr(r, "witnessed", 0) for r in results)
             grown = sum(h > 1 for r in results
                         for h in r.stage_budget_history)
             print(f"{mode} rand3reg({q}, {seed}) {n}x{n}: depth "
                   f"{sched.depth}, {calls} calls, {discarded} discarded, "
-                  f"{grown} grown, {wall:.2f} s, schedule "
-                  f"{schedule_digest(sched, c, n, mode)}")
+                  f"{witnessed} witnessed, {grown} grown, {wall:.2f} s, "
+                  f"schedule {schedule_digest(sched, c, n, mode)}")
             for digest in sorted(digests):
                 print(f"  {digest}")
             sys.stdout.flush()
-            done.append((sched.depth, calls, discarded, grown, wall))
+            done.append((sched.depth, calls, discarded, witnessed, grown,
+                         wall))
         _print_sum(group, done)
         runs += done
     if len(groups) > 1:
