@@ -11,13 +11,14 @@ until it can, up to `MAX_HORIZON` new stages.
 
 A pinned window with one new stage reads its own rules without the
 solver first (`_Moves`: which qubits can move, the order their lines keep,
-where pairs can meet).  It skips every matching they rule out
-(`can_fire`), and before each remaining check it tries to build a model of
-that check by hand (`_Moves.witness`).  A witness that passes every row
-and bound of the check (`MilpBackend.accept`) decides it with no HiGHS
-call.  Only refuted matchings are skipped, and only sat checks are
-witnessed, so every window fires the matching it fires with HiGHS alone;
-a witness changes only where the qubits go and which lines they ride.
+where pairs can meet, which lines the qubits up can hold).  It skips every
+matching they rule out (`_Moves.possible`), and before each remaining
+check it tries to build a model of that check by hand (`_Moves.witness`).
+A witness that passes every row and bound of the check
+(`MilpBackend.accept`) decides it with no HiGHS call.  Only refuted
+matchings are skipped, and only sat checks are witnessed, so every window
+fires the matching it fires with HiGHS alone; a witness changes only where
+the qubits go and which lines they ride.
 
 A compile encodes each window shape (`encoding.shape_key`) once, over all
 of its gates, into a backend of its own; a window of that shape is then
@@ -41,18 +42,19 @@ cannot simply drop where it stands.
 
 from __future__ import annotations
 
-import heapq
+import functools
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Mapping, Sequence
+from graphlib import CycleError, TopologicalSorter
+from typing import Iterator, Mapping, Sequence
 
 import networkx as nx
 
 from .arrays import Region, site_in_region
 from .circuits import Circuit
-from .encoding import (Boundary, Vars, WindowSpec, encode_window, shape_key,
-                       window_bounds)
+from .encoding import (Boundary, Vars, WindowSpec, directed_held,
+                       encode_window, shape_key, window_bounds)
 from .errors import (CompileTimeout, ConsistencyError, InfeasibleError,
                      VerificationError)
 from .schedule import AOD, SLM, CompileResult, QubitState, Schedule, Stage
@@ -158,14 +160,19 @@ def solve_window(context: WindowSpec, *, gates: Mapping[int, tuple[int, int]],
     gate fits in the horizon (the caller grows the window).  A window with
     nothing pending is one plain feasibility check.
 
-    A matching `can_fire` discards is counted in `stats.discarded` and
-    never checked; that changes no answer.  Any model of a matching's check
-    gives each of its gates an option, the endpoints up at stage 0 and the
-    site where the pair meets, and the model's options pass every rule
-    `can_fire` reads, one by one and pairwise, since each rule is a
-    consequence of the families under the check's bounds.  So a discarded
-    matching's check has no model and would be refuted, and the first sat
-    check is the one it was without the filter.
+    A matching `_Moves.possible` discards is counted in `stats.discarded`
+    and never checked; that changes no answer.  Any model of a matching's
+    check gives each of its gates an option, the endpoints up at stage 0
+    and the site where the pair meets, and the model's options pass every
+    rule `possible` reads, one by one and pairwise, since each rule is a
+    consequence of the families under the check's bounds.  Every model of
+    the check also keeps the same line rules on the options' up qubits:
+    its stage-0 line indices for them keep every order, tie and range
+    `_Moves._lines` reads, since a one-up mover ends on its static
+    partner's site and a pair that meets is read with its site unknown;
+    so `_lines` finds indices for them.  Hence a discarded matching's
+    check has no model and would be refuted, and the first sat check is
+    the one it was without the filter.
 
     A pinned window with one new stage tries a witness (`_Moves.witness`)
     before each check it makes, counted in `stats.witnessed` when
@@ -232,20 +239,9 @@ def _checks(context: WindowSpec) -> Iterator[tuple[int, ...]]:
         yield from matchings(context.gates, k)
 
 
-def can_fire(w: WindowSpec) -> Callable[[Sequence[int]], bool]:
-    """A solver-free test of a window's matchings: the returned predicate
-    is False only for a matching (gate ids of `w.gates`) that no model of
-    w can fire, so every check of it is refuted.
-
-    It reads a pinned window with one transition (horizon 1, not grown);
-    any other window passes every matching.  See `_Moves` for the rules."""
-    moves = _Moves.of(w)
-    return (lambda m: True) if moves is None else moves.possible
-
-
 class _Moves:
     """The moves a pinned window with one transition allows, read from its
-    own rules with no solver: the matching filter of `can_fire` and the
+    own rules with no solver: the matching filter (`possible`) and the
     witness search of `solve_window`.
 
     There only qubits up (in a movable trap) at stage 0 move:
@@ -269,10 +265,18 @@ class _Moves:
       (`avoid_rows`), and no two firing pairs share one: by `c7_isolation`
       two co-sited qubits at the fire stage fire a gate together, and
       every other fire variable is fixed to 0.
+    - Lines.  The stage-0 line indices of the up qubits fit on each axis
+      (`_lines`): two of them take lines in the order `order` gives, or,
+      where it gives none, in the order of their differing stage-1
+      coordinates (`line_order`); tied qubits keep their tied lines, the
+      directed held qubits the order of their held lines, and every index
+      lies in the region.
 
     A matching passes `possible` when each of its gates has an option that
     passes alone and with every other gate's option, meeting sites
-    included.  Bystanders are ignored, which only weakens the test.  Each
+    included, and the chosen options' up qubits fit lines on both axes, a
+    one-up mover at its partner's site and a pair that meets at a site not
+    yet known.  Bystanders are ignored, which only weakens the test.  Each
     gate's options are read once per window (`options`), and each pair of
     options is decided once and cached across the window's matchings."""
 
@@ -282,20 +286,18 @@ class _Moves:
         self.sites = [(x, y) for x in w.region.x_range
                       for y in w.region.y_range
                       if (x, y) not in w.avoid_sites]
-        self._orders: dict[tuple[int, int], tuple | None] = {}
-        self._met: dict[tuple, bool] = {}
+        self.stage0 = Counter(xy.values())
+        # per-window memos of the methods they wrap
+        self.order = functools.cache(self._order)
+        self.fits = functools.cache(self._meet)
+        self.meetings = functools.cache(self._meetings)
+        self.near = functools.cache(self._near)
         # gate -> its options (qubits up at stage 0, meeting site or None
         # for any site) that pass alone
         self.options = {
             g: [o for o in (((u,), xy[q]), ((q,), xy[u]), ((u, q), None))
                 if self._alone(*o)]
             for g, (u, q) in w.gates.items()}
-        held = w.boundary.held
-        # the held qubits whose stage-0 lines `boundary_rows` orders
-        self.directed = sorted(held) if len(held) >= 2 else []
-        self.stage0 = Counter(xy.values())
-        # (u, q) -> `_meetings`, and a qubit -> `_near`
-        self._sites: dict = {}
 
     @classmethod
     def of(cls, w: WindowSpec) -> "_Moves | None":
@@ -304,14 +306,9 @@ class _Moves:
             return None
         return cls(w)
 
-    def order(self, i: int, j: int) -> tuple | None:
+    def _order(self, i: int, j: int) -> tuple | None:
         """Per axis, whether i <= j and whether i >= j at stage 1 when i
         and j are both up at stage 0; None when they cannot both be."""
-        if (i, j) not in self._orders:
-            self._orders[i, j] = self._order(i, j)
-        return self._orders[i, j]
-
-    def _order(self, i: int, j: int) -> tuple | None:
         b, xy = self.w.boundary, self.xy
         out = []
         for axis in (0, 1):
@@ -347,22 +344,21 @@ class _Moves:
                        for a, (le, ge) in enumerate(need))
                    for m1, m2 in pairs)
 
-    def fits(self, o1, o2) -> bool:
-        if (o1, o2) not in self._met:
-            self._met[o1, o2] = self._meet(o1, o2)
-        return self._met[o1, o2]
-
     def _alone(self, up, site) -> bool:
         if site is None:  # both up, meeting at any site
             return bool(self.sites) and self.order(*up) is not None
         return site in self.sites
 
     def possible(self, m: Sequence[int]) -> bool:
+        """False only for a matching (gate ids of the window's gates) that
+        no model of the window can fire, so every check of it is refuted."""
         chosen: list = []
 
         def extend(i: int) -> bool:
             if i == len(m):
-                return True
+                at1 = {q: site for up, site in chosen for q in up}
+                return all(self._lines(at1, axis) is not None
+                           for axis in (0, 1))
             for o in self.options[m[i]]:
                 if all(self.fits(p, o) for p in chosen):
                     chosen.append(o)
@@ -454,7 +450,7 @@ class _Moves:
                 if lims is None:
                     continue
                 chosen.append(o)
-                for s in sites(lims, self._meetings(u, q) if site is None
+                for s in sites(lims, self.meetings(u, q) if site is None
                                else (site,)):
                     place(up, s, (u, q))
                     found = fire(i + 1)
@@ -494,7 +490,7 @@ class _Moves:
                     lims = box((p,))
                     if lims is None:
                         return None
-                    near = (s for s in self._near(p) if s not in static)
+                    near = (s for s in self.near(p) if s not in static)
                     for s in sites(lims, near):
                         place((p,), s, (p,))
                         dropped.add(p)
@@ -526,93 +522,81 @@ class _Moves:
 
     def _meetings(self, u: int, q: int) -> list[tuple[int, int]]:
         """The sites where u and q, both up, may meet: those no qubit
-        stands on at stage 0, nearest to both first.  None for a pair on
+        stands on at stage 0, nearest to both first; none for a pair on
         one stage-0 site: its equal moves would leave both on one line."""
-        if (u, q) not in self._sites:
-            (ux, uy), (qx, qy) = self.xy[u], self.xy[q]
+        (ux, uy), (qx, qy) = self.xy[u], self.xy[q]
+        if (ux, uy) == (qx, qy):
+            return []
 
-            def far(s):
-                du, dq = abs(s[0] - ux) + abs(s[1] - uy), \
-                    abs(s[0] - qx) + abs(s[1] - qy)
-                return du + dq, abs(du - dq), s
+        def far(s):
+            du, dq = abs(s[0] - ux) + abs(s[1] - uy), \
+                abs(s[0] - qx) + abs(s[1] - qy)
+            return du + dq, abs(du - dq), s
 
-            self._sites[u, q] = [] if (ux, uy) == (qx, qy) else sorted(
-                (s for s in self.sites if not self.stage0[s]), key=far)
-        return self._sites[u, q]
+        return sorted((s for s in self.sites if not self.stage0[s]), key=far)
 
     def _near(self, p: int) -> list[tuple[int, int]]:
         """Every site, nearest to p's stage-0 site first."""
-        if p not in self._sites:
-            px, py = self.xy[p]
-            self._sites[p] = sorted(
-                self.sites, key=lambda s: (abs(s[0] - px) + abs(s[1] - py), s))
-        return self._sites[p]
+        px, py = self.xy[p]
+        return sorted(self.sites,
+                      key=lambda s: (abs(s[0] - px) + abs(s[1] - py), s))
 
-    def _lines(self, at1: Mapping[int, tuple[int, int]], axis: int
+    def _lines(self, at1: Mapping[int, tuple[int, int] | None], axis: int
                ) -> dict[int, int] | None:
         """Stage-0 line indices on one axis (0: columns, 1: rows) for the
-        qubits up at stage 0, `at1` giving each one's stage-1 site, and
-        for the directed held qubits; None when no indices fit.
+        qubits up at stage 0, `at1` giving each one's stage-1 site or None
+        where it is not known, and for the directed held qubits; None when
+        no indices fit.
 
-        The indices form one topological pass.  Two up qubits whose
-        coordinates differ at stage 0 or 1 take lines in that order
-        (`line_order`), and none when the two orders disagree; held qubits
+        The indices form one topological pass.  Two up qubits take lines in
+        the order `order` gives them, and none when their stage-1
+        coordinates disagree with it; where it gives none, differing
+        stage-1 coordinates order their lines (`line_order`).  Held qubits
         keep the order of their held lines, equal ones sharing a line
-        (`boundary_rows`); a tied qubit keeps its tied line.  In the order
-        this imposes, each index sits as close to its qubit's stage-1
-        coordinate as the indices before it and the room left after it
-        allow."""
+        (`boundary_rows`); a tied qubit keeps its tied line, and every
+        index lies in the region.  In the order this imposes, each index
+        sits as close to its qubit's stage-1 coordinate as the indices
+        before it and the room left after it allow."""
         b, xy = self.w.boundary, self.xy
         span = (self.w.region.x_range, self.w.region.y_range)[axis]
-        held = b.held
+        held, directed = b.held, directed_held(self.w)
+        at = {q: None if s is None else s[axis] for q, s in at1.items()}
         # each qubit's class: held qubits on one held line share one
-        cls = {q: (0, held[q][axis]) for q in self.directed}
+        cls = {q: (0, held[q][axis]) for q in directed}
         cls.update({q: (1, q) for q in at1 if q not in cls})
-        keys = sorted(set(cls.values()))
-        succ: dict[tuple, set] = {k: set() for k in keys}
-        pred: dict[tuple, set] = {k: set() for k in keys}
+        pred: dict[tuple, set] = {k: set() for k in cls.values()}
+        succ: dict[tuple, set] = {k: set() for k in cls.values()}
         target = {}
         for q in sorted(cls, reverse=True):
-            target[cls[q]] = at1.get(q, xy[q])[axis]
+            target[cls[q]] = xy[q][axis] if at.get(q) is None else at[q]
         fixed: dict[tuple, int] = {}
         for q in at1:
             if q in b.prev_traps:
                 line = b.prev_traps[q][axis]
                 if fixed.setdefault(cls[q], line) != line:
                     return None
+        lines = sorted({held[q][axis] for q in directed})
+        edges = [((0, lo), (0, hi)) for lo, hi in zip(lines, lines[1:])]
         ups = sorted(at1)
-        edges = []
-        for i, u in enumerate(ups):
-            pu = xy[u][axis], at1[u][axis]
-            for q in ups[i + 1:]:
-                pq = xy[q][axis], at1[q][axis]
-                if pu == pq:
-                    continue
-                if pu[0] <= pq[0] and pu[1] <= pq[1]:
-                    edges.append((cls[u], cls[q]))
-                elif pu[0] >= pq[0] and pu[1] >= pq[1]:
-                    edges.append((cls[q], cls[u]))
-                else:
-                    return None  # the two lines would cross
-        lines = sorted({held[q][axis] for q in self.directed})
-        edges += [((0, lo), (0, hi)) for lo, hi in zip(lines, lines[1:])]
+        for n, i in enumerate(ups):
+            for j in ups[n + 1:]:
+                o = self.order(i, j)
+                if o is None:
+                    return None
+                le, ge = o[axis]
+                if at[i] is not None and at[j] is not None:
+                    if le and at[i] > at[j] or ge and at[i] < at[j]:
+                        return None  # the two lines would cross
+                    if not (le or ge):
+                        le, ge = at[i] < at[j], at[i] > at[j]
+                if le != ge:
+                    edges.append((cls[i], cls[j]) if le else (cls[j], cls[i]))
         for lo, hi in edges:
-            if lo == hi:
-                return None
-            succ[lo].add(hi)
             pred[hi].add(lo)
-        waiting = {k: len(pred[k]) for k in keys}
-        ready = [k for k in keys if not waiting[k]]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            k = heapq.heappop(ready)
-            order.append(k)
-            for s in succ[k]:
-                waiting[s] -= 1
-                if not waiting[s]:
-                    heapq.heappush(ready, s)
-        if len(order) < len(keys):
+            succ[lo].add(hi)
+        try:
+            order = list(TopologicalSorter(pred).static_order())
+        except CycleError:
             return None
         lb, ub, val = {}, {}, {}
         for k in order:

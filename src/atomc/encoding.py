@@ -197,7 +197,7 @@ def trap_transfer(v: Vars, w: WindowSpec) -> Iterator[Clause]:
             yield pos(v.a[q, 0]), neg(v.a[q, 1])
 
 
-def _directed(w: WindowSpec) -> frozenset[int]:
+def directed_held(w: WindowSpec) -> frozenset[int]:
     """The held qubits whose stage-0 indices `boundary_rows` orders: all of
     them when at least two hold lines, else none."""
     held = w.boundary.held
@@ -211,7 +211,7 @@ def static_lines(v: Vars, w: WindowSpec) -> Iterator[Clause]:
     hold lines; a lone held qubit is ordered against nothing) keep free
     stage-0 indices."""
     reg = w.region
-    directed = _directed(w)
+    directed = directed_held(w)
     for q in w.qubits:
         for t in range(w.stages):
             if t == 0:
@@ -315,7 +315,7 @@ def shape_key(w: WindowSpec) -> tuple:
     whether stage 0 is pinned, and the held lines when two or more qubits
     hold lines (`boundary_rows` and `static_lines` read their order; one
     compile holds one set of them)."""
-    held = tuple(sorted(w.boundary.held.items())) if _directed(w) else ()
+    held = tuple(sorted(w.boundary.held.items())) if directed_held(w) else ()
     return w.stages, w.boundary.xy is not None, held
 
 

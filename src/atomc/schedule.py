@@ -76,10 +76,11 @@ class CompileResult:
 
     solver_calls counts the compile's HiGHS calls only, refuted matchings
     included (see `compiler.solve_window`).  A matching that
-    `compiler.can_fire` rules out is never checked, and a check decided by
-    a witness makes no call, so neither is counted there.
+    `compiler._Moves.possible` rules out is never checked, and a check
+    decided by a witness makes no call, so neither is counted there.
     discarded counts those matchings: the ones the compile reached and
-    skipped without a solver call.
+    skipped without a solver call, each ruled out by its window's move
+    order, lines or meeting sites, so each one's check would be refuted.
     witnessed counts the checks decided by an accepted witness, each a sat
     check with no HiGHS call.
     stage_budget_history records, per committed solver window, how many new

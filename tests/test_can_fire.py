@@ -1,6 +1,6 @@
-"""`compiler.can_fire`, the solver-free matching filter: every matching it
-discards is refuted by the window's MILP, and each rule it reads discards
-a matching of its own window."""
+"""`compiler._Moves.possible`, the solver-free matching filter: every
+matching it discards is refuted by the window's MILP, and each rule it
+reads discards a matching of its own window."""
 
 import itertools
 from collections import Counter
@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from atomc import compiler
 from atomc.arrays import ArraySpec, full_region
 from atomc.circuits import generate_rand3reg
-from atomc.compiler import (can_fire, compile_circuit, matching_number,
-                            matchings)
+from atomc.compiler import _Moves, compile_circuit, matching_number, matchings
 from atomc.encoding import Boundary, WindowSpec, encode_window, window_bounds
 from atomc.orchestrator import pac_compile
 from atomc.smt import MilpBackend
@@ -73,12 +72,19 @@ def _encoded(spec):
     return backend, encode_window(backend, spec)
 
 
+def _possible(spec):
+    """The window's matching filter: `_Moves.possible`, or for a free or
+    grown window, which has no `_Moves`, one that passes every matching."""
+    moves = _Moves.of(spec)
+    return (lambda m: True) if moves is None else moves.possible
+
+
 def _refuted_when_discarded(specs) -> int:
     """Check every matching each window discards against the window's MILP,
     for every k up to its matching number; return how many there were."""
     count = 0
     for spec in specs:
-        possible = can_fire(spec)
+        possible = _possible(spec)
         discarded = [m for m in _in_order(spec) if not possible(m)]
         if discarded:
             encoded = _encoded(spec)
@@ -98,13 +104,12 @@ def test_discarded_matchings_are_refuted():
 def test_discarded_matchings_are_refuted_over_the_depth_sweep(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     from depth_sweep import SWEEP
-    specs = []
-    for mode, q, seed, n in SWEEP["roadmap"]:
-        if mode == "direct":
-            specs += _direct_windows(q, seed, n)
-        else:
-            specs += _pac_windows(q, seed, n)
-    assert _refuted_when_discarded(specs) > 0
+    count = 0
+    for mode, q, seed, n in (case for group in SWEEP.values()
+                             for case in group):
+        windows = _direct_windows if mode == "direct" else _pac_windows
+        count += _refuted_when_discarded(windows(q, seed, n))
+    assert count > 0
 
 
 @st.composite
@@ -148,7 +153,7 @@ def _window(n, xy, tied=None, held=None, avoid=()):
 
 def _discards(spec, m=(0, 1)) -> bool:
     """Whether the filter discards m; a discarded m is refuted too."""
-    if can_fire(spec)(m):
+    if _possible(spec)(m):
         return False
     assert _answer(spec, m) == "unsat"
     return True
@@ -156,7 +161,7 @@ def _discards(spec, m=(0, 1)) -> bool:
 
 def _fires(spec, m=(0, 1)) -> bool:
     """Whether the filter passes m and the window's check finds it sat."""
-    return can_fire(spec)(m) and _answer(spec, m) == "sat"
+    return _possible(spec)(m) and _answer(spec, m) == "sat"
 
 
 # four qubits on the diagonal of 4x4, so no two stand in one column
@@ -218,12 +223,48 @@ def test_strict_stage0_order_bounds_the_moves_weakly():
     assert _fires(_window(3, {**xy, 1: (1, 1)}, tied=tied))
 
 
+def test_a_mover_between_adjacent_tied_columns_stays_down():
+    # y=2  .  3  .
+    # y=1  .  .  .
+    # y=0  0  2  1
+    # 3 is tied to 0's column and 1's row from another site, so it stays
+    # down beside either, and 2 moves onto 3's site.  Every pair of
+    # options then allows 0 and 1 to fire only by both going up and
+    # meeting in column 1, but 2's column would lie strictly between
+    # their tied columns 0 and 1
+    xy = {0: (0, 0), 1: (2, 0), 2: (1, 0), 3: (1, 2)}
+    tied = {0: (0, 0), 1: (1, 0), 3: (0, 0)}
+    assert _discards(_window(3, xy, tied=tied))
+    # with 1 tied to column 2, column 1 is free for 2
+    assert _fires(_window(3, xy, tied={**tied, 1: (2, 0)}))
+
+
+def test_a_known_landing_site_orders_two_lines_of_one_column():
+    # y=2  .  .  .
+    # y=1  3  2  .
+    # y=0  .  0  1
+    # 0 and 1 share tied lines, so one of them stays down, and with tied
+    # column 0 neither goes up beside a qubit left of it.  So 0 moves
+    # right onto 1 and 2 moves left onto 3.  0 and 2 stand in one column,
+    # so a count over stage-0 columns lets 2 share 0's column 0; their
+    # landing sites put 2's column strictly left of it
+    xy = {0: (1, 0), 1: (2, 0), 2: (1, 1), 3: (0, 1)}
+    tied = {0: (0, 0), 1: (0, 0)}
+    spec = _window(3, xy, tied=tied)
+    assert _discards(spec)
+    moves = _Moves(spec)
+    assert moves._lines({0: None, 2: None}, 0) is not None
+    assert moves._lines({0: xy[1], 2: xy[3]}, 0) is None
+    # with 0 tied to column 1, column 0 is free for 2
+    assert _fires(_window(3, xy, tied={**tied, 0: (1, 0)}))
+
+
 def test_free_and_grown_windows_pass_every_matching():
     spec = _window(3, CROSSED)
-    assert not can_fire(spec)((0, 1))
+    assert not _possible(spec)((0, 1))
     for other in (replace(spec, stages=3),
                   replace(spec, stages=1, boundary=Boundary())):
-        assert can_fire(other)((0, 1))
+        assert _Moves.of(other) is None
 
 
 def test_pac_global_window_checks_its_optimum_alone():
@@ -233,7 +274,7 @@ def test_pac_global_window_checks_its_optimum_alone():
     # a witness decides it with no solver call
     spec = _global_windows(12, 22, 8)[0]
     ahead = list(itertools.takewhile(lambda m: m != (0, 2), _in_order(spec)))
-    assert len(ahead) == 6 and not any(map(can_fire(spec), ahead))
+    assert len(ahead) == 6 and not any(map(_possible(spec), ahead))
     stats = compiler._Stats(t0=0.0, deadline=float("inf"))
     result = compiler.solve_window(spec, gates=spec.gates, shapes={},
                                    stats=stats)

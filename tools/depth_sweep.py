@@ -7,8 +7,8 @@ Imports `atomc` from SRC_DIR, wraps `scipy.optimize.milp`, and compiles
 `generate_rand3reg(Q, SEED)` on an N x N array in MODE (direct or pac) for
 each case; without --case, it runs the fixed sweep below.  Per case it
 prints one line: the schedule depth, the solver calls, the matchings
-discarded without a call (`compiler.can_fire`; 0 for a tree that has no
-such count), the checks decided by a witness without a call
+discarded without a call (`compiler._Moves.possible`; 0 for a tree that
+has no such count), the checks decided by a witness without a call
 (`CompileResult.witnessed`; 0 likewise), the grown windows (those that
 fired at a horizon above 1), the wall time of the compile (digests
 included), in pac over all three phases, and the sha256 of the
