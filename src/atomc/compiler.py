@@ -65,7 +65,9 @@ from .smt import MilpBackend
 MAX_HORIZON = 8
 
 # the most sites (meeting and drop sites) and line assignments one witness
-# search tries for one matching before the check goes to HiGHS
+# search tries for one matching before the check goes to HiGHS, and the
+# most line solves the matching filter's meeting-site placement makes for
+# one matching before it passes the matching
 WITNESS_BUDGET = 256
 
 
@@ -165,14 +167,20 @@ def solve_window(context: WindowSpec, *, gates: Mapping[int, tuple[int, int]],
     check gives each of its gates an option, the endpoints up at stage 0
     and the site where the pair meets, and the model's options pass every
     rule `possible` reads, one by one and pairwise, since each rule is a
-    consequence of the families under the check's bounds.  Every model of
-    the check also keeps the same line rules on the options' up qubits:
-    its stage-0 line indices for them keep every order, tie and range
-    `_Moves._lines` reads, since a one-up mover ends on its static
-    partner's site and a pair that meets is read with its site unknown;
-    so `_lines` finds indices for them.  Hence a discarded matching's
-    check has no model and would be refuted, and the first sat check is
-    the one it was without the filter.
+    consequence of the families under the check's bounds.  The model's
+    own stage-1 sites also pass the joint placement of the pairs that
+    meet.  The firing pairs stand on pairwise distinct sites
+    (`c6_gate_cosite`, and `c7_isolation` with every other fire variable
+    fixed at 0), a one-up pair on its static partner's stage-0 site, and
+    every site is in the region and not avoided.  The model's stage-0 line
+    indices for the options' up qubits keep every order, tie and range
+    `_Moves._lines` reads, so `_lines` finds indices at each partial
+    placement of those sites, in any order, and each site lies in the
+    move-order box (`_Moves.box`) the qubits placed before it leave.
+    Bystanders are ignored, which only weakens the test, and a search
+    that spends `WITNESS_BUDGET` passes the matching.  Hence a discarded
+    matching's check has no model and would be refuted, and the first sat
+    check is the one it was without the filter.
 
     A pinned window with one new stage tries a witness (`_Moves.witness`)
     before each check it makes, counted in `stats.witnessed` when
@@ -271,14 +279,24 @@ class _Moves:
       coordinates (`line_order`); tied qubits keep their tied lines, the
       directed held qubits the order of their held lines, and every index
       lies in the region.
+    - Meeting sites are placed jointly.  Every pair that meets stands on
+      one site of its own, apart from every other such pair's and from
+      every one-up mover's landing site, inside the move-order box
+      (`box`) of the up qubits placed before it, with the lines still
+      fitting.  The site may be one a qubit stands on at stage 0, since
+      an up qubit can leave it.
 
     A matching passes `possible` when each of its gates has an option that
     passes alone and with every other gate's option, meeting sites
-    included, and the chosen options' up qubits fit lines on both axes, a
+    included, the chosen options' up qubits fit lines on both axes, a
     one-up mover at its partner's site and a pair that meets at a site not
-    yet known.  Bystanders are ignored, which only weakens the test.  Each
-    gate's options are read once per window (`options`), and each pair of
-    options is decided once and cached across the window's matchings."""
+    yet known, and the pairs that meet can then be placed one by one, the
+    lines fitting after each placement.  The placement search makes at
+    most `WITNESS_BUDGET` line solves per matching, and passes the
+    matching once they are spent.  Bystanders are ignored, which only
+    weakens the test.  Each gate's options are read once per window
+    (`options`), and each pair of options is decided once and cached
+    across the window's matchings."""
 
     def __init__(self, w: WindowSpec):
         self.w = w
@@ -349,16 +367,76 @@ class _Moves:
             return bool(self.sites) and self.order(*up) is not None
         return site in self.sites
 
+    def box(self, up: tuple[int, ...],
+            at1: Mapping[int, tuple[int, int] | None]) -> list | None:
+        """Per axis, the [lo, hi] a stage-1 site of the qubits `up` keeps
+        to agree with every up qubit `at1` places on the order `order`
+        asks; None when one of them cannot be up beside one placed.  A
+        qubit `at1` maps to None is not placed yet."""
+        span = self.w.region.x_range, self.w.region.y_range
+        lims = [[r.start, r.stop - 1] for r in span]
+        for i in up:
+            for j, s in at1.items():
+                if s is None:
+                    continue
+                o = self.order(i, j)
+                if o is None:
+                    return None
+                for axis, (le, ge) in enumerate(o):
+                    if le:
+                        lims[axis][1] = min(lims[axis][1], s[axis])
+                    if ge:
+                        lims[axis][0] = max(lims[axis][0], s[axis])
+        return lims
+
     def possible(self, m: Sequence[int]) -> bool:
         """False only for a matching (gate ids of the window's gates) that
-        no model of the window can fire, so every check of it is refuted."""
+        no model of the window can fire, so every check of it is refuted.
+        True, too, once the meeting-site search has spent
+        `WITNESS_BUDGET` line solves."""
         chosen: list = []
+        left = WITNESS_BUDGET
+
+        def fit(at1) -> bool:
+            return all(self._lines(at1, axis) is not None for axis in (0, 1))
+
+        def free(up: tuple[int, ...], at1: dict) -> list:
+            """The sites the pair `up` may meet on: in its box, and not
+            taken in `at1`."""
+            (x0, x1), (y0, y1) = self.box(up, at1)
+            taken = set(at1.values())
+            return [s for s in self.sites if s not in taken
+                    and x0 <= s[0] <= x1 and y0 <= s[1] <= y1]
+
+        def meet(at1: dict, pairs: list) -> bool:
+            """Whether each pair of up qubits in `pairs`, which `at1` does
+            not place yet, takes a site of its own in its box, the lines
+            fitting after each placement.  The pair with the fewest sites
+            left goes first; each line solve at a placement costs one unit
+            of the budget, and a spent budget answers True."""
+            nonlocal left
+            if not pairs:
+                return True
+            sites, up = min(((free(up, at1), up) for up in pairs),
+                            key=lambda found: len(found[0]))
+            rest = [p for p in pairs if p != up]
+            for s in sites:
+                if left <= 0:
+                    return True
+                left -= 1
+                for q in up:
+                    at1[q] = s
+                if fit(at1) and meet(at1, rest):
+                    return True
+            for q in up:
+                at1[q] = None
+            return False
 
         def extend(i: int) -> bool:
             if i == len(m):
                 at1 = {q: site for up, site in chosen for q in up}
-                return all(self._lines(at1, axis) is not None
-                           for axis in (0, 1))
+                return fit(at1) and meet(
+                    at1, [up for up, site in chosen if site is None])
             for o in self.options[m[i]]:
                 if all(self.fits(p, o) for p in chosen):
                     chosen.append(o)
@@ -396,24 +474,6 @@ class _Moves:
         taken: dict[tuple[int, int], tuple[int, ...]] = {}
         chosen: list = []
         left = WITNESS_BUDGET
-        span = w.region.x_range, w.region.y_range
-
-        def box(up: tuple[int, ...]) -> list | None:
-            """Per axis, the [lo, hi] a stage-1 site of the qubits `up`
-            keeps to agree with every placed up qubit on the order `order`
-            asks; None when one of them cannot be up beside one placed."""
-            lims = [[r.start, r.stop - 1] for r in span]
-            for i in up:
-                for j, s in at1.items():
-                    o = self.order(i, j)
-                    if o is None:
-                        return None
-                    for axis, (le, ge) in enumerate(o):
-                        if le:
-                            lims[axis][1] = min(lims[axis][1], s[axis])
-                        if ge:
-                            lims[axis][0] = max(lims[axis][0], s[axis])
-            return lims
 
         def sites(lims: list, candidates) -> Iterator[tuple[int, int]]:
             """The candidates in `lims` no one stands on at stage 1; each
@@ -446,7 +506,7 @@ class _Moves:
                 if not all(self.fits(p, o) for p in chosen):
                     continue
                 up, site = o
-                lims = box(up)
+                lims = self.box(up, at1)
                 if lims is None:
                     continue
                 chosen.append(o)
@@ -487,7 +547,7 @@ class _Moves:
             def drop(k: int, queue: tuple[int, ...]) -> dict | None:
                 if queue:
                     p = queue[0]
-                    lims = box((p,))
+                    lims = self.box((p,), at1)
                     if lims is None:
                         return None
                     near = (s for s in self.near(p) if s not in static)

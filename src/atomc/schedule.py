@@ -80,7 +80,9 @@ class CompileResult:
     decided by a witness makes no call, so neither is counted there.
     discarded counts those matchings: the ones the compile reached and
     skipped without a solver call, each ruled out by its window's move
-    order, lines or meeting sites, so each one's check would be refuted.
+    order, lines or meeting sites (one distinct site per pair that meets,
+    placed for all of them together), so each one's check would be
+    refuted.
     witnessed counts the checks decided by an accepted witness, each a sat
     check with no HiGHS call.
     stage_budget_history records, per committed solver window, how many new

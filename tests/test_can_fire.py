@@ -95,7 +95,8 @@ def _refuted_when_discarded(specs) -> int:
 
 
 def test_discarded_matchings_are_refuted():
-    specs = [s for seed in (1, 2, 3) for s in _direct_windows(6, seed, 3)]
+    # direct rand3reg(6, 13) is in perfbench's direct ladder
+    specs = [s for seed in (1, 2, 3, 13) for s in _direct_windows(6, seed, 3)]
     specs += [s for seed in (1, 5, 6) for s in _global_windows(12, seed, 8)]
     assert _refuted_when_discarded(specs) >= 10
 
@@ -139,6 +140,43 @@ def _pinned_windows(draw):
 @given(_pinned_windows())
 @settings(max_examples=100, deadline=None)
 def test_random_windows_refute_what_they_discard(spec):
+    _refuted_when_discarded([spec])
+
+
+@st.composite
+def _crowded_windows(draw):
+    """A random horizon-1 window on 4x4, crowded as a firing stage leaves
+    one: up to eight qubits on five or six stage-0 sites, one or two on
+    each, and random gates, half of them between two qubits of one site;
+    tied and held lines, and avoided sites among the empty ones.  More
+    often than in `_pinned_windows`, a pair can meet only on a site
+    another qubit stands on at stage 0."""
+    sites = list(itertools.product(range(4), repeat=2))
+    spots = draw(st.lists(st.sampled_from(sites), min_size=5, max_size=6,
+                          unique=True))
+    paired = draw(st.lists(st.booleans(), min_size=len(spots),
+                           max_size=len(spots)))
+    xy = [s for s, two in zip(spots, paired) for _ in range(1 + two)][:8]
+    qubits = range(len(xy))
+    pairs = list(itertools.combinations(qubits, 2))
+    gate = st.sampled_from(pairs)
+    cosited = [(u, q) for u, q in pairs if xy[u] == xy[q]]
+    if cosited:
+        gate = st.one_of(st.sampled_from(cosited), gate)
+    gates = draw(st.lists(gate, min_size=3, max_size=6))
+    line = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    tied = draw(st.dictionaries(st.sampled_from(qubits), line))
+    held = draw(st.dictionaries(st.sampled_from(qubits), line))
+    empty = sorted(set(sites) - set(xy))
+    avoid = draw(st.frozensets(st.sampled_from(empty)))
+    return WindowSpec(
+        list(qubits), dict(enumerate(gates)), 2, full_region(ArraySpec(4)),
+        Boundary(xy=dict(enumerate(xy)), prev_traps=tied, held=held), avoid)
+
+
+@given(_crowded_windows())
+@settings(max_examples=200, deadline=None)
+def test_crowded_windows_refute_what_they_discard(spec):
     _refuted_when_discarded([spec])
 
 
@@ -257,6 +295,65 @@ def test_a_known_landing_site_orders_two_lines_of_one_column():
     assert moves._lines({0: xy[1], 2: xy[3]}, 0) is None
     # with 0 tied to column 1, column 0 is free for 2
     assert _fires(_window(3, xy, tied={**tied, 0: (1, 0)}))
+
+
+def test_pairs_that_meet_take_distinct_sites_jointly():
+    # y=1  2,5  .    .
+    # y=0  3,4  0,1  .
+    # a window direct rand3reg(6, 2) on 3x3 solves, with three co-sited
+    # pairs as a firing stage leaves them.  Each matching below fires all
+    # six qubits, and some choice of options passes every rule pairwise and
+    # the line solve with its meeting sites unknown.  But no choice places
+    # its pairs that meet on distinct sites, apart from the movers'
+    # landing sites, so that the lines still fit
+    xy = {0: (1, 0), 1: (1, 0), 2: (0, 1), 3: (0, 0), 4: (0, 0), 5: (0, 1)}
+    gates = {1: (0, 3), 2: (0, 5), 3: (1, 4), 4: (1, 5), 5: (2, 3),
+             6: (2, 4)}
+    spec = WindowSpec(
+        list(xy), gates, 2, full_region(ArraySpec(3)),
+        Boundary(xy=xy, prev_traps={1: (2, 0), 3: (0, 0), 5: (0, 2)}))
+    assert _discards(spec, (1, 4, 6)) and _discards(spec, (2, 3, 5))
+    # the window fires (1, 3), its first matching of two
+    assert _fires(spec, (1, 3))
+
+
+def test_a_pair_meets_where_an_up_qubit_stood():
+    # y=2  x  3  x      x: avoided
+    # y=1  x  4  x
+    # y=0  0  2  1
+    # neither 0 nor 1 can move onto the other across gate 1's column, so
+    # they meet in it.  A qubit stands on every site of that column at
+    # stage 0, so the pair meets where an up qubit stood: on (1, 0), which
+    # 2 vacates to move onto 3
+    xy = {0: (0, 0), 1: (2, 0), 2: (1, 0), 3: (1, 2), 4: (1, 1)}
+    assert _fires(_window(3, xy, avoid={(0, 1), (0, 2), (2, 1), (2, 2)}))
+
+
+# y=2  0  3  2
+# y=1  5  .  .
+# y=0  4  .  1
+# gates (0, 4), (1, 3) and (2, 5) turn about the centre
+PINWHEEL = WindowSpec(
+    list(range(6)), {0: (0, 4), 1: (1, 3), 2: (2, 5)}, 2,
+    full_region(ArraySpec(3)),
+    Boundary(xy={0: (0, 2), 1: (2, 0), 2: (2, 2), 3: (1, 2), 4: (0, 0),
+                 5: (0, 1)}))
+
+
+def test_two_pairs_never_share_the_one_site_left_to_them():
+    # every way to fire all three gates moves one qubit onto its partner
+    # and leaves the pairs that meet one site besides its landing site: a
+    # lone pair finds none, and two pairs would share it.  Any two gates
+    # fit together pairwise, each pair on a site of its own
+    assert _discards(PINWHEEL, (0, 1, 2))
+    assert _fires(PINWHEEL, (0, 1))
+
+
+def test_the_meeting_search_stops_at_its_budget(monkeypatch):
+    # with no budget the filter passes what only the placement of the
+    # pairs that meet discards
+    monkeypatch.setattr(compiler, "WITNESS_BUDGET", 0)
+    assert _Moves(PINWHEEL).possible((0, 1, 2))
 
 
 def test_free_and_grown_windows_pass_every_matching():

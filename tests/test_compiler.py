@@ -16,6 +16,7 @@ from atomc.orchestrator import PacOptions, _zip_local, pac_compile
 from atomc.schedule import SLM, QubitState, Stage
 from atomc.smt import MilpBackend
 from atomc.verifier import verify, verify_phases
+from test_can_fire import _answer
 
 K4 = Circuit(4, tuple(itertools.combinations(range(4), 2)), name="k4")
 # two triangles joined by one cross gate
@@ -98,13 +99,21 @@ REFUTED_FIRST = WindowSpec(
                  5: (1, 1)}))
 
 
+def _unfiltered(monkeypatch):
+    """Let the matching filter pass every matching, so each reaches a
+    witness or HiGHS."""
+    monkeypatch.setattr(compiler._Moves, "possible", lambda self, m: True)
+
+
 def test_probes_refute_down_to_the_optimum(monkeypatch):
     spec = REFUTED_FIRST
     assert matching_number(spec.gates) == 3
     # {0, 1, 2} is the only 3-matching; the 2-matchings follow in
     # lexicographic order, and the first, {0, 1}, fires
     assert list(matchings(spec.gates, 3)) == [(0, 1, 2)]
-    # without witnesses, HiGHS refutes {0, 1, 2} and finds {0, 1} sat
+    # without the filter and witnesses, HiGHS refutes {0, 1, 2} and finds
+    # {0, 1} sat
+    _unfiltered(monkeypatch)
     monkeypatch.setattr(compiler, "WITNESS_BUDGET", 0)
     matrices = []
     result, probes, stats = _probed(spec, matrices)
@@ -114,12 +123,32 @@ def test_probes_refute_down_to_the_optimum(monkeypatch):
     assert len(matrices) == 2 and matrices[0] is matrices[1]
 
 
-def test_a_witness_decides_the_first_sat_check():
-    # the same window: no witness exists for the refuted {0, 1, 2}, so
-    # HiGHS refutes it, and a witness decides {0, 1} with no call
+def test_a_witness_decides_the_first_sat_check(monkeypatch):
+    # the same window without the filter: no witness exists for the
+    # refuted {0, 1, 2}, so HiGHS refutes it, and a witness decides {0, 1}
+    # with no call
+    _unfiltered(monkeypatch)
     result, probes, stats = _probed(REFUTED_FIRST)
     assert probes == [((0, 1, 2), "unsat")]
     assert (stats.calls, stats.witnessed) == (1, 1)
+    assert sorted(result.fired) == [0, 1]
+
+
+def test_the_filter_discards_the_refuted_matching():
+    # y=2  0  .  2
+    # y=1  1  5  .
+    # y=0  3  4  .
+    # every way to fire {0, 1, 2} moves 4 onto 5 and has 2 and 3 meet.
+    # Beside either other gate alone they find a site, but beside both
+    # the move order leaves them only (1, 1), where 4 lands.  Placing the
+    # pairs that meet jointly, the filter discards {0, 1, 2}, which the
+    # MILP refutes, and the window makes no HiGHS call at all
+    spec = REFUTED_FIRST
+    assert not compiler._Moves(spec).possible((0, 1, 2))
+    assert _answer(spec, (0, 1, 2)) == "unsat"
+    result, probes, stats = _probed(spec)
+    assert probes == []
+    assert (stats.calls, stats.discarded, stats.witnessed) == (0, 1, 1)
     assert sorted(result.fired) == [0, 1]
 
 

@@ -1,5 +1,7 @@
-"""`tools/depth_sweep.py`: its case and sum lines, and the HiGHS input
-digests it prints under each case, which no hash seed may change."""
+"""`tools/depth_sweep.py`: its case and sum lines, the HiGHS input
+digests it prints under each case, which no hash seed may change, and
+its gate for a change that only refutes checks without HiGHS
+(`--refines`)."""
 
 import os
 import re
@@ -7,14 +9,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "tools" / "depth_sweep.py"
 WALL = re.compile(r"\d+\.\d\d s")
 
 
-def _sweep(*cases: str, hash_seed: str = "0") -> subprocess.Popen:
+def _sweep(*cases: str, hash_seed: str = "0",
+           refines: Path | None = None) -> subprocess.Popen:
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     args = [arg for case in cases for arg in ("--case", case)]
+    if refines is not None:
+        args += ["--refines", str(refines)]
     return subprocess.Popen(
         [sys.executable, str(SCRIPT), str(ROOT / "src"), *args],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
@@ -54,3 +61,87 @@ def test_depth_sweep_does_not_depend_on_the_hash_seed():
         "cases (2 cases)"]
     assert len(outs[0].splitlines()) > len(headers)
     assert outs[0] == outs[1]
+
+
+PARENT = """\
+direct rand3reg(6, 1) 3x3: depth 5, 3 calls, 1 discarded, 4 witnessed, \
+0 grown, 0.12 s, schedule aa
+  d1
+  d2
+  d2
+pac rand3reg(12, 1) 8x8: depth 6, 1 calls, 0 discarded, 9 witnessed, \
+0 grown, 0.50 s, schedule bb
+  d3
+cases (2 cases): depth 11, 4 calls, 1 discarded, 13 witnessed, 0 grown, \
+0.62 s
+"""
+CASE = ("direct rand3reg(6, 1) 3x3: depth 5, {calls} calls, {discarded} "
+        "discarded, 4 witnessed, 0 grown, {wall} s, schedule aa")
+
+
+def _tool(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import depth_sweep
+    return depth_sweep
+
+
+def test_read_output_keeps_each_case_and_its_digests(monkeypatch):
+    cases = _tool(monkeypatch).read_output(PARENT)
+    assert list(cases) == ["direct rand3reg(6, 1) 3x3",
+                           "pac rand3reg(12, 1) 8x8"]
+    line, digests = cases["direct rand3reg(6, 1) 3x3"]
+    assert line.endswith("schedule aa")
+    assert digests == {"d1": 1, "d2": 2}
+    assert cases["pac rand3reg(12, 1) 8x8"][1] == {"d3": 1}
+
+
+def test_fewer_calls_on_the_parent_inputs_refine_it(monkeypatch):
+    tool = _tool(monkeypatch)
+    parent = tool.read_output(PARENT)
+    for calls, digests in ((3, ["d1", "d2", "d2"]), (1, ["d2"]), (0, [])):
+        line = CASE.format(calls=calls, discarded=4 - calls, wall="9.87")
+        assert tool.refines(line, digests, parent) is None
+
+
+@pytest.mark.parametrize("line,digests,broken", [
+    # another schedule, or another depth
+    (CASE.format(calls=1, discarded=3, wall="0.12").replace("aa", "cc"),
+     ["d1"], "line differs"),
+    (CASE.format(calls=1, discarded=3, wall="0.12").replace("depth 5",
+                                                             "depth 4"),
+     ["d1"], "line differs"),
+    # a problem the parent never handed HiGHS, or one it handed it less
+    # often
+    (CASE.format(calls=1, discarded=3, wall="0.12"), ["d4"], "never solved"),
+    (CASE.format(calls=2, discarded=2, wall="0.12"), ["d1", "d1"],
+     "never solved"),
+    # more calls than the parent made
+    (CASE.format(calls=4, discarded=0, wall="0.12"), ["d1", "d2"],
+     "the parent made 3"),
+    # a case the parent did not run
+    (CASE.format(calls=1, discarded=3, wall="0.12").replace("(6, 1)",
+                                                             "(6, 2)"),
+     ["d1"], "not in the parent"),
+], ids=["schedule", "depth", "new-input", "repeated-input", "more-calls",
+        "unknown-case"])
+def test_what_breaks_the_refinement_gate(monkeypatch, line, digests, broken):
+    tool = _tool(monkeypatch)
+    assert broken in tool.refines(line, digests, tool.read_output(PARENT))
+
+
+def test_refines_exits_on_the_first_case_that_breaks_it(tmp_path):
+    out = _output(_sweep("direct:4:1:2"))
+    same = tmp_path / "same.txt"
+    same.write_text(out)
+    again = _output(_sweep("direct:4:1:2", refines=same))
+    assert WALL.sub("- s", again) == WALL.sub("- s", out)
+    # a parent that reached another schedule
+    moved = tmp_path / "moved.txt"
+    moved.write_text(re.sub(r"schedule [0-9a-f]{64}", "schedule " + "0" * 64,
+                            out))
+    run = _sweep("direct:4:1:2", "direct:6:2:3", refines=moved)
+    stdout, stderr = run.communicate(timeout=300)
+    assert run.returncode == 1
+    assert "not a refinement: direct rand3reg(4, 1) 2x2" in stderr
+    # it stops at the case, before the next one
+    assert "rand3reg(6, 2)" not in stdout

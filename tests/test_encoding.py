@@ -270,9 +270,11 @@ def test_a_tied_qubit_up_at_stage0_rides_its_tied_line(windows, request):
 def shaped_compile():
     """Direct rand3reg(6, 16) on 3x3, traced: the key of every shape
     `encode_window` encodes, and per check its window's number and shape
-    and the constraint matrix it hands HiGHS."""
+    and the constraint matrix it hands HiGHS, or that `accept` reads to
+    take a witness."""
     encoded, checks, windows = [], [], []
     encode, solve_one = compiler.encode_window, compiler.solve_window
+    accept = MilpBackend.accept
 
     def encoding(backend, w, *args):
         encoded.append(shape_key(w))
@@ -286,10 +288,16 @@ def shaped_compile():
         checks.append((len(windows), windows[-1], kwargs["constraints"].A))
         return real(**kwargs)
 
+    def accepting(backend, witness, fixed=None):
+        ok = accept(backend, witness, fixed)
+        checks.append((len(windows), windows[-1], backend._constraint()[0]))
+        return ok
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(compiler, "encode_window", encoding)
         mp.setattr(compiler, "solve_window", solving)
         mp.setattr(scipy.optimize, "milp", milp)
+        mp.setattr(MilpBackend, "accept", accepting)
         compile_circuit(generate_rand3reg(6, 16), full_region(ArraySpec(3)))
     return encoded, checks
 
@@ -306,6 +314,6 @@ def test_every_check_of_a_shape_shares_one_matrix(shaped_compile):
     first = {}
     for _, key, matrix in checks:
         assert matrix is first.setdefault(key, matrix), key
-    # the pinned horizon-1 shape serves several windows (witnesses decide
-    # its sat checks, so these are refutations)
+    # the pinned horizon-1 shape serves several windows: HiGHS refutes a
+    # check in one of them, and witnesses decide the sat checks
     assert len({n for n, key, _ in checks if key == (2, True, ())}) > 1

@@ -2,6 +2,7 @@
 compiles.
 
     python tools/depth_sweep.py SRC_DIR [--case MODE:Q:SEED:N ...]
+                                        [--refines PARENT_OUT]
 
 Imports `atomc` from SRC_DIR, wraps `scipy.optimize.milp`, and compiles
 `generate_rand3reg(Q, SEED)` on an N x N array in MODE (direct or pac) for
@@ -29,6 +30,17 @@ same schedules:
 
     mask() { python tools/depth_sweep.py "$1" | sed -E 's/[0-9]+\\.[0-9]+ s/- s/'; }
     diff <(mask A/src) <(mask B/src)
+
+A change that only refutes checks without HiGHS (a stronger matching
+filter) keeps every schedule but drops calls.  `--refines PARENT_OUT`
+checks such a tree against PARENT_OUT, the saved output of the parent
+tree on the same cases, and exits 1 on the first case that breaks the
+gate: its line must equal the parent's once wall, calls and discarded are
+masked, its digests must be a sub-multiset of the parent's, and it must
+make no more calls.
+
+    python tools/depth_sweep.py A/src > parent.txt
+    python tools/depth_sweep.py B/src --refines parent.txt
 """
 
 from __future__ import annotations
@@ -36,8 +48,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -103,6 +117,53 @@ def schedule_digest(sched, c, n: int, mode: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# what a refutation-only change may move in a case line
+_MOVABLE = re.compile(r"\d+ (calls|discarded)|\d+\.\d+ s")
+
+
+def _masked(line: str) -> str:
+    return _MOVABLE.sub(lambda found: f"- {found[1] or 's'}", line)
+
+
+def _calls(line: str) -> int:
+    return int(re.search(r"(\d+) calls", line)[1])
+
+
+def read_output(text: str) -> dict[str, tuple[str, Counter]]:
+    """The cases of one run's output: per case label (the line up to its
+    colon), its line and the multiset of its digests."""
+    cases: dict[str, tuple[str, Counter]] = {}
+    digests: Counter = Counter()
+    for line in text.splitlines():
+        if line.startswith("  "):
+            digests[line.strip()] += 1
+        elif re.match(r"(direct|pac) rand3reg\(", line):
+            digests = Counter()
+            cases[line.split(":")[0]] = line, digests
+    return cases
+
+
+def refines(line: str, digests, parent: dict) -> str | None:
+    """Why one case of this run breaks the gate of a refutation-only change
+    against `parent` (`read_output` of the parent's run), or None when it
+    keeps it."""
+    label = line.split(":")[0]
+    if label not in parent:
+        return f"{label}: not in the parent's output"
+    before, solved = parent[label]
+    if _masked(line) != _masked(before):
+        return f"{label}: the case line differs from the parent's\n" \
+               f"  parent: {before}\n  this:   {line}"
+    new = Counter(digests) - solved
+    if new:
+        return f"{label}: {sum(new.values())} HiGHS inputs the parent " \
+               "never solved"
+    if _calls(line) > _calls(before):
+        return f"{label}: {_calls(line)} calls, the parent made " \
+               f"{_calls(before)}"
+    return None
+
+
 def _print_sum(label: str, runs) -> None:
     depth, calls, discarded, witnessed, grown, wall = (
         sum(column) for column in zip(*runs))
@@ -119,7 +180,15 @@ def main(argv=None) -> int:
                         metavar="MODE:Q:SEED:N",
                         help="compile rand3reg(Q, SEED) on N x N in MODE "
                              "(repeatable; default: the fixed sweep)")
+    parser.add_argument("--refines", metavar="PARENT_OUT",
+                        help="the parent tree's output on the same cases; "
+                             "exit 1 on the first case that is not a "
+                             "refutation-only change of it")
     args = parser.parse_args(argv)
+    parent = None
+    if args.refines:
+        with open(args.refines) as f:
+            parent = read_output(f.read())
 
     src = os.path.abspath(args.src)
     sys.path.insert(0, src)
@@ -158,13 +227,18 @@ def main(argv=None) -> int:
             witnessed = sum(getattr(r, "witnessed", 0) for r in results)
             grown = sum(h > 1 for r in results
                         for h in r.stage_budget_history)
-            print(f"{mode} rand3reg({q}, {seed}) {n}x{n}: depth "
-                  f"{sched.depth}, {calls} calls, {discarded} discarded, "
-                  f"{witnessed} witnessed, {grown} grown, {wall:.2f} s, "
-                  f"schedule {schedule_digest(sched, c, n, mode)}")
+            line = (f"{mode} rand3reg({q}, {seed}) {n}x{n}: depth "
+                    f"{sched.depth}, {calls} calls, {discarded} discarded, "
+                    f"{witnessed} witnessed, {grown} grown, {wall:.2f} s, "
+                    f"schedule {schedule_digest(sched, c, n, mode)}")
+            print(line)
             for digest in sorted(digests):
                 print(f"  {digest}")
             sys.stdout.flush()
+            broken = parent is not None and refines(line, digests, parent)
+            if broken:
+                print(f"not a refinement: {broken}", file=sys.stderr)
+                return 1
             done.append((sched.depth, calls, discarded, witnessed, grown,
                          wall))
         _print_sum(group, done)
