@@ -11,14 +11,16 @@ until it can, up to `MAX_HORIZON` new stages.
 
 A pinned window with one new stage reads its own rules without the
 solver first (`_Moves`: which qubits can move, the order their lines keep,
-where pairs can meet, which lines the qubits up can hold).  It skips every
-matching they rule out (`_Moves.possible`), and before each remaining
-check it tries to build a model of that check by hand (`_Moves.witness`).
-A witness that passes every row and bound of the check
-(`MilpBackend.accept`) decides it with no HiGHS call.  Only refuted
-matchings are skipped, and only sat checks are witnessed, so every window
-fires the matching it fires with HiGHS alone; a witness changes only where
-the qubits go and which lines they ride.
+where pairs can meet, which lines the qubits up can hold).  One search per
+matching (`_Moves.decide`) walks the space those rules leave, bystanders
+aside.  When it exhausts that space within its budget without a leaf, the
+matching is refuted and skipped.  When a leaf also completes to a model of
+the check built by hand (a witness) that passes every row and bound of
+the check (`MilpBackend.accept`), the check is sat with no HiGHS call.
+Anything else goes to HiGHS.  Only refuted matchings are skipped, and only
+sat checks are witnessed, so every window fires the matching it fires with
+HiGHS alone; a witness changes only where the qubits go and which lines
+they ride.
 
 A compile encodes each window shape (`encoding.shape_key`) once, over all
 of its gates, into a backend of its own; a window of that shape is then
@@ -64,10 +66,9 @@ from .smt import MilpBackend
 # as infeasible
 MAX_HORIZON = 8
 
-# the most sites (meeting and drop sites) and line assignments one witness
-# search tries for one matching before the check goes to HiGHS, and the
-# most line solves the matching filter's meeting-site placement makes for
-# one matching before it passes the matching
+# the most line solves `_Moves.decide` makes for one matching (one on both
+# axes at each leaf of its options and after each meeting or drop site it
+# tries) before it leaves the matching to HiGHS
 WITNESS_BUDGET = 256
 
 
@@ -162,39 +163,47 @@ def solve_window(context: WindowSpec, *, gates: Mapping[int, tuple[int, int]],
     gate fits in the horizon (the caller grows the window).  A window with
     nothing pending is one plain feasibility check.
 
-    A matching `_Moves.possible` discards is counted in `stats.discarded`
-    and never checked; that changes no answer.  Any model of a matching's
-    check gives each of its gates an option, the endpoints up at stage 0
-    and the site where the pair meets, and the model's options pass every
-    rule `possible` reads, one by one and pairwise, since each rule is a
-    consequence of the families under the check's bounds.  The model's
-    own stage-1 sites also pass the joint placement of the pairs that
-    meet.  The firing pairs stand on pairwise distinct sites
-    (`c6_gate_cosite`, and `c7_isolation` with every other fire variable
-    fixed at 0), a one-up pair on its static partner's stage-0 site, and
-    every site is in the region and not avoided.  The model's stage-0 line
-    indices for the options' up qubits keep every order, tie and range
-    `_Moves._lines` reads, so `_lines` finds indices at each partial
-    placement of those sites, in any order, and each site lies in the
-    move-order box (`_Moves.box`) the qubits placed before it leave.
-    Bystanders are ignored, which only weakens the test, and a search
-    that spends `WITNESS_BUDGET` passes the matching.  Hence a discarded
-    matching's check has no model and would be refuted, and the first sat
-    check is the one it was without the filter.
+    A pinned window with one new stage decides each matching with one
+    search (`_Moves.decide`) before it checks it.  The search walks a
+    relaxed space: an option per gate, lines for the options' up qubits,
+    then a site for each pair that meets, placed one by one.  A matching
+    it refutes is counted in `stats.discarded` and never checked; that
+    changes no answer.  It refutes only when it has tried every option
+    and site of the relaxed space without reaching a leaf and without
+    spending `WITNESS_BUDGET`.  Any model of a matching's check gives each
+    of its gates an option, the endpoints up at stage 0 and the site where
+    the pair meets, and the model's options pass every rule `decide`
+    reads, one by one and pairwise, since each rule is a consequence of
+    the families under the check's bounds.  The model's own stage-1 sites
+    also pass the joint placement of the pairs that meet.  The firing
+    pairs stand on pairwise distinct sites (`c6_gate_cosite`, and
+    `c7_isolation` with every other fire variable fixed at 0), a one-up
+    pair on its static partner's stage-0 site, and every site is in the
+    region and not avoided.  The model's stage-0 line indices for the
+    options' up qubits keep every order, tie and range `_Moves._lines`
+    reads, so `_lines` finds indices at each partial placement of those
+    sites, in any order, and each site lies in the move-order box
+    (`_Moves.box`) the qubits placed before it leave.  So the model's
+    options and sites are a leaf the search reaches unless its budget
+    runs out first.  Bystanders are ignored, which only weakens the test.
+    Hence a discarded matching's check has no model and would be refuted,
+    and the first sat check is the one it was without the search.
 
-    A pinned window with one new stage tries a witness (`_Moves.witness`)
-    before each check it makes, counted in `stats.witnessed` when
-    accepted, and makes no HiGHS call for that check.  That fires the
-    matching HiGHS alone would fire, too.  `MilpBackend.accept` takes a
-    witness only when every row and bound of the check holds, its reified
-    binaries set to the truth of their comparisons, so an accepted witness
-    is a model of the check: the check is sat, and HiGHS would find it
-    sat.  A failed or rejected witness leaves the check to HiGHS.  So each
-    check before the accepted one was refuted, or discarded and so
-    refuted, as without witnesses, and the accepted check is the first
-    sat one: the lexicographically first feasible matching at the
-    window's optimum count.  Only the model differs, which `verify` still
-    judges with the rest of the schedule.
+    A witness is a leaf that also completes: every other qubit stays
+    static, but for one of two static qubits on one site, which departs,
+    and the last line solve gives every line index.  A witness that
+    `MilpBackend.accept` takes is counted in `stats.witnessed`, and the
+    check makes no HiGHS call.  That fires the matching HiGHS alone would
+    fire, too.  `accept` takes a witness only when every row and bound of
+    the check holds, its reified binaries set to the truth of their
+    comparisons, so an accepted witness is a model of the check: the
+    check is sat, and HiGHS would find it sat.  A matching the search
+    neither refutes nor witnesses, and a rejected witness, leave the check
+    to HiGHS.  So each check before the accepted one was refuted, or
+    discarded and so refuted, as without the search, and the accepted
+    check is the first sat one: the lexicographically first feasible
+    matching at the window's optimum count.  Only the model differs,
+    which `verify` still judges with the rest of the schedule.
 
     Gates fire at the window's last stage only, and that loses nothing.  A
     window grows to horizon h only after every shorter horizon with the
@@ -222,14 +231,14 @@ def solve_window(context: WindowSpec, *, gates: Mapping[int, tuple[int, int]],
     bounds = window_bounds(v, context)
     moves = _Moves.of(context)
     for m in _checks(context):
-        if moves is not None and not moves.possible(m):
-            stats.discarded += 1
-            continue
         fixed = {**bounds, **{v.f[g]: int(g in m) for g in context.gates}}
         if moves is not None:
             stats.remaining()
-            witness = moves.witness(m, v)
-            if witness is not None and backend.accept(witness, fixed):
+            found = moves.decide(m, v)
+            if found is False:
+                stats.discarded += 1
+                continue
+            if found is not None and backend.accept(found, fixed):
                 stats.witnessed += 1
                 return _extract(backend.model(), v, context)
         if _checked(backend, stats, fixed) == "sat":
@@ -249,8 +258,9 @@ def _checks(context: WindowSpec) -> Iterator[tuple[int, ...]]:
 
 class _Moves:
     """The moves a pinned window with one transition allows, read from its
-    own rules with no solver: the matching filter (`possible`) and the
-    witness search of `solve_window`.
+    own rules with no solver: one search per matching (`decide`) that
+    refutes it, builds a model of its check (a witness), or leaves it to
+    HiGHS.
 
     There only qubits up (in a movable trap) at stage 0 move:
     `c2_slm_stationary` keeps static ones still and `trap_transfer` forbids
@@ -286,17 +296,20 @@ class _Moves:
       fitting.  The site may be one a qubit stands on at stage 0, since
       an up qubit can leave it.
 
-    A matching passes `possible` when each of its gates has an option that
-    passes alone and with every other gate's option, meeting sites
-    included, the chosen options' up qubits fit lines on both axes, a
-    one-up mover at its partner's site and a pair that meets at a site not
-    yet known, and the pairs that meet can then be placed one by one, the
-    lines fitting after each placement.  The placement search makes at
-    most `WITNESS_BUDGET` line solves per matching, and passes the
-    matching once they are spent.  Bystanders are ignored, which only
-    weakens the test.  Each gate's options are read once per window
-    (`options`), and each pair of options is decided once and cached
-    across the window's matchings."""
+    `decide` searches the relaxed space these rules span: an option per
+    gate that passes alone and with every other gate's option (`fits`),
+    the chosen options' up qubits fitting lines on both axes with the
+    sites where pairs meet unknown, and then those pairs placed one by
+    one, the lines fitting after each placement.  Bystanders are ignored
+    there, which only weakens the rules.  A discard means the search
+    exhausted that space within its budget without reaching a leaf, every
+    pair placed.  Each leaf it reaches it tries to complete: the other
+    qubits stay static but for one of two static qubits on one site,
+    which departs and drops on a free site, the lines fitting after each
+    drop, and the last line solve gives every line index.  A witness is a
+    leaf that also completes.  Each gate's options are read once per
+    window (`options`), and each pair of options is decided once and
+    cached across the window's matchings."""
 
     def __init__(self, w: WindowSpec):
         self.w = w
@@ -308,7 +321,6 @@ class _Moves:
         # per-window memos of the methods they wrap
         self.order = functools.cache(self._order)
         self.fits = functools.cache(self._meet)
-        self.meetings = functools.cache(self._meetings)
         self.near = functools.cache(self._near)
         # gate -> its options (qubits up at stage 0, meeting site or None
         # for any site) that pass alone
@@ -389,138 +401,104 @@ class _Moves:
                         lims[axis][0] = max(lims[axis][0], s[axis])
         return lims
 
-    def possible(self, m: Sequence[int]) -> bool:
-        """False only for a matching (gate ids of the window's gates) that
-        no model of the window can fire, so every check of it is refuted.
-        True, too, once the meeting-site search has spent
-        `WITNESS_BUDGET` line solves."""
-        chosen: list = []
+    def decide(self, m: Sequence[int], v: Vars) -> dict | bool | None:
+        """The window's check that fires exactly m (gate ids of the
+        window's gates), decided with no solver: False when the search
+        exhausts the relaxed space without a leaf, so that no model fires
+        m and the check is refuted; a witness, a value for every variable
+        of `v`, when a leaf completes; None, undecided, when it reaches
+        leaves but completes none, or spends `WITNESS_BUDGET`.
+
+        Meeting sites are tried for the pair with the fewest left first,
+        those no qubit stands on at stage 0 ahead of the rest, nearest
+        first (`near`).  A departing qubit tries the sites no static qubit
+        stands on, nearest first.  Each line solve costs one unit of the
+        budget.
+
+        The caller accepts a witness only through `MilpBackend.accept`, so
+        a mistake in the completion costs a solver call, never a wrong
+        model."""
+        w, xy, gates = self.w, self.xy, self.w.gates
+        endpoints = {q for g in m for q in gates[g]}
+        chosen: list = []  # an option per gate of m, in order
+        # up at stage 0 -> stage-1 site, None for a pair not yet placed
+        at1: dict[int, tuple[int, int] | None] = {}
         left = WITNESS_BUDGET
+        spent = relaxed = False
 
-        def fit(at1) -> bool:
-            return all(self._lines(at1, axis) is not None for axis in (0, 1))
+        def lines() -> tuple | None:
+            """The stage-0 line indices on both axes for `at1`, or None
+            when none fit or the budget is spent."""
+            nonlocal left, spent
+            if left <= 0:
+                spent = True
+                return None
+            left -= 1
+            cols = self._lines(at1, 0)
+            rows = None if cols is None else self._lines(at1, 1)
+            return None if rows is None else (cols, rows)
 
-        def free(up: tuple[int, ...], at1: dict) -> list:
-            """The sites the pair `up` may meet on: in its box, and not
-            taken in `at1`."""
-            (x0, x1), (y0, y1) = self.box(up, at1)
-            taken = set(at1.values())
-            return [s for s in self.sites if s not in taken
-                    and x0 <= s[0] <= x1 and y0 <= s[1] <= y1]
-
-        def meet(at1: dict, pairs: list) -> bool:
-            """Whether each pair of up qubits in `pairs`, which `at1` does
-            not place yet, takes a site of its own in its box, the lines
-            fitting after each placement.  The pair with the fewest sites
-            left goes first; each line solve at a placement costs one unit
-            of the budget, and a spent budget answers True."""
-            nonlocal left
-            if not pairs:
-                return True
-            sites, up = min(((free(up, at1), up) for up in pairs),
-                            key=lambda found: len(found[0]))
-            rest = [p for p in pairs if p != up]
+        def tried(up: tuple[int, ...], sites) -> Iterator[tuple]:
+            """The line solve at each of `sites` the lines fit with the
+            qubits `up` placed on it, until the budget is spent; `up` maps
+            to None after."""
             for s in sites:
-                if left <= 0:
-                    return True
-                left -= 1
                 for q in up:
                     at1[q] = s
-                if fit(at1) and meet(at1, rest):
-                    return True
+                solved = lines()
+                if spent:
+                    break
+                if solved is not None:
+                    yield solved
             for q in up:
                 at1[q] = None
-            return False
 
-        def extend(i: int) -> bool:
+        def free(up: tuple[int, ...], taken) -> list:
+            """The sites not in `taken` for the qubits `up`, nearest first,
+            in their box; none when they cannot be up beside one placed."""
+            lims = self.box(up, at1)
+            if lims is None:
+                return []
+            (x0, x1), (y0, y1) = lims
+            return [s for s in self.near(up) if s not in taken
+                    and x0 <= s[0] <= x1 and y0 <= s[1] <= y1]
+
+        def extend(i: int) -> dict | None:
             if i == len(m):
-                at1 = {q: site for up, site in chosen for q in up}
-                return fit(at1) and meet(
-                    at1, [up for up, site in chosen if site is None])
+                at1.clear()
+                at1.update((q, site) for up, site in chosen for q in up)
+                solved = lines()
+                pairs = [up for up, site in chosen if site is None]
+                return None if solved is None else meet(pairs, solved)
             for o in self.options[m[i]]:
                 if all(self.fits(p, o) for p in chosen):
                     chosen.append(o)
-                    if extend(i + 1):
-                        return True
+                    found = extend(i + 1)
                     chosen.pop()
-            return False
-
-        return extend(0)
-
-    def witness(self, m: Sequence[int], v: Vars) -> dict | None:
-        """A model of the window's check that fires exactly m, as a value
-        for every variable of `v`, found with no solver; None when the
-        search finds none within `WITNESS_BUDGET` tries.
-
-        Each gate of m fires by one of its `options`, a pair that meets
-        taking the nearest site no qubit stands on at stage 0.  Every
-        other qubit stays static, but for one of two static qubits on one
-        stage-0 site: it goes up and drops on the nearest site free at
-        stage 1.  The qubits up at stage 0 keep their lines, and the
-        movers stay up at stage 1.  Line indices come from `_lines`.  A
-        site is taken only when every up qubit keeps the stage-1 order
-        `order` asks of it (`box`); the search backtracks over options,
-        sites and which qubit departs, and each candidate site it tries
-        and each line assignment costs one unit of the budget.
-
-        The caller accepts the result only through
-        `MilpBackend.accept`, so a mistake here costs a solver call,
-        never a wrong model."""
-        w, xy, gates = self.w, self.xy, self.w.gates
-        endpoints = {q for g in m for q in gates[g]}
-        at1: dict[int, tuple[int, int]] = {}  # up at stage 0 -> stage-1 site
-        dropped: set[int] = set()
-        # stage-1 site -> the qubits that stand there
-        taken: dict[tuple[int, int], tuple[int, ...]] = {}
-        chosen: list = []
-        left = WITNESS_BUDGET
-
-        def sites(lims: list, candidates) -> Iterator[tuple[int, int]]:
-            """The candidates in `lims` no one stands on at stage 1; each
-            candidate tried costs one unit of the budget."""
-            nonlocal left
-            (x0, x1), (y0, y1) = lims
-            for s in candidates:
-                if left <= 0:
-                    return
-                left -= 1
-                if s not in taken and x0 <= s[0] <= x1 and y0 <= s[1] <= y1:
-                    yield s
-
-        def place(up: tuple[int, ...], site: tuple[int, int],
-                  there: tuple[int, ...]) -> None:
-            taken[site] = there
-            for q in up:
-                at1[q] = site
-
-        def lift(up: tuple[int, ...], site: tuple[int, int]) -> None:
-            del taken[site]
-            for q in up:
-                del at1[q]
-
-        def fire(i: int) -> dict | None:
-            if i == len(m):
-                return depart()
-            u, q = gates[m[i]]
-            for o in self.options[m[i]]:
-                if not all(self.fits(p, o) for p in chosen):
-                    continue
-                up, site = o
-                lims = self.box(up, at1)
-                if lims is None:
-                    continue
-                chosen.append(o)
-                for s in sites(lims, self.meetings(u, q) if site is None
-                               else (site,)):
-                    place(up, s, (u, q))
-                    found = fire(i + 1)
-                    if found is not None:
+                    if found is not None or spent:
                         return found
-                    lift(up, s)
-                chosen.pop()
             return None
 
-        def depart() -> dict | None:
+        def meet(pairs: list, solved: tuple) -> dict | None:
+            """Place each pair of up qubits in `pairs` on a site of its
+            own, in its box and taken by no one, then complete."""
+            nonlocal relaxed
+            if not pairs:
+                relaxed = True
+                return depart(solved)
+            taken = set(at1.values())
+            sites, up = min(((free(up, taken), up) for up in pairs),
+                            key=lambda found: len(found[0]))
+            rest = [p for p in pairs if p != up]
+            for solved in tried(up, sites):
+                found = meet(rest, solved)
+                if found is not None or spent:
+                    return found
+            return None
+
+        def depart(solved: tuple) -> dict | None:
+            # stage-1 site -> the qubits of the gate that fires there
+            taken = {at1[up[0]]: gates[g] for g, (up, _) in zip(m, chosen)}
             # the static qubits by stage-0 site: each site keeps one
             groups: dict[tuple[int, int], list[int]] = {}
             for q in w.qubits:
@@ -544,62 +522,45 @@ class _Moves:
                                   for z in stayers])
             static = set(groups)
 
-            def drop(k: int, queue: tuple[int, ...]) -> dict | None:
+            def drop(k: int, queue: tuple[int, ...], solved) -> dict | None:
                 if queue:
                     p = queue[0]
-                    lims = self.box((p,), at1)
-                    if lims is None:
-                        return None
-                    near = (s for s in self.near(p) if s not in static)
-                    for s in sites(lims, near):
-                        place((p,), s, (p,))
-                        dropped.add(p)
-                        found = drop(k, queue[1:])
-                        if found is not None:
+                    sites = free((p,), static.union(taken))
+                    for again in tried((p,), sites):
+                        taken[at1[p]] = (p,)
+                        found = drop(k, queue[1:], again)
+                        if found is not None or spent:
                             return found
-                        dropped.discard(p)
-                        lift((p,), s)
+                        del taken[at1[p]]
+                    del at1[p]
                     return None
                 if k == len(plans):
-                    return lines()
+                    return self._values(m, v, at1, *solved)
                 for departers in plans[k]:
-                    found = drop(k + 1, departers)
-                    if found is not None:
+                    found = drop(k + 1, departers, solved)
+                    if found is not None or spent:
                         return found
                 return None
 
-            return drop(0, ())
+            return drop(0, (), solved)
 
-        def lines() -> dict | None:
-            nonlocal left
-            left -= 1
-            cols, rows = self._lines(at1, 0), self._lines(at1, 1)
-            if cols is None or rows is None:
-                return None
-            return self._values(m, v, at1, dropped, cols, rows)
+        found = extend(0)
+        if found is None and not (spent or relaxed):
+            return False
+        return found
 
-        return fire(0)
-
-    def _meetings(self, u: int, q: int) -> list[tuple[int, int]]:
-        """The sites where u and q, both up, may meet: those no qubit
-        stands on at stage 0, nearest to both first; none for a pair on
-        one stage-0 site: its equal moves would leave both on one line."""
-        (ux, uy), (qx, qy) = self.xy[u], self.xy[q]
-        if (ux, uy) == (qx, qy):
-            return []
-
+    def _near(self, up: tuple[int, ...]) -> list[tuple[int, int]]:
+        """Every site, nearest to the qubits `up` first: least summed
+        distance, then least difference between their distances.  For a
+        pair that meets, the sites no qubit stands on at stage 0 come
+        first."""
         def far(s):
-            du, dq = abs(s[0] - ux) + abs(s[1] - uy), \
-                abs(s[0] - qx) + abs(s[1] - qy)
-            return du + dq, abs(du - dq), s
+            d = [abs(s[0] - self.xy[q][0]) + abs(s[1] - self.xy[q][1])
+                 for q in up]
+            return (len(up) > 1 and self.stage0[s] > 0, sum(d),
+                    max(d) - min(d), s)
 
-        return sorted((s for s in self.sites if not self.stage0[s]), key=far)
-
-    def _near(self, p: int) -> list[tuple[int, int]]:
-        """Every site, nearest to p's stage-0 site first."""
-        px, py = self.xy[p]
-        return sorted(self.sites,
-                      key=lambda s: (abs(s[0] - px) + abs(s[1] - py), s))
+        return sorted(self.sites, key=far)
 
     def _lines(self, at1: Mapping[int, tuple[int, int] | None], axis: int
                ) -> dict[int, int] | None:
@@ -672,18 +633,19 @@ class _Moves:
             val[k] = min(max(target[k], low), ub[k])
         return {q: val[k] for q, k in cls.items()}
 
-    def _values(self, m, v: Vars, at1, dropped, cols, rows) -> dict:
-        """The witness: a value for every variable of `v`."""
+    def _values(self, m, v: Vars, at1, cols, rows) -> dict:
+        """The witness: a value for every variable of `v`.  A qubit up at
+        stage 0 stays up when it fires and drops otherwise."""
         w, xy = self.w, self.xy
         first = w.region.x_range.start, w.region.y_range.start
+        ends = {q for g in m for q in w.gates[g]}
         out = {}
         for q in w.qubits:
             up = q in at1
             line = cols.get(q, first[0]), rows.get(q, first[1])
             for t, (x, y) in enumerate((xy[q], at1.get(q, xy[q]))):
                 out[v.x[q, t]], out[v.y[q, t]] = x, y
-            out[v.a[q, 0]], out[v.a[q, 1]] = int(up), int(up and q
-                                                          not in dropped)
+            out[v.a[q, 0]], out[v.a[q, 1]] = int(up), int(up and q in ends)
             out[v.c[q, 0]], out[v.r[q, 0]] = line
             out[v.c[q, 1]], out[v.r[q, 1]] = line if up else first
             out[v.pc[q]], out[v.pr[q]] = (

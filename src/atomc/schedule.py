@@ -76,15 +76,17 @@ class CompileResult:
 
     solver_calls counts the compile's HiGHS calls only, refuted matchings
     included (see `compiler.solve_window`).  A matching that
-    `compiler._Moves.possible` rules out is never checked, and a check
-    decided by a witness makes no call, so neither is counted there.
+    `compiler._Moves.decide` refutes is never checked, and a check decided
+    by a witness makes no call, so neither is counted there.
     discarded counts those matchings: the ones the compile reached and
-    skipped without a solver call, each ruled out by its window's move
-    order, lines or meeting sites (one distinct site per pair that meets,
-    placed for all of them together), so each one's check would be
+    skipped without a solver call, because the search exhausted, within
+    its budget, the relaxed space their window's move order, lines and
+    meeting sites leave (one distinct site per pair that meets, placed for
+    all of them together) without a leaf, so each one's check would be
     refuted.
-    witnessed counts the checks decided by an accepted witness, each a sat
-    check with no HiGHS call.
+    witnessed counts the checks decided by an accepted witness: a leaf of
+    that space that also completes to a model of the check, so a sat check
+    with no HiGHS call.
     stage_budget_history records, per committed solver window, how many new
     stages that window used: the horizon it was solved at, not counting a
     replayed or given stage 0.

@@ -1,6 +1,6 @@
-"""`compiler._Moves.possible`, the solver-free matching filter: every
-matching it discards is refuted by the window's MILP, and each rule it
-reads discards a matching of its own window."""
+"""`compiler._Moves.decide` as the solver-free matching filter: every
+matching it refutes is refuted by the window's MILP, and each rule it
+reads refutes a matching of its own window."""
 
 import itertools
 from collections import Counter
@@ -72,25 +72,27 @@ def _encoded(spec):
     return backend, encode_window(backend, spec)
 
 
-def _possible(spec):
-    """The window's matching filter: `_Moves.possible`, or for a free or
-    grown window, which has no `_Moves`, one that passes every matching."""
-    moves = _Moves.of(spec)
-    return (lambda m: True) if moves is None else moves.possible
+def _decide(spec, m, encoded=None):
+    """`_Moves.decide`'s answer for matching m of a pinned one-stage
+    window: False (discarded), a witness or None (undecided)."""
+    _, v = encoded or _encoded(spec)
+    return _Moves(spec).decide(m, v)
 
 
 def _refuted_when_discarded(specs) -> int:
     """Check every matching each window discards against the window's MILP,
-    for every k up to its matching number; return how many there were."""
+    for every k up to its matching number; return how many there were.  A
+    free or grown window has no `_Moves` and discards nothing."""
     count = 0
     for spec in specs:
-        possible = _possible(spec)
-        discarded = [m for m in _in_order(spec) if not possible(m)]
-        if discarded:
-            encoded = _encoded(spec)
-            for m in discarded:
+        moves = _Moves.of(spec)
+        if moves is None:
+            continue
+        encoded = _encoded(spec)
+        for m in _in_order(spec):
+            if moves.decide(m, encoded[1]) is False:
                 assert _answer(spec, m, encoded) == "unsat", m
-        count += len(discarded)
+                count += 1
     return count
 
 
@@ -191,7 +193,7 @@ def _window(n, xy, tied=None, held=None, avoid=()):
 
 def _discards(spec, m=(0, 1)) -> bool:
     """Whether the filter discards m; a discarded m is refuted too."""
-    if _possible(spec)(m):
+    if _decide(spec, m) is not False:
         return False
     assert _answer(spec, m) == "unsat"
     return True
@@ -199,7 +201,7 @@ def _discards(spec, m=(0, 1)) -> bool:
 
 def _fires(spec, m=(0, 1)) -> bool:
     """Whether the filter passes m and the window's check finds it sat."""
-    return _possible(spec)(m) and _answer(spec, m) == "sat"
+    return _decide(spec, m) is not False and _answer(spec, m) == "sat"
 
 
 # four qubits on the diagonal of 4x4, so no two stand in one column
@@ -349,16 +351,24 @@ def test_two_pairs_never_share_the_one_site_left_to_them():
     assert _fires(PINWHEEL, (0, 1))
 
 
-def test_the_meeting_search_stops_at_its_budget(monkeypatch):
-    # with no budget the filter passes what only the placement of the
-    # pairs that meet discards
+def test_the_search_stops_at_its_budget(monkeypatch):
+    # with no budget the search neither discards what only the placement
+    # of the pairs that meet refutes nor witnesses a matching, though it
+    # witnesses (0, 1) and (0,) within its budget: every check of the
+    # window goes to HiGHS, which refutes (0, 1, 2) and finds (0, 1) sat
     monkeypatch.setattr(compiler, "WITNESS_BUDGET", 0)
-    assert _Moves(PINWHEEL).possible((0, 1, 2))
+    for m in ((0, 1, 2), (0, 1), (0,)):
+        assert _decide(PINWHEEL, m) is None
+    stats = compiler._Stats(t0=0.0, deadline=float("inf"))
+    result = compiler.solve_window(PINWHEEL, gates=PINWHEEL.gates, shapes={},
+                                   stats=stats)
+    assert (stats.calls, stats.discarded, stats.witnessed) == (2, 0, 0)
+    assert sorted(result.fired) == [0, 1]
 
 
 def test_free_and_grown_windows_pass_every_matching():
     spec = _window(3, CROSSED)
-    assert not _possible(spec)((0, 1))
+    assert _decide(spec, (0, 1)) is False
     for other in (replace(spec, stages=3),
                   replace(spec, stages=1, boundary=Boundary())):
         assert _Moves.of(other) is None
@@ -371,7 +381,9 @@ def test_pac_global_window_checks_its_optimum_alone():
     # a witness decides it with no solver call
     spec = _global_windows(12, 22, 8)[0]
     ahead = list(itertools.takewhile(lambda m: m != (0, 2), _in_order(spec)))
-    assert len(ahead) == 6 and not any(map(_possible(spec), ahead))
+    encoded = _encoded(spec)
+    assert len(ahead) == 6
+    assert all(_decide(spec, m, encoded) is False for m in ahead)
     stats = compiler._Stats(t0=0.0, deadline=float("inf"))
     result = compiler.solve_window(spec, gates=spec.gates, shapes={},
                                    stats=stats)

@@ -16,7 +16,7 @@ from atomc.orchestrator import PacOptions, _zip_local, pac_compile
 from atomc.schedule import SLM, QubitState, Stage
 from atomc.smt import MilpBackend
 from atomc.verifier import verify, verify_phases
-from test_can_fire import _answer
+from test_can_fire import _answer, _decide
 
 K4 = Circuit(4, tuple(itertools.combinations(range(4), 2)), name="k4")
 # two triangles joined by one cross gate
@@ -100,9 +100,11 @@ REFUTED_FIRST = WindowSpec(
 
 
 def _unfiltered(monkeypatch):
-    """Let the matching filter pass every matching, so each reaches a
-    witness or HiGHS."""
-    monkeypatch.setattr(compiler._Moves, "possible", lambda self, m: True)
+    """Let `_Moves.decide` discard no matching, so each reaches a witness
+    or HiGHS."""
+    decide = compiler._Moves.decide
+    monkeypatch.setattr(compiler._Moves, "decide",
+                        lambda self, m, v: decide(self, m, v) or None)
 
 
 def test_probes_refute_down_to_the_optimum(monkeypatch):
@@ -144,7 +146,7 @@ def test_the_filter_discards_the_refuted_matching():
     # pairs that meet jointly, the filter discards {0, 1, 2}, which the
     # MILP refutes, and the window makes no HiGHS call at all
     spec = REFUTED_FIRST
-    assert not compiler._Moves(spec).possible((0, 1, 2))
+    assert _decide(spec, (0, 1, 2)) is False
     assert _answer(spec, (0, 1, 2)) == "unsat"
     result, probes, stats = _probed(spec)
     assert probes == []

@@ -346,8 +346,8 @@ def _window_witness(tied):
     b = MilpBackend()
     v = encode_window(b, spec)
     fixed = {**window_bounds(v, spec), v.f[0]: 1, v.f[1]: 1}
-    witness = _Moves(spec).witness((0, 1), v)
-    assert witness is not None and b.accept(witness, fixed)
+    witness = _Moves(spec).decide((0, 1), v)
+    assert isinstance(witness, dict) and b.accept(witness, fixed)
     return b, v, fixed, witness
 
 

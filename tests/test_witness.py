@@ -1,5 +1,5 @@
-"""`compiler._Moves.witness`, the solver-free model of a pinned one-stage
-window's check: every witness passes the check's own rows
+"""The witnesses of `compiler._Moves.decide`, solver-free models of a
+pinned one-stage window's check: every witness passes the check's own rows
 (`MilpBackend.accept`), HiGHS finds every witnessed matching sat, and so a
 window fires the matching HiGHS alone would fire first.  Each witness rule
 has a hand-built window of its own."""
@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomc import compiler
 from atomc.arrays import ArraySpec, full_region
 from atomc.compiler import _checks, _extract, _Moves, _Stats, solve_window
 from atomc.encoding import Boundary, WindowSpec, window_bounds
@@ -37,10 +36,10 @@ def _witnessed(specs) -> int:
         backend, v = _encoded(spec)
         first = None
         for m in _checks(spec):
-            if not moves.possible(m):
+            witness = moves.decide(m, v)
+            if witness is False:
                 continue
             fixed = _fixed(spec, v, m)
-            witness = moves.witness(m, v)
             if witness is not None:
                 assert backend.accept(witness, fixed), m
                 count += 1
@@ -108,8 +107,8 @@ def _witness(spec, m):
     whose matching HiGHS must find sat; (its stages, its values by
     variable name, the window's vars)."""
     backend, v = _encoded(spec)
-    witness = _Moves(spec).witness(m, v)
-    assert witness is not None
+    witness = _Moves(spec).decide(m, v)
+    assert isinstance(witness, dict)
     fixed = _fixed(spec, v, m)
     assert backend.accept(witness, fixed)
     assert backend.check(fixed=fixed) == "sat"
@@ -193,8 +192,18 @@ def test_a_parking_window_drops_a_departing_qubit():
     assert _site(s1.states[1]) != (1, 1)
 
 
-def test_the_search_stops_at_its_budget(monkeypatch):
-    spec = _spec(3, {0: (0, 0), 1: (2, 2)}, [(0, 1)])
-    backend, v = _encoded(spec)
-    monkeypatch.setattr(compiler, "WITNESS_BUDGET", 0)
-    assert _Moves(spec).witness((0,), v) is None
+
+def test_lines_solved_after_each_site_find_a_witness_early():
+    # the second window of direct rand3reg(8, 1) on 4x4: four co-sited
+    # pairs in one corner, and its first sat matching fires four gates.
+    # Two pairs meet and two movers land on their partners, and the lines
+    # rule out most sites in turn, so a search that solves them only once
+    # every site is placed spends a budget of 256 before it finds a model.
+    # Solving them after each site decides the window with no HiGHS call
+    spec = _direct_windows(8, 1, 4)[1]
+    assert sorted(spec.gates) == [1, 2, 3, 5, 6, 7, 8, 11]
+    stats = _Stats(t0=0.0, deadline=float("inf"))
+    result = solve_window(spec, gates=spec.gates, shapes={}, stats=stats)
+    assert (stats.calls, stats.witnessed) == (0, 1)
+    assert sorted(result.fired) == [1, 5, 6, 8]
+    _witness(spec, (1, 5, 6, 8))

@@ -8,8 +8,9 @@ Imports `atomc` from SRC_DIR, wraps `scipy.optimize.milp`, and compiles
 `generate_rand3reg(Q, SEED)` on an N x N array in MODE (direct or pac) for
 each case; without --case, it runs the fixed sweep below.  Per case it
 prints one line: the schedule depth, the solver calls, the matchings
-discarded without a call (`compiler._Moves.possible`; 0 for a tree that
-has no such count), the checks decided by a witness without a call
+discarded without a call (`CompileResult.discarded`, the matchings
+`compiler._Moves.decide` refutes; 0 for a tree that has no such count),
+the checks decided by a witness without a call
 (`CompileResult.witnessed`; 0 likewise), the grown windows (those that
 fired at a horizon above 1), the wall time of the compile (digests
 included), in pac over all three phases, and the sha256 of the
@@ -20,15 +21,17 @@ indptr, shape), the row bounds and the options without `time_limit`, which
 is the remaining budget and so differs from run to run.  The pac local
 phases solve in two threads, so calls are compared as a sorted multiset,
 not in call order.  Per group of cases and over all of them it prints the
-sums.  A case with no grown window never takes the growth path.
+sums, and names the slowest case with its wall, so that one outlier shows
+in the sums.  A case with no grown window never takes the growth path.
 
 Every window fires as many gates as it can, but which of several equally
 good windows the solver returns decides later windows, so a change to the
 solve can move depth either way.  Two source trees whose outputs are equal
-once the wall figures are masked hand HiGHS the same problems and write the
-same schedules:
+once the wall figures and the slowest cases are masked hand HiGHS the same
+problems and write the same schedules:
 
-    mask() { python tools/depth_sweep.py "$1" | sed -E 's/[0-9]+\\.[0-9]+ s/- s/'; }
+    mask() { python tools/depth_sweep.py "$1" |
+             sed -E 's/[0-9]+\\.[0-9]+ s/- s/; s/, slowest .*//'; }
     diff <(mask A/src) <(mask B/src)
 
 A change that only refutes checks without HiGHS (a stronger matching
@@ -165,11 +168,15 @@ def refines(line: str, digests, parent: dict) -> str | None:
 
 
 def _print_sum(label: str, runs) -> None:
+    """One sum line over `runs`, each (case label, depth, calls,
+    discarded, witnessed, grown, wall)."""
     depth, calls, discarded, witnessed, grown, wall = (
-        sum(column) for column in zip(*runs))
+        sum(column) for column in list(zip(*runs))[1:])
+    slowest = max(runs, key=lambda run: run[-1])
     print(f"{label} ({len(runs)} cases): depth {depth}, {calls} calls, "
           f"{discarded} discarded, {witnessed} witnessed, {grown} grown, "
-          f"{wall:.2f} s", flush=True)
+          f"{wall:.2f} s, slowest {slowest[0]} {slowest[-1]:.2f} s",
+          flush=True)
 
 
 def main(argv=None) -> int:
@@ -207,7 +214,7 @@ def main(argv=None) -> int:
 
     scipy.optimize.milp = traced
     groups = {"cases": tuple(args.case)} if args.case else SWEEP
-    runs = []  # (depth, calls, discarded, witnessed, grown, wall) per case
+    runs = []  # per case, what `_print_sum` reads
     for group, cases in groups.items():
         done = []
         for mode, q, seed, n in cases:
@@ -227,7 +234,8 @@ def main(argv=None) -> int:
             witnessed = sum(getattr(r, "witnessed", 0) for r in results)
             grown = sum(h > 1 for r in results
                         for h in r.stage_budget_history)
-            line = (f"{mode} rand3reg({q}, {seed}) {n}x{n}: depth "
+            case = f"{mode} rand3reg({q}, {seed}) {n}x{n}"
+            line = (f"{case}: depth "
                     f"{sched.depth}, {calls} calls, {discarded} discarded, "
                     f"{witnessed} witnessed, {grown} grown, {wall:.2f} s, "
                     f"schedule {schedule_digest(sched, c, n, mode)}")
@@ -239,8 +247,8 @@ def main(argv=None) -> int:
             if broken:
                 print(f"not a refinement: {broken}", file=sys.stderr)
                 return 1
-            done.append((sched.depth, calls, discarded, witnessed, grown,
-                         wall))
+            done.append((case, sched.depth, calls, discarded, witnessed,
+                         grown, wall))
         _print_sum(group, done)
         runs += done
     if len(groups) > 1:
