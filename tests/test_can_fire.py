@@ -351,6 +351,13 @@ def test_two_pairs_never_share_the_one_site_left_to_them():
     assert _fires(PINWHEEL, (0, 1))
 
 
+def test_the_meeting_search_stops_at_its_budget(monkeypatch):
+    # with no budget the search passes what only the placement of the
+    # pairs that meet discards
+    monkeypatch.setattr(compiler, "WITNESS_BUDGET", 0)
+    assert _decide(PINWHEEL, (0, 1, 2)) is None
+
+
 def test_the_search_stops_at_its_budget(monkeypatch):
     # with no budget the search neither discards what only the placement
     # of the pairs that meet refutes nor witnesses a matching, though it

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atomc import compiler
 from atomc.arrays import ArraySpec, full_region
 from atomc.compiler import _checks, _extract, _Moves, _Stats, solve_window
 from atomc.encoding import Boundary, WindowSpec, window_bounds
@@ -191,6 +192,12 @@ def test_a_parking_window_drops_a_departing_qubit():
     assert all(st.a == SLM for st in s1.states.values())
     assert _site(s1.states[1]) != (1, 1)
 
+
+def test_the_search_stops_at_its_budget(monkeypatch):
+    spec = _spec(3, {0: (0, 0), 1: (2, 2)}, [(0, 1)])
+    backend, v = _encoded(spec)
+    monkeypatch.setattr(compiler, "WITNESS_BUDGET", 0)
+    assert _Moves(spec).decide((0,), v) is None
 
 
 def test_lines_solved_after_each_site_find_a_witness_early():
