@@ -10,13 +10,14 @@ whose every check is refuted cannot fire anything and grows its horizon
 until it can, up to `MAX_HORIZON` new stages.
 
 A pinned window with one new stage reads its own rules without the
-solver first (`_Moves`: which qubits can move, the order their lines keep,
-where pairs can meet, which lines the qubits up can hold).  One search per
-matching (`_Moves.decide`) walks the space those rules leave, bystanders
-aside.  When it exhausts that space within its budget without a leaf, the
-matching is refuted and skipped.  When a leaf also completes to a model of
-the check built by hand (a witness) that passes every row and bound of
-the check (`MilpBackend.accept`), the check is sat with no HiGHS call.
+solver first (`_Moves`: which qubits can move, and one system of difference
+constraints per axis over their line indices and stage-1 coordinates).
+One search per matching (`_Moves.decide`) walks the space that system
+leaves, bystanders aside.  When it exhausts that space within its budget
+without a leaf, the matching is refuted and skipped.  When a leaf also
+completes to a model of the check built by hand (a witness) that passes
+every row and bound of the check (`MilpBackend.accept`), the check is sat
+with no HiGHS call.
 Anything else goes to HiGHS.  Only refuted matchings are skipped, and only
 sat checks are witnessed, so every window fires the matching it fires with
 HiGHS alone; a witness changes only where the qubits go and which lines
@@ -48,7 +49,6 @@ import functools
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from graphlib import CycleError, TopologicalSorter
 from typing import Iterator, Mapping, Sequence
 
 import networkx as nx
@@ -66,9 +66,9 @@ from .smt import MilpBackend
 # as infeasible
 MAX_HORIZON = 8
 
-# the most line solves `_Moves.decide` makes for one matching (one on both
-# axes at each leaf of its options and after each meeting or drop site it
-# tries) before it leaves the matching to HiGHS
+# the most solves of `_Moves`' system that `_Moves.decide` makes for one
+# matching (one at each leaf of its options and at each meeting or drop
+# site it tries) before it leaves the matching to HiGHS
 WITNESS_BUDGET = 256
 
 
@@ -165,45 +165,48 @@ def solve_window(context: WindowSpec, *, gates: Mapping[int, tuple[int, int]],
 
     A pinned window with one new stage decides each matching with one
     search (`_Moves.decide`) before it checks it.  The search walks a
-    relaxed space: an option per gate, lines for the options' up qubits,
-    then a site for each pair that meets, placed one by one.  A matching
+    relaxed space: an option per gate, kept while `_Moves`' system of
+    difference constraints stays feasible, then a site for each pair that
+    meets, placed one by one and the system solved after each.  A matching
     it refutes is counted in `stats.discarded` and never checked; that
     changes no answer.  It refutes only when it has tried every option
     and site of the relaxed space without reaching a leaf and without
     spending `WITNESS_BUDGET`.  Any model of a matching's check gives each
     of its gates an option, the endpoints up at stage 0 and the site where
-    the pair meets, and the model's options pass every rule `decide`
-    reads, one by one and pairwise, since each rule is a consequence of
-    the families under the check's bounds.  The model's own stage-1 sites
-    also pass the joint placement of the pairs that meet.  The firing
-    pairs stand on pairwise distinct sites (`c6_gate_cosite`, and
-    `c7_isolation` with every other fire variable fixed at 0), a one-up
-    pair on its static partner's stage-0 site, and every site is in the
-    region and not avoided.  The model's stage-0 line indices for the
-    options' up qubits keep every order, tie and range `_Moves._lines`
-    reads, so `_lines` finds indices at each partial placement of those
-    sites, in any order, and each site lies in the move-order box
-    (`_Moves.box`) the qubits placed before it leave.  So the model's
-    options and sites are a leaf the search reaches unless its budget
-    runs out first.  Bystanders are ignored, which only weakens the test.
+    the pair meets, and the model's values for those up qubits satisfy the
+    system.  Each edge and bound is a consequence of the families under
+    the check's bounds: `line_order` gives the move order and the index
+    order of differing stage-1 coordinates, `window_bounds` and
+    `boundary_rows` the tied and held lines (held lines bind whether up or
+    not), `c6_gate_cosite` the site a pair shares and the one a one-up
+    mover lands on, and the variable domains the region.  The firing pairs
+    stand on pairwise distinct sites (`c6_gate_cosite`, and `c7_isolation`
+    with every other fire variable fixed at 0), none avoided, so no node
+    is pinned to an avoided site or forced onto another's.  A system with
+    fewer nodes or fewer placed sites only loses edges and bounds, so the
+    model's values satisfy it at every prefix of the options and every
+    partial placement of the sites, in any order, and each site lies
+    inside the bounds the qubits placed before it give.  So the model's
+    options and sites are a leaf the search reaches unless its budget runs
+    out first.  Bystanders are ignored, which only weakens the test.
     Hence a discarded matching's check has no model and would be refuted,
     and the first sat check is the one it was without the search.
 
     A witness is a leaf that also completes: every other qubit stays
     static, but for one of two static qubits on one site, which departs,
-    and the last line solve gives every line index.  A witness that
-    `MilpBackend.accept` takes is counted in `stats.witnessed`, and the
-    check makes no HiGHS call.  That fires the matching HiGHS alone would
-    fire, too.  `accept` takes a witness only when every row and bound of
-    the check holds, its reified binaries set to the truth of their
-    comparisons, so an accepted witness is a model of the check: the
-    check is sat, and HiGHS would find it sat.  A matching the search
-    neither refutes nor witnesses, and a rejected witness, leave the check
-    to HiGHS.  So each check before the accepted one was refuted, or
-    discarded and so refuted, as without the search, and the accepted
+    and the value pass over the last solve gives every line index.  A
+    witness that `MilpBackend.accept` takes is counted in
+    `stats.witnessed`, and the check makes no HiGHS call.  That fires the
+    matching HiGHS alone would fire, too.  `accept` takes a witness only
+    when every row and bound of the check holds, its reified binaries set
+    to the truth of their comparisons, so an accepted witness is a model of
+    the check: the check is sat, and HiGHS would find it sat.  A matching
+    the search neither refutes nor witnesses, and a rejected witness, leave
+    the check to HiGHS.  So each check before the accepted one was refuted,
+    or discarded and so refuted, as without the search, and the accepted
     check is the first sat one: the lexicographically first feasible
-    matching at the window's optimum count.  Only the model differs,
-    which `verify` still judges with the rest of the schedule.
+    matching at the window's optimum count.  Only the model differs, which
+    `verify` still judges with the rest of the schedule.
 
     Gates fire at the window's last stage only, and that loses nothing.  A
     window grows to horizon h only after every shorter horizon with the
@@ -267,67 +270,59 @@ class _Moves:
     a pickup at stage 1.  A firing gate (u, q) therefore takes one of three
     options: u up and q static, u moving onto q's site; q up and u static;
     or both up, meeting at a common site.  Neither up would leave two
-    static qubits on one site at stage 0 (`c5_occupancy`).  The rules an
-    option must pass:
+    static qubits on one site at stage 0 (`c5_occupancy`).
 
-    - Move order.  `line_order` turns a strict stage-0 coordinate order of
-      two up qubits into a strict line-index order, and so into a weak
-      stage-1 coordinate order, per axis.
-    - Known line order.  The stage-0 line indices of two up qubits are in
-      a known order when both are tied (`window_bounds` fixes their `pc`
-      and `pr`) or both are held (`boundary_rows` orders the held lines
-      when two or more qubits hold them; one held qubit forms no pair).
-      Index order then bounds coordinate order at stages 0 and 1, and
-      equal indices force equal coordinates.
-    - Meeting sites.  Each is in the region and not avoided
-      (`avoid_rows`), and no two firing pairs share one: by `c7_isolation`
-      two co-sited qubits at the fire stage fire a gate together, and
-      every other fire variable is fixed to 0.
-    - Lines.  The stage-0 line indices of the up qubits fit on each axis
-      (`_lines`): two of them take lines in the order `order` gives, or,
-      where it gives none, in the order of their differing stage-1
-      coordinates (`line_order`); tied qubits keep their tied lines, the
-      directed held qubits the order of their held lines, and every index
-      lies in the region.
-    - Meeting sites are placed jointly.  Every pair that meets stands on
-      one site of its own, apart from every other such pair's and from
-      every one-up mover's landing site, inside the move-order box
-      (`box`) of the up qubits placed before it, with the lines still
-      fitting.  The site may be one a qubit stands on at stage 0, since
-      an up qubit can leave it.
+    The rules are one system of difference constraints per axis
+    (`_system`), solved by longest paths.  Its nodes are the stage-0 line
+    indices of the up qubits and of the directed held qubits (one per held
+    line), and the stage-1 coordinates of the up qubits, one node for the
+    two of a pair that meets.  Its edges and bounds:
 
-    `decide` searches the relaxed space these rules span: an option per
-    gate that passes alone and with every other gate's option (`fits`),
-    the chosen options' up qubits fitting lines on both axes with the
-    sites where pairs meet unknown, and then those pairs placed one by
-    one, the lines fitting after each placement.  Bystanders are ignored
-    there, which only weakens the rules.  A discard means the search
-    exhausted that space within its budget without reaching a leaf, every
-    pair placed.  Each leaf it reaches it tries to complete: the other
-    qubits stay static but for one of two static qubits on one site,
-    which departs and drops on a free site, the lines fitting after each
-    drop, and the last line solve gives every line index.  A witness is a
-    leaf that also completes.  Each gate's options are read once per
-    window (`options`), and each pair of options is decided once and
-    cached across the window's matchings."""
+    - Move order (`order`, from `line_order`).  A strict stage-0 order of
+      two up qubits is a strict index order, and a known index order a
+      weak stage-1 order (equal lines, equal coordinates).  Where `order`
+      knows none, differing placed stage-1 coordinates order the indices.
+    - Known lines.  A tied qubit's index is fixed (`window_bounds` fixes
+      its `pc` and `pr`); the held lines keep their order (`boundary_rows`).
+    - Sites.  A placed qubit's coordinate is fixed, and every value lies in
+      the region.  Two nodes take two sites, none avoided (`avoid_rows`,
+      and `c7_isolation` with every other fire variable fixed at 0), so no
+      node is pinned to an avoided site and no two are forced onto one.
+
+    `decide` searches the relaxed space the system spans: an option per
+    gate, each kept while the system stays feasible, then each pair that
+    meets placed on a site of its own, apart from every other such pair's
+    and from every one-up mover's landing site, the system solved after
+    each placement.  The site may be one a qubit stands on at stage 0,
+    since an up qubit can leave it.  Bystanders are ignored there, which
+    only weakens the rules.  A discard means the search exhausted that
+    space within its budget without reaching a leaf, every pair placed.
+    Each leaf it reaches it tries to complete: the other qubits stay
+    static but for one of two static qubits on one site, which departs and
+    drops on a free site, the system solved after each drop, and the last
+    solve's value pass gives every line index."""
 
     def __init__(self, w: WindowSpec):
         self.w = w
         self.xy = xy = w.boundary.xy
-        self.sites = [(x, y) for x in w.region.x_range
-                      for y in w.region.y_range
-                      if (x, y) not in w.avoid_sites]
+        self.sites = frozenset((x, y) for x in w.region.x_range
+                               for y in w.region.y_range) - w.avoid_sites
         self.stage0 = Counter(xy.values())
-        # per-window memos of the methods they wrap
+        self.span = [(r.start, r.stop - 1)
+                     for r in (w.region.x_range, w.region.y_range)]
+        # per axis, each directed held qubit's line node
+        self.held = [{q: ("held", w.boundary.held[q][axis])
+                      for q in directed_held(w)} for axis in (0, 1)]
+        # per-window memos of the methods they wrap; matchings share the
+        # prefixes of their options, so `prefix` solves each one once
         self.order = functools.cache(self._order)
-        self.fits = functools.cache(self._meet)
         self.near = functools.cache(self._near)
-        # gate -> its options (qubits up at stage 0, meeting site or None
-        # for any site) that pass alone
-        self.options = {
-            g: [o for o in (((u,), xy[q]), ((q,), xy[u]), ((u, q), None))
-                if self._alone(*o)]
-            for g, (u, q) in w.gates.items()}
+        self.prefix = functools.cache(
+            lambda at1, pairs: self._system(dict(at1), pairs))
+        # gate -> its options: the qubits up at stage 0, and the site a lone
+        # mover lands on or None for a pair that meets
+        self.options = {g: (((u,), xy[q]), ((q,), xy[u]), ((u, q), None))
+                        for g, (u, q) in w.gates.items()}
 
     @classmethod
     def of(cls, w: WindowSpec) -> "_Moves | None":
@@ -354,52 +349,74 @@ class _Moves:
             out.append((le, ge))
         return tuple(out)
 
-    def _meet(self, o1, o2) -> bool:
-        """Whether options of two disjoint gates pass every rule together:
-        their up qubits can be up together, and two distinct meeting sites
-        keep the stage-1 order those qubits ask for."""
-        (up1, s1), (up2, s2) = o1, o2
-        orders = [self.order(i, j) for i in up1 for j in up2]
-        if None in orders:
-            return False
-        need = [(any(o[axis][0] for o in orders),
-                 any(o[axis][1] for o in orders)) for axis in (0, 1)]
-        if all(le and ge for le, ge in need):
-            return False  # the two pairs would share one site
-        sites = self.sites
-        pairs = ((m1, m2) for m1 in (sites if s1 is None else (s1,))
-                 for m2 in (sites if s2 is None else (s2,)) if m1 != m2)
-        return any(all((m1[a] <= m2[a] or not le)
-                       and (m1[a] >= m2[a] or not ge)
-                       for a, (le, ge) in enumerate(need))
-                   for m1, m2 in pairs)
-
-    def _alone(self, up, site) -> bool:
-        if site is None:  # both up, meeting at any site
-            return bool(self.sites) and self.order(*up) is not None
-        return site in self.sites
-
-    def box(self, up: tuple[int, ...],
-            at1: Mapping[int, tuple[int, int] | None]) -> list | None:
-        """Per axis, the [lo, hi] a stage-1 site of the qubits `up` keeps
-        to agree with every up qubit `at1` places on the order `order`
-        asks; None when one of them cannot be up beside one placed.  A
-        qubit `at1` maps to None is not placed yet."""
-        span = self.w.region.x_range, self.w.region.y_range
-        lims = [[r.start, r.stop - 1] for r in span]
-        for i in up:
-            for j, s in at1.items():
-                if s is None:
-                    continue
+    def _system(self, at1: Mapping[int, tuple[int, int] | None],
+                pairs: Sequence[tuple[int, int]]) -> list | None:
+        """The system for the qubits up at stage 0, `at1` giving each one's
+        stage-1 site or None where it is not placed, and `pairs` the up
+        qubits of each pair that meets: per axis (0: columns, 1: rows),
+        the least and greatest value of each node, the edges, and each
+        qubit's line node; None when no values fit."""
+        tied = self.w.boundary.prev_traps
+        node = {q: ("site", up[0]) for up in pairs for q in up}
+        node.update({q: ("site", q) for q in at1 if q not in node})
+        out = []  # per axis: lo, hi, edges (a, c, w): c >= a + w, line
+        for axis in (0, 1):
+            first, last = self.span[axis]
+            line = dict(self.held[axis])
+            held = sorted(set(line.values()))  # the held lines, in order
+            edges = {(k, c, 1) for k, c in zip(held, held[1:])}
+            line.update((q, ("line", q)) for q in at1 if q not in line)
+            lo = dict.fromkeys([*line.values(), *node.values()], first)
+            hi = dict.fromkeys(lo, last)
+            for q, s in at1.items():
+                if q in tied:
+                    k, fixed = line[q], tied[q][axis]
+                    lo[k], hi[k] = max(lo[k], fixed), min(hi[k], fixed)
+                if s is not None:
+                    lo[node[q]] = hi[node[q]] = s[axis]
+            out.append((lo, hi, edges, line))
+        ups = sorted(at1)
+        for n, i in enumerate(ups):
+            for j in ups[n + 1:]:
                 o = self.order(i, j)
                 if o is None:
                     return None
                 for axis, (le, ge) in enumerate(o):
+                    _, _, edges, line = out[axis]
                     if le:
-                        lims[axis][1] = min(lims[axis][1], s[axis])
+                        edges.add((node[i], node[j], 0))
                     if ge:
-                        lims[axis][0] = max(lims[axis][0], s[axis])
-        return lims
+                        edges.add((node[j], node[i], 0))
+                    if not (le or ge) and None not in (at1[i], at1[j]):
+                        le, ge = at1[i][axis] < at1[j][axis], \
+                            at1[i][axis] > at1[j][axis]
+                    if le != ge:
+                        edges.add((line[i], line[j], 1) if le
+                                  else (line[j], line[i], 1))
+        for lo, hi, edges, _ in out:
+            top = {k: -v for k, v in hi.items()}
+            if not _longest(lo, hi, edges):
+                return None
+            _longest(top, {k: -v for k, v in lo.items()},
+                     {(c, a, w) for a, c, w in edges})
+            hi.update((k, -v) for k, v in top.items())
+        (xlo, xhi, _, _), (ylo, yhi, _, _) = out
+        keys = set(node.values())
+        at = {k: (xlo[k], ylo[k]) for k in keys
+              if xlo[k] == xhi[k] and ylo[k] == yhi[k]}
+        if len(set(at.values())) < len(at) or not self.sites.issuperset(
+                at.values()):
+            return None  # two nodes pinned to one site, or one avoided
+        free = self.sites.difference(at.values())
+        for k in keys - at.keys():
+            if not any(xlo[k] <= x <= xhi[k] and ylo[k] <= y <= yhi[k]
+                       for x, y in free):
+                return None  # no site left to it
+            if any(c != k and all(lo[k] == hi[k] == lo[c] == hi[c]
+                                  or (k, c, 0) in e and (c, k, 0) in e
+                                  for lo, hi, e, _ in out) for c in keys):
+                return None  # forced onto one site with another node
+        return out
 
     def decide(self, m: Sequence[int], v: Vars) -> dict | bool | None:
         """The window's check that fires exactly m (gate ids of the
@@ -412,8 +429,9 @@ class _Moves:
         Meeting sites are tried for the pair with the fewest left first,
         those no qubit stands on at stage 0 ahead of the rest, nearest
         first (`near`).  A departing qubit tries the sites no static qubit
-        stands on, nearest first.  Each line solve costs one unit of the
-        budget.
+        stands on, nearest first.  Either tries only the sites inside the
+        bounds the placed qubits give its node directly.  Each leaf of the
+        options and each site tried costs one unit of the budget.
 
         The caller accepts a witness only through `MilpBackend.accept`, so
         a mistake in the completion costs a solver call, never a wrong
@@ -423,80 +441,86 @@ class _Moves:
         chosen: list = []  # an option per gate of m, in order
         # up at stage 0 -> stage-1 site, None for a pair not yet placed
         at1: dict[int, tuple[int, int] | None] = {}
+        pairs: list = []  # the up qubits of each pair that meets
         left = WITNESS_BUDGET
         spent = relaxed = False
 
-        def lines() -> tuple | None:
-            """The stage-0 line indices on both axes for `at1`, or None
-            when none fit or the budget is spent."""
+        def charge() -> bool:
+            """Spend one unit of the budget; False when none is left."""
             nonlocal left, spent
-            if left <= 0:
-                spent = True
-                return None
+            spent = left <= 0
             left -= 1
-            cols = self._lines(at1, 0)
-            rows = None if cols is None else self._lines(at1, 1)
-            return None if rows is None else (cols, rows)
+            return not spent
 
-        def tried(up: tuple[int, ...], sites) -> Iterator[tuple]:
-            """The line solve at each of `sites` the lines fit with the
-            qubits `up` placed on it, until the budget is spent; `up` maps
-            to None after."""
+        def tried(up: tuple[int, ...], sites) -> Iterator[list]:
+            """The feasible systems with the qubits `up` on each of `sites`,
+            until the budget is spent; `up` maps to None after."""
             for s in sites:
                 for q in up:
                     at1[q] = s
-                solved = lines()
-                if spent:
+                if not charge():
                     break
+                solved = self._system(at1, pairs)
                 if solved is not None:
                     yield solved
             for q in up:
                 at1[q] = None
 
-        def free(up: tuple[int, ...], taken) -> list:
+        def free(up: tuple[int, ...], taken, solved) -> list:
             """The sites not in `taken` for the qubits `up`, nearest first,
-            in their box; none when they cannot be up beside one placed."""
-            lims = self.box(up, at1)
-            if lims is None:
-                return []
-            (x0, x1), (y0, y1) = lims
+            inside the bounds placed nodes give their node by one edge."""
+            k, box = ("site", up[0]), []
+            for axis, (_, _, edges, _) in enumerate(solved):
+                low, high = self.span[axis]
+                for a, c, _ in edges:
+                    if c == k and at1.get(a[1]) is not None:
+                        low = max(low, at1[a[1]][axis])
+                    if a == k and at1.get(c[1]) is not None:
+                        high = min(high, at1[c[1]][axis])
+                box.append(range(low, high + 1))
             return [s for s in self.near(up) if s not in taken
-                    and x0 <= s[0] <= x1 and y0 <= s[1] <= y1]
+                    and s[0] in box[0] and s[1] in box[1]]
 
-        def extend(i: int) -> dict | None:
+        def extend(i: int, solved) -> dict | None:
             if i == len(m):
-                at1.clear()
-                at1.update((q, site) for up, site in chosen for q in up)
-                solved = lines()
-                pairs = [up for up, site in chosen if site is None]
-                return None if solved is None else meet(pairs, solved)
+                if solved is None or not charge():
+                    return None
+                return meet(list(pairs), solved)
             for o in self.options[m[i]]:
-                if all(self.fits(p, o) for p in chosen):
-                    chosen.append(o)
-                    found = extend(i + 1)
-                    chosen.pop()
-                    if found is not None or spent:
-                        return found
+                up, site = o
+                chosen.append(o)
+                at1.update(dict.fromkeys(up, site))
+                if site is None:
+                    pairs.append(up)
+                again = self.prefix(tuple(at1.items()), tuple(pairs))
+                found = None if again is None else extend(i + 1, again)
+                if site is None:
+                    pairs.pop()
+                for q in up:
+                    del at1[q]
+                chosen.pop()
+                if found is not None or spent:
+                    return found
             return None
 
-        def meet(pairs: list, solved: tuple) -> dict | None:
-            """Place each pair of up qubits in `pairs` on a site of its
-            own, in its box and taken by no one, then complete."""
+        def meet(rest: list, solved) -> dict | None:
+            """Place each pair of up qubits in `rest` on a site of its own,
+            taken by no one, then complete."""
             nonlocal relaxed
-            if not pairs:
+            if not rest:
                 relaxed = True
                 return depart(solved)
             taken = set(at1.values())
-            sites, up = min(((free(up, taken), up) for up in pairs),
+            sites, up = min(((free(up, taken, solved), up) for up in rest),
                             key=lambda found: len(found[0]))
-            rest = [p for p in pairs if p != up]
+            rest = [p for p in rest if p != up]
             for solved in tried(up, sites):
                 found = meet(rest, solved)
                 if found is not None or spent:
                     return found
             return None
 
-        def depart(solved: tuple) -> dict | None:
+        def depart(solved) -> dict | None:
             # stage-1 site -> the qubits of the gate that fires there
             taken = {at1[up[0]]: gates[g] for g, (up, _) in zip(m, chosen)}
             # the static qubits by stage-0 site: each site keeps one
@@ -525,7 +549,10 @@ class _Moves:
             def drop(k: int, queue: tuple[int, ...], solved) -> dict | None:
                 if queue:
                     p = queue[0]
-                    sites = free((p,), static.union(taken))
+                    at1[p] = None
+                    here = self._system(at1, pairs)
+                    sites = [] if here is None else free(
+                        (p,), static.union(taken), here)
                     for again in tried((p,), sites):
                         taken[at1[p]] = (p,)
                         found = drop(k, queue[1:], again)
@@ -535,7 +562,7 @@ class _Moves:
                     del at1[p]
                     return None
                 if k == len(plans):
-                    return self._values(m, v, at1, *solved)
+                    return self._values(m, v, at1, solved)
                 for departers in plans[k]:
                     found = drop(k + 1, departers, solved)
                     if found is not None or spent:
@@ -544,7 +571,7 @@ class _Moves:
 
             return drop(0, (), solved)
 
-        found = extend(0)
+        found = extend(0, self._system(at1, pairs))
         if found is None and not (spent or relaxed):
             return False
         return found
@@ -562,81 +589,33 @@ class _Moves:
 
         return sorted(self.sites, key=far)
 
-    def _lines(self, at1: Mapping[int, tuple[int, int] | None], axis: int
-               ) -> dict[int, int] | None:
-        """Stage-0 line indices on one axis (0: columns, 1: rows) for the
-        qubits up at stage 0, `at1` giving each one's stage-1 site or None
-        where it is not known, and for the directed held qubits; None when
-        no indices fit.
+    def _values(self, m, v: Vars, at1, solved: list) -> dict | None:
+        """The witness: a value for every variable of `v`, the line indices
+        from the value pass over `solved`, its leaf's system; None when it
+        puts two up qubits in one trap (`c5_occupancy`).  A qubit up at
+        stage 0 stays up when it fires and drops otherwise.
 
-        The indices form one topological pass.  Two up qubits take lines in
-        the order `order` gives them, and none when their stage-1
-        coordinates disagree with it; where it gives none, differing
-        stage-1 coordinates order their lines (`line_order`).  Held qubits
-        keep the order of their held lines, equal ones sharing a line
-        (`boundary_rows`); a tied qubit keeps its tied line, and every
-        index lies in the region.  In the order this imposes, each index
-        sits as close to its qubit's stage-1 coordinate as the indices
+        The value pass takes each axis's line nodes in order of their least
+        values, an order of the strict edges.  Each index sits as close to
+        its qubit's stage-1 coordinate (the least qubit's for a held line,
+        and a held qubit's stage-0 one when it is not up) as the indices
         before it and the room left after it allow."""
-        b, xy = self.w.boundary, self.xy
-        span = (self.w.region.x_range, self.w.region.y_range)[axis]
-        held, directed = b.held, directed_held(self.w)
-        at = {q: None if s is None else s[axis] for q, s in at1.items()}
-        # each qubit's class: held qubits on one held line share one
-        cls = {q: (0, held[q][axis]) for q in directed}
-        cls.update({q: (1, q) for q in at1 if q not in cls})
-        pred: dict[tuple, set] = {k: set() for k in cls.values()}
-        succ: dict[tuple, set] = {k: set() for k in cls.values()}
-        target = {}
-        for q in sorted(cls, reverse=True):
-            target[cls[q]] = xy[q][axis] if at.get(q) is None else at[q]
-        fixed: dict[tuple, int] = {}
-        for q in at1:
-            if q in b.prev_traps:
-                line = b.prev_traps[q][axis]
-                if fixed.setdefault(cls[q], line) != line:
-                    return None
-        lines = sorted({held[q][axis] for q in directed})
-        edges = [((0, lo), (0, hi)) for lo, hi in zip(lines, lines[1:])]
-        ups = sorted(at1)
-        for n, i in enumerate(ups):
-            for j in ups[n + 1:]:
-                o = self.order(i, j)
-                if o is None:
-                    return None
-                le, ge = o[axis]
-                if at[i] is not None and at[j] is not None:
-                    if le and at[i] > at[j] or ge and at[i] < at[j]:
-                        return None  # the two lines would cross
-                    if not (le or ge):
-                        le, ge = at[i] < at[j], at[i] > at[j]
-                if le != ge:
-                    edges.append((cls[i], cls[j]) if le else (cls[j], cls[i]))
-        for lo, hi in edges:
-            pred[hi].add(lo)
-            succ[lo].add(hi)
-        try:
-            order = list(TopologicalSorter(pred).static_order())
-        except CycleError:
-            return None
-        lb, ub, val = {}, {}, {}
-        for k in order:
-            lb[k] = max([span.start, fixed.get(k, span.start)]
-                        + [lb[p] + 1 for p in pred[k]])
-        for k in reversed(order):
-            ub[k] = min([span.stop - 1, fixed.get(k, span.stop - 1)]
-                        + [ub[s] - 1 for s in succ[k]])
-            if lb[k] > ub[k]:
-                return None
-        for k in order:
-            low = max([lb[k]] + [val[p] + 1 for p in pred[k]])
-            val[k] = min(max(target[k], low), ub[k])
-        return {q: val[k] for q, k in cls.items()}
-
-    def _values(self, m, v: Vars, at1, cols, rows) -> dict:
-        """The witness: a value for every variable of `v`.  A qubit up at
-        stage 0 stays up when it fires and drops otherwise."""
         w, xy = self.w, self.xy
+        index = []
+        for axis, (lo, hi, edges, line) in enumerate(solved):
+            target, pred, val = {}, {}, {}
+            for q in sorted(line, reverse=True):
+                target[line[q]] = (at1.get(q) or xy[q])[axis]
+            for a, c, step in edges:
+                if step:
+                    pred.setdefault(c, []).append(a)
+            for k in sorted(target, key=lo.get):
+                val[k] = min(hi[k], max([target[k], lo[k]] + [
+                    val[a] + 1 for a in pred.get(k, ())]))
+            index.append({q: val[k] for q, k in line.items()})
+        cols, rows = index
+        if len({(cols[q], rows[q]) for q in at1}) < len(at1):
+            return None
         first = w.region.x_range.start, w.region.y_range.start
         ends = {q for g in m for q in w.gates[g]}
         out = {}
@@ -653,6 +632,25 @@ class _Moves:
         fired = set(m)
         out.update({f: int(g in fired) for g, f in v.f.items()})
         return out
+
+
+def _longest(lo: dict, hi: dict, edges) -> bool:
+    """Raise each lo[c] to lo[a] + w along every edge (a, c, w),
+    transitively: the longest paths into each node from its bound.  False
+    when some lo passes its hi, so that no values fit."""
+    out: dict = {}
+    for a, c, w in edges:
+        out.setdefault(a, []).append((c, w))
+    todo = list(lo)
+    while todo:
+        a = todo.pop()
+        if lo[a] > hi[a]:
+            return False
+        for c, w in out.get(a, ()):
+            if lo[a] + w > lo[c]:
+                lo[c] = lo[a] + w
+                todo.append(c)
+    return True
 
 
 def matching_number(gates: Mapping[int, tuple[int, int]]) -> int:

@@ -80,10 +80,10 @@ class CompileResult:
     by a witness makes no call, so neither is counted there.
     discarded counts those matchings: the ones the compile reached and
     skipped without a solver call, because the search exhausted, within
-    its budget, the relaxed space their window's move order, lines and
-    meeting sites leave (one distinct site per pair that meets, placed for
-    all of them together) without a leaf, so each one's check would be
-    refuted.
+    its budget, the relaxed space their window's one system of difference
+    constraints per axis leaves (move order, lines, and one distinct site
+    per pair that meets, placed for all of them together) without a leaf,
+    so each one's check would be refuted.
     witnessed counts the checks decided by an accepted witness: a leaf of
     that space that also completes to a model of the check, so a sat check
     with no HiGHS call.

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomc import compiler
-from atomc.arrays import ArraySpec, full_region
+from atomc.arrays import ArraySpec, full_region, split_plane
 from atomc.circuits import generate_rand3reg
-from atomc.compiler import _Moves, compile_circuit, matching_number, matchings
+from atomc.compiler import (_checks, _Moves, compile_circuit, matching_number,
+                            matchings)
 from atomc.encoding import Boundary, WindowSpec, encode_window, window_bounds
 from atomc.orchestrator import pac_compile
 from atomc.smt import MilpBackend
@@ -96,6 +97,23 @@ def _refuted_when_discarded(specs) -> int:
     return count
 
 
+def _model_passes_the_system(moves, spec, m, model, v) -> None:
+    """Feed `model`, a model of the check of spec that fires matching m,
+    to `moves._system`: the model's options (which endpoints are up at
+    stage 0) and their stage-1 sites must keep the system feasible, and
+    the model's stage-0 line index of each qubit with a line node must lie
+    within that node's bounds."""
+    at1 = {q: (model[v.x[q, 1].name], model[v.y[q, 1].name])
+           for g in m for q in spec.gates[g] if model[v.a[q, 0].name]}
+    pairs = [spec.gates[g] for g in m if set(spec.gates[g]) <= set(at1)]
+    solved = moves._system(at1, pairs)
+    assert solved is not None, m
+    for axis, (lo, hi, _, line) in enumerate(solved):
+        index = (v.c, v.r)[axis]
+        for q, k in line.items():
+            assert lo[k] <= model[index[q, 0].name] <= hi[k], (m, q)
+
+
 def test_discarded_matchings_are_refuted():
     # direct rand3reg(6, 13) is in perfbench's direct ladder
     specs = [s for seed in (1, 2, 3, 13) for s in _direct_windows(6, seed, 3)]
@@ -117,25 +135,30 @@ def test_discarded_matchings_are_refuted_over_the_depth_sweep(monkeypatch):
 
 @st.composite
 def _pinned_windows(draw):
-    """A random horizon-1 window on 3x3 or 4x4: stage-0 sites with at most
-    two qubits on one, random gates, tied and held lines, and avoided sites
-    among the empty ones."""
+    """A random horizon-1 window on 3x3 or 4x4, or, half the time, on the
+    lower-right quadrant of a 2n x 2n array, whose sites and lines start at
+    n: stage-0 sites with at most two qubits on one, random gates, tied and
+    held lines, and avoided sites among the empty ones."""
     n = draw(st.sampled_from([3, 4]))
-    sites = list(itertools.product(range(n), repeat=2))
+    region = full_region(ArraySpec(n))
+    if draw(st.booleans()):
+        region = split_plane(ArraySpec(2 * n))[1]
+    sites = list(itertools.product(region.x_range, region.y_range))
     qubits = range(draw(st.integers(2, 6)))
     xy = draw(st.lists(st.sampled_from(sites), min_size=len(qubits),
                        max_size=len(qubits))
               .filter(lambda placed: max(Counter(placed).values()) <= 2))
     pairs = list(itertools.combinations(qubits, 2))
     gates = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6))
-    line = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    line = st.tuples(st.sampled_from(region.x_range),
+                     st.sampled_from(region.y_range))
     tied = draw(st.dictionaries(st.sampled_from(qubits), line))
     held = draw(st.dictionaries(st.sampled_from(qubits), line))
     empty = sorted(set(sites) - set(xy))
     avoid = draw(st.frozensets(st.sampled_from(empty))) if empty else \
         frozenset()
     return WindowSpec(
-        list(qubits), dict(enumerate(gates)), 2, full_region(ArraySpec(n)),
+        list(qubits), dict(enumerate(gates)), 2, region,
         Boundary(xy=dict(enumerate(xy)), prev_traps=tied, held=held), avoid)
 
 
@@ -143,6 +166,17 @@ def _pinned_windows(draw):
 @settings(max_examples=100, deadline=None)
 def test_random_windows_refute_what_they_discard(spec):
     _refuted_when_discarded([spec])
+
+
+@given(_pinned_windows())
+@settings(max_examples=50, deadline=None)
+def test_random_windows_pass_the_system_with_every_model(spec):
+    # every sat check, not only the first one `solve_window` meets
+    moves = _Moves(spec)
+    backend, v = encoded = _encoded(spec)
+    for m in _checks(spec):
+        if _answer(spec, m, encoded) == "sat":
+            _model_passes_the_system(moves, spec, m, backend.model(), v)
 
 
 @st.composite
@@ -293,8 +327,8 @@ def test_a_known_landing_site_orders_two_lines_of_one_column():
     spec = _window(3, xy, tied=tied)
     assert _discards(spec)
     moves = _Moves(spec)
-    assert moves._lines({0: None, 2: None}, 0) is not None
-    assert moves._lines({0: xy[1], 2: xy[3]}, 0) is None
+    assert moves._system({0: None, 2: None}, []) is not None
+    assert moves._system({0: xy[1], 2: xy[3]}, []) is None
     # with 0 tied to column 1, column 0 is free for 2
     assert _fires(_window(3, xy, tied={**tied, 0: (1, 0)}))
 
@@ -304,10 +338,10 @@ def test_pairs_that_meet_take_distinct_sites_jointly():
     # y=0  3,4  0,1  .
     # a window direct rand3reg(6, 2) on 3x3 solves, with three co-sited
     # pairs as a firing stage leaves them.  Each matching below fires all
-    # six qubits, and some choice of options passes every rule pairwise and
-    # the line solve with its meeting sites unknown.  But no choice places
-    # its pairs that meet on distinct sites, apart from the movers'
-    # landing sites, so that the lines still fit
+    # six qubits, and some choice of options keeps the system feasible
+    # with its meeting sites unknown.  But no choice places its pairs that
+    # meet on distinct sites, apart from the movers' landing sites, so
+    # that the system stays feasible
     xy = {0: (1, 0), 1: (1, 0), 2: (0, 1), 3: (0, 0), 4: (0, 0), 5: (0, 1)}
     gates = {1: (0, 3), 2: (0, 5), 3: (1, 4), 4: (1, 5), 5: (2, 3),
              6: (2, 4)}
@@ -371,6 +405,34 @@ def test_the_search_stops_at_its_budget(monkeypatch):
                                    stats=stats)
     assert (stats.calls, stats.discarded, stats.witnessed) == (2, 0, 0)
     assert sorted(result.fired) == [0, 1]
+
+
+# y=3  4  .  .  1
+# y=2  .  .  .  .
+# y=1  3  0  .  .
+# y=0  .  5  .  2
+# gates (0, 1), (2, 3) and (4, 5)
+CHAINED = WindowSpec(
+    list(range(6)), {0: (0, 1), 1: (2, 3), 2: (4, 5)}, 2,
+    full_region(ArraySpec(4)),
+    Boundary(xy={0: (1, 1), 1: (3, 3), 2: (3, 0), 3: (0, 1), 4: (0, 3),
+                 5: (1, 0)}))
+
+
+def test_a_chain_through_a_meeting_pair_refutes_before_placement(
+        monkeypatch):
+    # say 2 moves onto 3 at (0, 1) while (0, 1) and (4, 5) meet.  0, 4
+    # and 5 stand left of 2, so both pairs meet in column 0.  0 stands
+    # below 4 and above 5, and 4 and 5 share one stage-1 row where they
+    # meet, so the pair (0, 1) meets in that row too: both pairs on one
+    # site.  Each two of the three options fit together, so placing the
+    # pairs site by site would spend 10 units of the budget before it
+    # refuted every choice of options.  The system refutes each choice
+    # before any site is tried, so a budget of 4 still discards the
+    # matching
+    monkeypatch.setattr(compiler, "WITNESS_BUDGET", 4)
+    assert _discards(CHAINED, (0, 1, 2))
+    assert _fires(CHAINED, (0, 1))
 
 
 def test_free_and_grown_windows_pass_every_matching():

@@ -13,7 +13,8 @@ from atomc.arrays import ArraySpec, full_region
 from atomc.compiler import _checks, _extract, _Moves, _Stats, solve_window
 from atomc.encoding import Boundary, WindowSpec, window_bounds
 from atomc.schedule import AOD, SLM
-from test_can_fire import (ROOT, _direct_windows, _encoded, _pac_windows,
+from test_can_fire import (ROOT, _direct_windows, _encoded,
+                           _model_passes_the_system, _pac_windows,
                            _pinned_windows)
 
 
@@ -26,9 +27,10 @@ def _fixed(spec, v, m) -> dict:
 def _witnessed(specs) -> int:
     """For each pinned one-stage window, walk its checks in order up to
     the first that HiGHS finds sat: each witness must pass the row check,
-    and HiGHS must find its matching sat.  `solve_window`, witnesses and
-    all, must fire that first sat matching.  Returns how many witnesses
-    there were."""
+    and HiGHS must find its matching sat.  The model HiGHS finds must pass
+    `_Moves._system` (`_model_passes_the_system`).  `solve_window`,
+    witnesses and all, must fire that first sat matching.  Returns how many
+    witnesses there were."""
     count = 0
     for spec in specs:
         moves = _Moves.of(spec)
@@ -47,6 +49,7 @@ def _witnessed(specs) -> int:
             answer = backend.check(fixed=fixed)
             assert witness is None or answer == "sat", m
             if answer == "sat":
+                _model_passes_the_system(moves, spec, m, backend.model(), v)
                 first = m
                 break
         stats = _Stats(t0=0.0, deadline=float("inf"))
@@ -191,6 +194,25 @@ def test_a_parking_window_drops_a_departing_qubit():
     assert [s0.states[q].a for q in range(3)] == [SLM, AOD, SLM]
     assert all(st.a == SLM for st in s1.states.values())
     assert _site(s1.states[1]) != (1, 1)
+
+
+def test_two_up_qubits_never_share_one_trap():
+    # y=2  0
+    # y=1  1,3
+    # y=0  2,4
+    # 0 moving onto 2 leaves 1 and 3 to meet right of column 0 while 4
+    # leaves 2's site.  The lines then give 1 and 3 one column and one
+    # row, one trap, which `c5_occupancy` forbids, so that leaf does not
+    # complete.  The search goes on: 1 stays on 3's site while 0 and 2 meet
+    xy = {0: (0, 2), 1: (0, 1), 2: (0, 0), 3: (0, 1), 4: (0, 0)}
+    spec = _spec(3, xy, [(0, 2), (1, 3)])
+    (s0, s1), _, _ = _witness(spec, (0, 1))
+    up = [q for q in xy if s0.states[q].a == AOD]
+    assert up == [0, 1, 2]
+    assert _site(s1.states[1]) == _site(s1.states[3]) == (0, 1)
+    assert _site(s1.states[0]) == _site(s1.states[2])
+    traps = {(s0.states[q].c, s0.states[q].r) for q in up}
+    assert len(traps) == len(up)
 
 
 def test_the_search_stops_at_its_budget(monkeypatch):
