@@ -51,8 +51,6 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping, Sequence
 
-import networkx as nx
-
 from .arrays import Region, site_in_region
 from .circuits import Circuit
 from .encoding import (Boundary, Vars, WindowSpec, directed_held,
@@ -61,6 +59,7 @@ from .errors import (CompileTimeout, ConsistencyError, InfeasibleError,
                      VerificationError)
 from .schedule import AOD, SLM, CompileResult, QubitState, Schedule, Stage
 from .smt import MilpBackend
+from .verifier import verify
 
 # the most new stages a window grows to, from 1, before the compile gives up
 # as infeasible
@@ -655,10 +654,68 @@ def _longest(lo: dict, hi: dict, edges) -> bool:
 
 def matching_number(gates: Mapping[int, tuple[int, int]]) -> int:
     """The size of a maximum matching of the gate graph: the most of these
-    gates one window can fire."""
-    graph = nx.Graph()
-    graph.add_edges_from(gates.values())
-    return len(nx.max_weight_matching(graph))
+    gates one window can fire.  Edmonds' blossom algorithm (Edmonds, "Paths,
+    trees, and flowers", 1965): from each free qubit, one breadth-first
+    search for an augmenting path, which contracts each odd cycle it closes
+    to the cycle's base."""
+    adj: dict[int, set[int]] = {}
+    for u, v in gates.values():
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    mate: dict[int, int] = {}
+    for root in adj:
+        if root not in mate:
+            _augment(adj, mate, root)
+    return len(mate) // 2
+
+
+def _augment(adj: dict[int, set[int]], mate: dict[int, int], root: int
+             ) -> None:
+    """Grow `mate` by one edge along an augmenting path from free `root`,
+    if the graph `adj` has one."""
+    base = {q: q for q in adj}
+    parent: dict[int, int] = {}
+    seen, queue = {root}, [root]
+
+    def path(q):  # the bases from q's up to the root's
+        out = [base[q]]
+        while out[-1] != root:
+            out.append(base[parent[mate[out[-1]]]])
+        return out
+
+    def mark(q, b, child, blossom):  # q's side of a cycle, from q to base b
+        while base[q] != b:
+            blossom |= {base[q], base[mate[q]]}
+            parent[q], child = child, mate[q]
+            q = parent[child]
+
+    for q in queue:
+        for r in adj[q]:
+            if base[q] == base[r] or mate.get(q) == r:
+                continue
+            if r == root or r in mate and mate[r] in parent:  # r is even
+                # q-r closes an odd cycle: contract it to b, the first base
+                # the two paths to the root share
+                on_q = set(path(q))
+                b = next(c for c in path(r) if c in on_q)
+                blossom: set[int] = set()
+                mark(q, b, r, blossom)
+                mark(r, b, q, blossom)
+                for c in adj:
+                    if base[c] in blossom:
+                        base[c] = b
+                        if c not in seen:
+                            seen.add(c)
+                            queue.append(c)
+            elif r not in parent:
+                parent[r] = q
+                if r not in mate:  # flip the path's edges in and out
+                    while r is not None:
+                        q = parent[r]
+                        mate[r], mate[q], r = q, r, mate.get(q)
+                    return
+                seen.add(mate[r])
+                queue.append(mate[r])
 
 
 def matchings(gates: Mapping[int, tuple[int, int]], k: int
@@ -812,7 +869,6 @@ def compile_circuit(circuit: Circuit, region: Region, *,
                            stage_budget_history=stats.budget_history,
                            discarded=stats.discarded,
                            witnessed=stats.witnessed)
-    from .verifier import verify
     report = verify(schedule, circuit, scope=region)
     if not report.ok:
         raise VerificationError(

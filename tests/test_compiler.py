@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import networkx
 import pytest
 import scipy.optimize
 from hypothesis import given, settings
@@ -57,6 +59,56 @@ def test_window_specs_keep_the_gates_pending_when_solved(monkeypatch):
             for g in result.fired:
                 del pending[g]
     assert not pending
+
+
+def test_matching_number_agrees_with_networkx():
+    rng = random.Random(0)
+    for _ in range(3000):
+        # few qubits with sparse ids, so that pairs repeat
+        ids = rng.sample(range(50), rng.randint(2, 14))
+        gates = {rng.randrange(10_000): tuple(rng.sample(ids, 2))
+                 for _ in range(rng.randint(0, 3 * len(ids)))}
+        graph = networkx.Graph(gates.values())
+        assert matching_number(gates) == len(
+            networkx.max_weight_matching(graph)), gates
+
+
+# a 5-cycle 0..4 with the stem 5-6-0 into it and a pendant 7 on 1
+FLOWER = [(5, 6), (6, 0), (0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (7, 1)]
+# the triangle (0, 4, 7) on the side of the odd cycle 6-2-3-(7 0 4)-8-6
+NESTED = [(0, 4), (0, 7), (2, 3), (2, 6), (3, 7), (4, 7), (4, 8), (5, 8),
+          (6, 8)]
+# an outer 5-cycle, five spokes and an inner pentagram
+PETERSEN = ([(i, (i + 1) % 5) for i in range(5)]
+            + [(i, i + 5) for i in range(5)]
+            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+@pytest.mark.parametrize("edges,size", [
+    (FLOWER, 4), (TWO_TRIANGLES.gates, 3), (PETERSEN, 5), (NESTED, 4)],
+    ids=["flower", "two-triangles", "petersen", "nested"])
+def test_matching_number_on_blossoms(edges, size):
+    assert matching_number(dict(enumerate(edges))) == size
+
+
+# from each root, with these pairs matched, every augmenting path leaves an
+# odd cycle by a qubit the search first reaches as odd: a search that labels
+# each qubit once, contracting no cycle, finds no path
+@pytest.mark.parametrize("edges,pairs,root", [
+    (FLOWER, [(6, 0), (1, 2), (3, 4)], 5),
+    (TWO_TRIANGLES.gates, [(1, 2), (3, 5)], 4),
+    (NESTED, [(0, 7), (2, 3), (4, 8)], 6)],
+    ids=["flower", "two-triangles", "nested"])
+def test_an_augmenting_path_runs_through_blossoms(edges, pairs, root):
+    adj: dict = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    mate = {q: p for u, v in pairs for q, p in ((u, v), (v, u))}
+    compiler._augment(adj, mate, root)
+    assert len(mate) == 2 * len(pairs) + 2
+    assert root in mate and all(mate[mate[q]] == q and mate[q] in adj[q]
+                                for q in mate)
 
 
 def _probed(spec, matrices=None):

@@ -1,8 +1,11 @@
-"""Every name a program module imports is read somewhere in that module, and
+"""Every name a program module imports is read somewhere in that module,
 every module-level private function or class is read somewhere in the
-package."""
+package, and importing the program loads no networkx or scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,3 +104,21 @@ def test_private_guard_sees_names_and_attributes():
                           "a._used(a._Reached)\n"),
     }
     assert unread_private_definitions(trees) == {"a.py:_unused"}
+
+
+@pytest.mark.parametrize("module", ["atomc", "atomc.compiler",
+                                    "atomc.orchestrator", "atomc.cli"])
+def test_import_leaves_heavy_packages_unloaded(module):
+    """networkx is only the tests' oracle and `scipy.optimize` loads at the
+    first HiGHS call, so importing the program loads neither; the package
+    alone, without the solver back end, loads no numpy either."""
+    unloaded = {"networkx", "scipy"} | ({"numpy"} if module == "atomc"
+                                        else set())
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, {module}; print(' '.join(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert {name.split(".")[0] for name in loaded} & unloaded == set()
