@@ -9,11 +9,22 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 import warnings
 from dataclasses import dataclass
 from typing import IO
 
 from .errors import ParseError, QubitRangeError
+
+# a qubit count or id: ASCII digits, optionally negative (so that a
+# negative one is reported as such); no sign "+", no "_", no other digits
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -72,7 +83,7 @@ def parse_circuit(source: str | IO[str], name: str | None = None) -> Circuit:
             if len(fields) != 1:
                 raise ParseError("expected a single qubit count", lineno)
             try:
-                num_qubits = int(fields[0])
+                num_qubits = _integer(fields[0])
             except ValueError:
                 raise ParseError(f"bad qubit count {fields[0]!r}", lineno) from None
             if num_qubits < 0:
@@ -86,7 +97,7 @@ def parse_circuit(source: str | IO[str], name: str | None = None) -> Circuit:
         if len(fields) != 2:
             raise ParseError(f"expected two qubit ids, got {len(fields)}", lineno)
         try:
-            u, v = int(fields[0]), int(fields[1])
+            u, v = _integer(fields[0]), _integer(fields[1])
         except ValueError:
             raise ParseError(f"bad qubit id in {line!r}", lineno) from None
         if u == v:

@@ -9,19 +9,12 @@ result is committed and the fired gates leave the pending set.  A window
 whose every check is refuted cannot fire anything and grows its horizon
 until it can, up to `MAX_HORIZON` new stages.
 
-A pinned window with one new stage reads its own rules without the
-solver first (`_Moves`: which qubits can move, and one system of difference
-constraints per axis over their line indices and stage-1 coordinates).
-One search per matching (`_Moves.decide`) walks the space that system
-leaves, bystanders aside.  When it exhausts that space within its budget
-without a leaf, the matching is refuted and skipped.  When a leaf also
-completes to a model of the check built by hand (a witness) that passes
-every row and bound of the check (`MilpBackend.accept`), the check is sat
-with no HiGHS call.
-Anything else goes to HiGHS.  Only refuted matchings are skipped, and only
-sat checks are witnessed, so every window fires the matching it fires with
-HiGHS alone; a witness changes only where the qubits go and which lines
-they ride.
+A pinned window with one new stage decides each matching without the
+solver first (`_Moves`): a matching it refutes is skipped, a check it
+decides with a model built by hand (a witness) makes no HiGHS call, and
+anything else goes to HiGHS.  `_Moves` states why every window still fires
+the matching it fires with HiGHS alone; a witness changes only where the
+qubits go and which lines they ride.
 
 A compile encodes each window shape (`encoding.shape_key`) once, over all
 of its gates, into a backend of its own; a window of that shape is then
@@ -65,9 +58,9 @@ from .verifier import verify
 # as infeasible
 MAX_HORIZON = 8
 
-# the most solves of `_Moves`' system that `_Moves.decide` makes for one
-# matching (one at each leaf of its options and at each meeting or drop
-# site it tries) before it leaves the matching to HiGHS
+# the most units `_Moves.decide` spends on one matching before it leaves
+# the matching to HiGHS: one at each leaf of its options and one at each
+# meeting or drop site it tries, inside the bounds of that site's node
 WITNESS_BUDGET = 256
 
 
@@ -163,49 +156,11 @@ def solve_window(context: WindowSpec, *, gates: Mapping[int, tuple[int, int]],
     nothing pending is one plain feasibility check.
 
     A pinned window with one new stage decides each matching with one
-    search (`_Moves.decide`) before it checks it.  The search walks a
-    relaxed space: an option per gate, kept while `_Moves`' system of
-    difference constraints stays feasible, then a site for each pair that
-    meets, placed one by one and the system solved after each.  A matching
-    it refutes is counted in `stats.discarded` and never checked; that
-    changes no answer.  It refutes only when it has tried every option
-    and site of the relaxed space without reaching a leaf and without
-    spending `WITNESS_BUDGET`.  Any model of a matching's check gives each
-    of its gates an option, the endpoints up at stage 0 and the site where
-    the pair meets, and the model's values for those up qubits satisfy the
-    system.  Each edge and bound is a consequence of the families under
-    the check's bounds: `line_order` gives the move order and the index
-    order of differing stage-1 coordinates, `window_bounds` and
-    `boundary_rows` the tied and held lines (held lines bind whether up or
-    not), `c6_gate_cosite` the site a pair shares and the one a one-up
-    mover lands on, and the variable domains the region.  The firing pairs
-    stand on pairwise distinct sites (`c6_gate_cosite`, and `c7_isolation`
-    with every other fire variable fixed at 0), none avoided, so no node
-    is pinned to an avoided site or forced onto another's.  A system with
-    fewer nodes or fewer placed sites only loses edges and bounds, so the
-    model's values satisfy it at every prefix of the options and every
-    partial placement of the sites, in any order, and each site lies
-    inside the bounds the qubits placed before it give.  So the model's
-    options and sites are a leaf the search reaches unless its budget runs
-    out first.  Bystanders are ignored, which only weakens the test.
-    Hence a discarded matching's check has no model and would be refuted,
-    and the first sat check is the one it was without the search.
-
-    A witness is a leaf that also completes: every other qubit stays
-    static, but for one of two static qubits on one site, which departs,
-    and the value pass over the last solve gives every line index.  A
-    witness that `MilpBackend.accept` takes is counted in
-    `stats.witnessed`, and the check makes no HiGHS call.  That fires the
-    matching HiGHS alone would fire, too.  `accept` takes a witness only
-    when every row and bound of the check holds, its reified binaries set
-    to the truth of their comparisons, so an accepted witness is a model of
-    the check: the check is sat, and HiGHS would find it sat.  A matching
-    the search neither refutes nor witnesses, and a rejected witness, leave
-    the check to HiGHS.  So each check before the accepted one was refuted,
-    or discarded and so refuted, as without the search, and the accepted
-    check is the first sat one: the lexicographically first feasible
-    matching at the window's optimum count.  Only the model differs, which
-    `verify` still judges with the rest of the schedule.
+    search (`_Moves.decide`) before it checks it.  A matching it refutes is
+    counted in `stats.discarded` and never checked.  A witness it builds
+    that `MilpBackend.accept` takes is counted in `stats.witnessed`, and
+    the check makes no HiGHS call.  Neither changes which matching the
+    window fires (see `_Moves`).
 
     Gates fire at the window's last stage only, and that loses nothing.  A
     window grows to horizon h only after every shorter horizon with the
@@ -258,6 +213,10 @@ def _checks(context: WindowSpec) -> Iterator[tuple[int, ...]]:
         yield from matchings(context.gates, k)
 
 
+class _Spent(Exception):
+    """`_Moves.decide` spent `WITNESS_BUDGET`."""
+
+
 class _Moves:
     """The moves a pinned window with one transition allows, read from its
     own rules with no solver: one search per matching (`decide`) that
@@ -295,11 +254,39 @@ class _Moves:
     each placement.  The site may be one a qubit stands on at stage 0,
     since an up qubit can leave it.  Bystanders are ignored there, which
     only weakens the rules.  A discard means the search exhausted that
-    space within its budget without reaching a leaf, every pair placed.
-    Each leaf it reaches it tries to complete: the other qubits stay
-    static but for one of two static qubits on one site, which departs and
-    drops on a free site, the system solved after each drop, and the last
-    solve's value pass gives every line index."""
+    space within `WITNESS_BUDGET` without reaching a leaf, every pair
+    placed.  Each leaf it reaches it tries to complete: the other qubits
+    stay static but for one of two static qubits on one site, which
+    departs and drops on a free site, the system solved after each drop,
+    and the last solve's value pass gives every line index.
+
+    A discarded matching's check is refuted.  Any model of the check gives
+    each of its gates an option, the endpoints up at stage 0 and the site
+    where the pair meets, and the model's values for those up qubits
+    satisfy the system: each edge and bound above follows from the family
+    it names under the check's bounds (held lines bind whether up or not),
+    the sites a pair shares and a one-up mover lands on from
+    `c6_gate_cosite`, and the region from the variable domains.  A system
+    with fewer nodes or fewer placed sites only loses edges and bounds, so the
+    model's values satisfy it at every prefix of the options and every
+    partial placement of the sites, in any order, and each site lies
+    inside the bounds the system solved before it gives its node.  So the
+    model's options and sites are a leaf the search reaches unless its
+    budget runs out first.  Hence the check has no model and would be
+    refuted, and `solve_window`'s first sat check is the one it was
+    without the search.
+
+    A witness that `MilpBackend.accept` takes is a model of the check:
+    `accept` takes it only when every row and bound of the check holds,
+    its reified binaries set to the truth of their comparisons, so the
+    check is sat, and HiGHS would find it sat.  A matching the search
+    neither refutes nor witnesses, and a rejected witness, leave the check
+    to HiGHS.  So each check before the accepted one was refuted, or
+    discarded and so refuted, as without the search, and the accepted
+    check is the first sat one: the lexicographically first feasible
+    matching at the window's optimum count.  Only the model differs, which
+    `verify` still judges with the rest of the schedule, and a mistake in
+    the completion costs a solver call, never a wrong model."""
 
     def __init__(self, w: WindowSpec):
         self.w = w
@@ -429,36 +416,33 @@ class _Moves:
         those no qubit stands on at stage 0 ahead of the rest, nearest
         first (`near`).  A departing qubit tries the sites no static qubit
         stands on, nearest first.  Either tries only the sites inside the
-        bounds the placed qubits give its node directly.  Each leaf of the
-        options and each site tried costs one unit of the budget.
-
-        The caller accepts a witness only through `MilpBackend.accept`, so
-        a mistake in the completion costs a solver call, never a wrong
-        model."""
+        bounds the system solved before it gives its node; placing the
+        node only tightens the system, so no site outside them is feasible.
+        Each leaf of the options and each site tried costs one unit of the
+        budget."""
         w, xy, gates = self.w, self.xy, self.w.gates
         endpoints = {q for g in m for q in gates[g]}
-        chosen: list = []  # an option per gate of m, in order
         # up at stage 0 -> stage-1 site, None for a pair not yet placed
         at1: dict[int, tuple[int, int] | None] = {}
         pairs: list = []  # the up qubits of each pair that meets
         left = WITNESS_BUDGET
-        spent = relaxed = False
+        relaxed = False
 
-        def charge() -> bool:
-            """Spend one unit of the budget; False when none is left."""
-            nonlocal left, spent
-            spent = left <= 0
+        def charge() -> None:
+            """Spend one unit of the budget; raise `_Spent` when none is
+            left."""
+            nonlocal left
+            if left <= 0:
+                raise _Spent
             left -= 1
-            return not spent
 
         def tried(up: tuple[int, ...], sites) -> Iterator[list]:
-            """The feasible systems with the qubits `up` on each of `sites`,
-            until the budget is spent; `up` maps to None after."""
+            """The feasible systems with the qubits `up` on each of `sites`;
+            `up` maps to None after."""
             for s in sites:
                 for q in up:
                     at1[q] = s
-                if not charge():
-                    break
+                charge()
                 solved = self._system(at1, pairs)
                 if solved is not None:
                     yield solved
@@ -467,61 +451,48 @@ class _Moves:
 
         def free(up: tuple[int, ...], taken, solved) -> list:
             """The sites not in `taken` for the qubits `up`, nearest first,
-            inside the bounds placed nodes give their node by one edge."""
-            k, box = ("site", up[0]), []
-            for axis, (_, _, edges, _) in enumerate(solved):
-                low, high = self.span[axis]
-                for a, c, _ in edges:
-                    if c == k and at1.get(a[1]) is not None:
-                        low = max(low, at1[a[1]][axis])
-                    if a == k and at1.get(c[1]) is not None:
-                        high = min(high, at1[c[1]][axis])
-                box.append(range(low, high + 1))
+            inside the bounds `solved` gives their node."""
+            k = ("site", up[0])
+            (xlo, xhi, _, _), (ylo, yhi, _, _) = solved
             return [s for s in self.near(up) if s not in taken
-                    and s[0] in box[0] and s[1] in box[1]]
+                    and xlo[k] <= s[0] <= xhi[k] and ylo[k] <= s[1] <= yhi[k]]
 
-        def extend(i: int, solved) -> dict | None:
+        def extend(i: int, solved) -> Iterator[dict]:
             if i == len(m):
-                if solved is None or not charge():
-                    return None
-                return meet(list(pairs), solved)
-            for o in self.options[m[i]]:
-                up, site = o
-                chosen.append(o)
+                charge()
+                yield from meet(list(pairs), solved)
+                return
+            for up, site in self.options[m[i]]:
                 at1.update(dict.fromkeys(up, site))
                 if site is None:
                     pairs.append(up)
                 again = self.prefix(tuple(at1.items()), tuple(pairs))
-                found = None if again is None else extend(i + 1, again)
+                if again is not None:
+                    yield from extend(i + 1, again)
                 if site is None:
                     pairs.pop()
                 for q in up:
                     del at1[q]
-                chosen.pop()
-                if found is not None or spent:
-                    return found
-            return None
 
-        def meet(rest: list, solved) -> dict | None:
+        def meet(rest: list, solved) -> Iterator[dict]:
             """Place each pair of up qubits in `rest` on a site of its own,
             taken by no one, then complete."""
             nonlocal relaxed
             if not rest:
                 relaxed = True
-                return depart(solved)
+                yield from depart(solved)
+                return
             taken = set(at1.values())
             sites, up = min(((free(up, taken, solved), up) for up in rest),
                             key=lambda found: len(found[0]))
             rest = [p for p in rest if p != up]
             for solved in tried(up, sites):
-                found = meet(rest, solved)
-                if found is not None or spent:
-                    return found
-            return None
+                yield from meet(rest, solved)
 
-        def depart(solved) -> dict | None:
+        def depart(solved) -> Iterator[dict]:
             # stage-1 site -> the qubits of the gate that fires there
-            taken = {at1[up[0]]: gates[g] for g, (up, _) in zip(m, chosen)}
+            taken = {at1[u] if u in at1 else at1[q]: (u, q)
+                     for u, q in map(gates.get, m)}
             # the static qubits by stage-0 site: each site keeps one
             groups: dict[tuple[int, int], list[int]] = {}
             for q in w.qubits:
@@ -529,23 +500,20 @@ class _Moves:
                     groups.setdefault(xy[q], []).append(q)
             plans = []  # per shared site, each (stayer, departers) to try
             for site, group in sorted(groups.items()):
-                ends = [q for q in group if q in endpoints]
-                if len(ends) > 1:
-                    return None  # two static endpoints on one site
-                # a tied qubit stays rather than an untied one, whose line
-                # is free
-                stayers = ends or sorted(
+                # the site's static endpoint stays, or else a tied qubit
+                # rather than an untied one, whose line is free
+                stayers = [q for q in group if q in endpoints] or sorted(
                     group, key=lambda z: (z not in w.boundary.prev_traps, z))
                 if site in taken:  # a mover lands on its static partner
                     stayers = [z for z in stayers if z in taken[site]]
                 if not stayers:
-                    return None
+                    return
                 if len(group) > 1:
                     plans.append([tuple(p for p in group if p != z)
                                   for z in stayers])
             static = set(groups)
 
-            def drop(k: int, queue: tuple[int, ...], solved) -> dict | None:
+            def drop(k: int, queue: tuple[int, ...], solved) -> Iterator[dict]:
                 if queue:
                     p = queue[0]
                     at1[p] = None
@@ -554,26 +522,27 @@ class _Moves:
                         (p,), static.union(taken), here)
                     for again in tried((p,), sites):
                         taken[at1[p]] = (p,)
-                        found = drop(k, queue[1:], again)
-                        if found is not None or spent:
-                            return found
+                        yield from drop(k, queue[1:], again)
                         del taken[at1[p]]
                     del at1[p]
-                    return None
-                if k == len(plans):
-                    return self._values(m, v, at1, solved)
-                for departers in plans[k]:
-                    found = drop(k + 1, departers, solved)
-                    if found is not None or spent:
-                        return found
-                return None
+                elif k == len(plans):
+                    found = self._values(m, v, at1, solved)
+                    if found is not None:
+                        yield found
+                else:
+                    for departers in plans[k]:
+                        yield from drop(k + 1, departers, solved)
 
-            return drop(0, (), solved)
+            yield from drop(0, (), solved)
 
-        found = extend(0, self._system(at1, pairs))
-        if found is None and not (spent or relaxed):
+        solved = self.prefix((), ())
+        if solved is None:
             return False
-        return found
+        try:
+            found = next(extend(0, solved), None)
+        except _Spent:
+            return None
+        return False if found is None and not relaxed else found
 
     def _near(self, up: tuple[int, ...]) -> list[tuple[int, int]]:
         """Every site, nearest to the qubits `up` first: least summed

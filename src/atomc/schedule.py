@@ -79,14 +79,10 @@ class CompileResult:
     `compiler._Moves.decide` refutes is never checked, and a check decided
     by a witness makes no call, so neither is counted there.
     discarded counts those matchings: the ones the compile reached and
-    skipped without a solver call, because the search exhausted, within
-    its budget, the relaxed space their window's one system of difference
-    constraints per axis leaves (move order, lines, and one distinct site
-    per pair that meets, placed for all of them together) without a leaf,
-    so each one's check would be refuted.
-    witnessed counts the checks decided by an accepted witness: a leaf of
-    that space that also completes to a model of the check, so a sat check
-    with no HiGHS call.
+    skipped without a solver call, each one's check refuted.
+    witnessed counts the checks decided by an accepted witness, a model of
+    the check built without a solver, so a sat check with no HiGHS call.
+    `compiler._Moves` states why neither changes a schedule's matchings.
     stage_budget_history records, per committed solver window, how many new
     stages that window used: the horizon it was solved at, not counting a
     replayed or given stage 0.
@@ -130,31 +126,42 @@ def schedule_to_json(schedule: Schedule, *, circuit_name: str,
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
+def _integer(value: Any, what: str) -> int:
+    """`value`, a JSON integer: a float, a string or a bool is an error
+    rather than something to coerce."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def schedule_from_json(text: str) -> tuple[Schedule, dict[str, Any]]:
     """Parse a schedule document; returns (schedule, header metadata)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != SCHEDULE_FORMAT_VERSION:
+    version = doc.get("format") if isinstance(doc, dict) else None
+    if type(version) is not int or version != SCHEDULE_FORMAT_VERSION:
         raise ParseError("missing or unsupported schedule format version")
     try:
         stages = []
         for entry in doc["stages"]:
             states = {}
             for rec in entry["qubits"]:
-                a, q = rec["a"], int(rec["id"])
+                q, x, y, a = (_integer(rec[k], k)
+                              for k in ("id", "x", "y", "a"))
                 if q in states:
                     raise ParseError(f"stage {len(stages)} lists qubit {q} "
                                      "twice")
                 states[q] = QubitState(
-                    x=int(rec["x"]), y=int(rec["y"]), a=int(a),
-                    c=int(rec["c"]) if a == AOD else None,
-                    r=int(rec["r"]) if a == AOD else None)
-            stages.append(Stage(states, tuple(int(g) for g in entry["gates"])))
+                    x=x, y=y, a=a,
+                    c=_integer(rec["c"], "c") if a == AOD else None,
+                    r=_integer(rec["r"], "r") if a == AOD else None)
+            stages.append(Stage(states, tuple(_integer(g, "gate")
+                                              for g in entry["gates"])))
         meta = {
             "circuit": doc["circuit"],
-            "array": int(doc["array"]),
+            "array": _integer(doc["array"], "array"),
             "mode": doc.get("mode", "direct"),
         }
     except (KeyError, TypeError, ValueError) as exc:

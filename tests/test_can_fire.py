@@ -3,6 +3,7 @@ matching it refutes is refuted by the window's MILP, and each rule it
 reads refutes a matching of its own window."""
 
 import itertools
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -390,6 +391,41 @@ def test_the_meeting_search_stops_at_its_budget(monkeypatch):
     # pairs that meet discards
     monkeypatch.setattr(compiler, "WITNESS_BUDGET", 0)
     assert _decide(PINWHEEL, (0, 1, 2)) is None
+
+
+def test_a_budget_that_runs_out_anywhere_leaves_the_matching_undecided(
+        monkeypatch):
+    # a small budget runs out at a leaf of the options, or while the search
+    # places the pairs that meet or the departing qubits.  Each matching is
+    # then undecided or decided as with the full budget, and the window's
+    # `_Moves`, shared by its matchings, decides every one of them as a
+    # fresh one does after its budget ran out
+    where = Counter()
+
+    class Spent(compiler._Spent):
+        def __init__(self):
+            super().__init__()
+            frame = sys._getframe(1)
+            while frame.f_code.co_name not in ("extend", "meet", "drop"):
+                frame = frame.f_back
+            where[frame.f_code.co_name] += 1
+
+    monkeypatch.setattr(compiler, "_Spent", Spent)
+    specs = [s for seed in (1, 2, 3) for s in _direct_windows(6, seed, 3)
+             if _Moves.of(s) is not None]
+    default = compiler.WITNESS_BUDGET
+    for spec in specs:
+        _, v = _encoded(spec)
+        full = {m: _Moves(spec).decide(m, v) for m in _in_order(spec)}
+        for budget in (1, 2, 3, 5, 8, 13, 21):
+            moves = _Moves(spec)
+            monkeypatch.setattr(compiler, "WITNESS_BUDGET", budget)
+            for m, answer in full.items():
+                assert moves.decide(m, v) in (None, answer), (budget, m)
+            monkeypatch.setattr(compiler, "WITNESS_BUDGET", default)
+            for m, answer in full.items():
+                assert moves.decide(m, v) == answer, (budget, m)
+    assert where["meet"] > 0 and where["drop"] > 0
 
 
 def test_the_search_stops_at_its_budget(monkeypatch):

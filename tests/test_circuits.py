@@ -43,6 +43,21 @@ def test_parse_bad_count():
         parse_circuit("")
 
 
+@pytest.mark.parametrize("text", ["1_2\n0 1", "+2\n0 1", "\uff13\n0 1",
+                                  "20\n0 1_2", "4\n+0 1", "4\n0 \uff13"])
+def test_parse_only_ascii_integers(text):
+    # int() would read "1_2" as 12, "+2" as 2 and the full-width "3" as 3
+    with pytest.raises(ParseError):
+        parse_circuit(text)
+
+
+def test_parse_negative_numbers_are_reported_as_such():
+    with pytest.raises(ParseError, match="negative qubit count"):
+        parse_circuit("-2\n0 1")
+    with pytest.raises(QubitRangeError):
+        parse_circuit("2\n-1 0")
+
+
 def test_single_qubit_gate_dropped_with_warning():
     with pytest.warns(UserWarning):
         c = parse_circuit("3\n0\n1 2")

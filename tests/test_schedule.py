@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from atomc.arrays import ArraySpec, full_region
@@ -43,6 +45,29 @@ def test_roundtrip_compiled_schedule():
     assert meta["mode"] == "direct"
 
 
+def _not_integers():
+    """(field, value, document) for each integer field of a valid document
+    set to a float, a string or a bool."""
+    schedule = Schedule([Stage({0: QubitState(0, 0, SLM),
+                                1: QubitState(1, 2, AOD, 1, 2)}, (0,))])
+
+    def edit(field, value):
+        doc = json.loads(_doc(schedule))
+        stage = doc["stages"][0]
+        if field in ("format", "array"):
+            doc[field] = value
+        elif field == "gate":
+            stage["gates"] = [value]
+        else:  # a field of the movable-trap qubit
+            stage["qubits"][1][field] = value
+        return json.dumps(doc)
+
+    for field, value in (("id", 1.0), ("x", 1.7), ("y", "1"), ("a", True),
+                         ("c", 0.2), ("r", "2"), ("gate", 0.5),
+                         ("array", 2.9), ("format", True)):
+        yield field, value, edit(field, value)
+
+
 @pytest.mark.parametrize("text", [
     "not json",
     '{"format": 99, "stages": []}',
@@ -52,6 +77,10 @@ def test_roundtrip_compiled_schedule():
                  '[{"gates": [], "qubits": [{"id": 0, "x": 0, "y": 0, '
                  '"a": 0}, {"id": 0, "x": 1, "y": 1, "a": 0}]}]}',
                  id="a-qubit-listed-twice"),
+    # an integer field whose JSON value is not an integer, which a
+    # coercion would read as some other number
+    *(pytest.param(text, id=f"{field}-{value}")
+      for field, value, text in _not_integers()),
 ])
 def test_malformed_documents_are_rejected(text):
     with pytest.raises(ParseError):
