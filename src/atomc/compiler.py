@@ -46,8 +46,8 @@ from typing import Iterator, Mapping, Sequence
 
 from .arrays import Region, site_in_region
 from .circuits import Circuit
-from .encoding import (Boundary, Vars, WindowSpec, directed_held,
-                       encode_window, shape_key, window_bounds)
+from .encoding import (Boundary, Vars, WindowSpec, encode_window, shape_key,
+                       window_bounds)
 from .errors import (CompileTimeout, ConsistencyError, InfeasibleError,
                      VerificationError)
 from .schedule import AOD, SLM, CompileResult, QubitState, Schedule, Stage
@@ -232,7 +232,7 @@ class _Moves:
 
     The rules are one system of difference constraints per axis
     (`_system`), solved by longest paths.  Its nodes are the stage-0 line
-    indices of the up qubits and of the directed held qubits (one per held
+    indices of the up qubits and of the held qubits (one per held
     line), and the stage-1 coordinates of the up qubits, one node for the
     two of a pair that meets.  Its edges and bounds:
 
@@ -296,9 +296,9 @@ class _Moves:
         self.stage0 = Counter(xy.values())
         self.span = [(r.start, r.stop - 1)
                      for r in (w.region.x_range, w.region.y_range)]
-        # per axis, each directed held qubit's line node
+        # per axis, each held qubit's line node
         self.held = [{q: ("held", w.boundary.held[q][axis])
-                      for q in directed_held(w)} for axis in (0, 1)]
+                      for q in w.boundary.held} for axis in (0, 1)]
         # per-window memos of the methods they wrap; matchings share the
         # prefixes of their options, so `prefix` solves each one once
         self.order = functools.cache(self._order)

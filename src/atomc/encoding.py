@@ -40,9 +40,8 @@ and boundary_rows read them only under a[q,t], trap_transfer only under
 a[q,t-1], and extraction drops them.  So a qubit static at t-1 and t (or
 at stage 0) can hold the region's first index without losing any schedule,
 and the solver no longer searches relabelings that change nothing.  The
-one exception is the boundary's held lines: when two or more qubits hold
-lines, their stage-0 indices are ordered unconditionally, so those qubits
-keep free stage-0 indices.
+one exception is the boundary's held lines: their stage-0 indices are
+ordered unconditionally, so held qubits keep free stage-0 indices.
 """
 
 from __future__ import annotations
@@ -51,8 +50,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .arrays import Region
-from .smt import (EQ, GT, LE, LT, NE, BoolVar, Cmp, IntVar, LinExpr, Lit, neg,
-                  pos)
+from .smt import EQ, GT, LE, LT, NE, BoolVar, Cmp, IntVar, Lit, neg, pos
 
 Clause = tuple[Lit | Cmp, ...]  # at least one item holds
 
@@ -68,12 +66,18 @@ class Boundary:
     that same line) and to `held`.  `held` maps a qubit to the (column,
     row) it last held in an earlier phase: the stage-0 column indices of
     every two held qubits compare as those columns do, and likewise rows.
-    Only the order of the held lines matters, not their values.
+    Only the order of the held lines matters, not their values, so a lone
+    held qubit, ordered against nothing, is dropped: `held` is empty or
+    has two or more qubits.
     """
 
     xy: Mapping[int, tuple[int, int]] | None = None
     prev_traps: Mapping[int, tuple[int, int]] = field(default_factory=dict)
     held: Mapping[int, tuple[int, int]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if len(self.held) < 2:
+            object.__setattr__(self, "held", {})
 
 
 @dataclass
@@ -197,25 +201,15 @@ def trap_transfer(v: Vars, w: WindowSpec) -> Iterator[Clause]:
             yield pos(v.a[q, 0]), neg(v.a[q, 1])
 
 
-def directed_held(w: WindowSpec) -> frozenset[int]:
-    """The held qubits whose stage-0 indices `boundary_rows` orders: all of
-    them when at least two hold lines, else none."""
-    held = w.boundary.held
-    return frozenset(held) if len(held) >= 2 else frozenset()
-
-
 def static_lines(v: Vars, w: WindowSpec) -> Iterator[Clause]:
     """A qubit static at stage t-1 and t (or static at stage 0) holds the
     region's first column and row index (symmetry breaking; see the module
-    docstring).  Qubits in a held pair (all held qubits when at least two
-    hold lines; a lone held qubit is ordered against nothing) keep free
-    stage-0 indices."""
+    docstring).  Held qubits keep free stage-0 indices."""
     reg = w.region
-    directed = directed_held(w)
     for q in w.qubits:
         for t in range(w.stages):
             if t == 0:
-                if q in directed:
+                if q in w.boundary.held:
                     continue
                 not_static = (pos(v.a[q, 0]),)
             else:
@@ -258,18 +252,12 @@ def c7_isolation(v: Vars, w: WindowSpec) -> Iterator[Clause]:
             yield (*NE(v.x[u, t], v.x[q, t]), *NE(v.y[u, t], v.y[q, t]), *fs)
 
 
-def _site_id(v: Vars, w: WindowSpec, q: int, t: int) -> LinExpr:
-    width = w.region.y_range.stop
-    return LinExpr(((width, v.x[q, t]), (1, v.y[q, t])))
-
-
 def avoid_rows(v: Vars, w: WindowSpec) -> Iterator[Clause]:
     """No qubit, in either trap kind, stands on an avoided site."""
-    width = w.region.y_range.stop
     for q in w.qubits:
         for t in range(w.stages):
             for fx, fy in sorted(w.avoid_sites):
-                yield NE(_site_id(v, w, q, t), width * fx + fy)
+                yield (*NE(v.x[q, t], fx), *NE(v.y[q, t], fy))
 
 
 def boundary_rows(v: Vars, w: WindowSpec) -> Iterator[Clause]:
@@ -312,11 +300,10 @@ ALL_FAMILIES = (
 def shape_key(w: WindowSpec) -> tuple:
     """What `encode_window` reads of a window besides the compile's qubits,
     region and avoided sites and the gates it is given: the stage count,
-    whether stage 0 is pinned, and the held lines when two or more qubits
-    hold lines (`boundary_rows` and `static_lines` read their order; one
-    compile holds one set of them)."""
-    held = tuple(sorted(w.boundary.held.items())) if directed_held(w) else ()
-    return w.stages, w.boundary.xy is not None, held
+    whether stage 0 is pinned, and the held lines (`boundary_rows` and
+    `static_lines` read their order; one compile holds one set of them)."""
+    return (w.stages, w.boundary.xy is not None,
+            tuple(sorted(w.boundary.held.items())))
 
 
 def window_bounds(v: Vars, w: WindowSpec) -> dict:

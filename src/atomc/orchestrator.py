@@ -222,7 +222,7 @@ def pac_compile(c: Circuit, a: ArraySpec,
     try:
         r3 = compile_circuit(
             qc3, full_region(a), opts=opts.solver,
-            init_xy=gd.init_xy or None,
+            init_xy=gd.init_xy,
             held_lines=gd.held, avoid_sites=gd.avoid_sites)
     except AtomcError as exc:
         raise _with_phase(exc, "global")

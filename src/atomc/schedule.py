@@ -135,7 +135,8 @@ def _integer(value: Any, what: str) -> int:
 
 
 def schedule_from_json(text: str) -> tuple[Schedule, dict[str, Any]]:
-    """Parse a schedule document; returns (schedule, header metadata)."""
+    """Parse a schedule document; returns (schedule, header metadata).
+    Every field is checked; a missing `mode` reads `direct`."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -144,6 +145,17 @@ def schedule_from_json(text: str) -> tuple[Schedule, dict[str, Any]]:
     if type(version) is not int or version != SCHEDULE_FORMAT_VERSION:
         raise ParseError("missing or unsupported schedule format version")
     try:
+        circuit, mode = doc["circuit"], doc.get("mode", "direct")
+        if not (isinstance(circuit, dict) and all(
+                isinstance(circuit[k], str) for k in ("name", "sha256"))):
+            raise ParseError("circuit must be an object with a string name "
+                             f"and sha256, got {circuit!r}")
+        for k in ("qubits", "gates"):
+            _integer(circuit[k], f"circuit {k}")
+        if mode not in ("direct", "pac"):
+            raise ParseError(f"mode must be direct or pac, got {mode!r}")
+        meta = {"circuit": circuit, "array": _integer(doc["array"], "array"),
+                "mode": mode}
         stages = []
         for entry in doc["stages"]:
             states = {}
@@ -159,11 +171,6 @@ def schedule_from_json(text: str) -> tuple[Schedule, dict[str, Any]]:
                     r=_integer(rec["r"], "r") if a == AOD else None)
             stages.append(Stage(states, tuple(_integer(g, "gate")
                                               for g in entry["gates"])))
-        meta = {
-            "circuit": doc["circuit"],
-            "array": _integer(doc["array"], "array"),
-            "mode": doc.get("mode", "direct"),
-        }
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed schedule document: {exc}") from None
     return Schedule(stages), meta

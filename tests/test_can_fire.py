@@ -283,6 +283,20 @@ def test_two_pairs_never_meet_on_one_site():
     assert _fires(spec, (0,)) and _fires(spec, (1,))
 
 
+def test_held_lines_the_region_cannot_hold_refute_every_matching():
+    # three distinct held columns and two columns of 2x2: the held chain
+    # alone has no values, so the empty system refutes every matching
+    spec = WindowSpec(
+        [0, 1, 2], {0: (0, 1), 1: (1, 2)}, 2, full_region(ArraySpec(2)),
+        Boundary(xy={0: (0, 0), 1: (1, 1), 2: (0, 1)},
+                 held={0: (0, 0), 1: (1, 0), 2: (2, 0)}))
+    assert len(spec.boundary.held) == 3
+    assert _Moves(spec).prefix((), ()) is None
+    assert _in_order(spec) == [(0,), (1,)]
+    for m in _in_order(spec):
+        assert _discards(spec, m)
+
+
 def test_strict_stage0_order_bounds_the_moves_weakly():
     # y=2  .  2  0
     # y=1  .  .  .

@@ -22,10 +22,13 @@ def _masked(out: str) -> str:
     return SLOWEST.sub("", WALL.sub("- s", out))
 
 
-def _sweep(*cases: str, hash_seed: str = "0",
-           refines: Path | None = None) -> subprocess.Popen:
+def _sweep(*cases: str, hash_seed: str = "0", refines: Path | None = None,
+           one_flag: bool = False) -> subprocess.Popen:
+    """Run the tool on `cases`, each after its own `--case` flag, or all
+    after one with `one_flag`."""
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-    args = [arg for case in cases for arg in ("--case", case)]
+    args = (["--case", *cases] if one_flag else
+            [arg for case in cases for arg in ("--case", case)])
     if refines is not None:
         args += ["--refines", str(refines)]
     return subprocess.Popen(
@@ -70,6 +73,17 @@ def test_depth_sweep_does_not_depend_on_the_hash_seed():
         "direct rand3reg(6, 2) 3x3", "pac rand3reg(6, 1) 4x4",
         "cases (2 cases)"]
     assert len(outs[0].splitlines()) > len(headers)
+    assert outs[0] == outs[1]
+
+
+def test_several_cases_may_follow_one_flag():
+    cases = "direct:6:1:3", "direct:6:2:3"
+    outs = [_masked(_output(_sweep(*cases, one_flag=one_flag)))
+            for one_flag in (True, False)]
+    assert [line.split(":")[0] for line in outs[0].splitlines()
+            if not line.startswith("  ")] == [
+        "direct rand3reg(6, 1) 3x3", "direct rand3reg(6, 2) 3x3",
+        "cases (2 cases)"]
     assert outs[0] == outs[1]
 
 

@@ -10,9 +10,9 @@ from atomc.arrays import ArraySpec, full_region, split_plane
 from atomc.circuits import Circuit, generate_rand3reg
 from atomc.compiler import (_internal_boundary, _Stats, compile_circuit,
                             extract_schedule, matchings, solve_window)
-from atomc.encoding import (ALL_FAMILIES, Boundary, WindowSpec, encode_window,
-                            line_order, make_vars, shape_key, static_lines,
-                            window_bounds)
+from atomc.encoding import (ALL_FAMILIES, Boundary, WindowSpec, avoid_rows,
+                            encode_window, line_order, make_vars, shape_key,
+                            static_lines, window_bounds)
 from atomc.orchestrator import pac_compile
 from atomc.schedule import AOD, SLM, QubitState, Schedule, Stage
 from atomc.smt import EQ, LE, MilpBackend
@@ -130,6 +130,39 @@ def test_a_lone_held_qubit_keeps_its_pin():
     spec, model, v = _static_stage0({0: (5, 1)})
     assert assert_pinned(spec, model, v) == 3
     assert len(list(static_lines(v, spec))) == 2 * len(spec.qubits)
+
+
+def test_a_lone_held_qubit_is_dropped():
+    # the boundary states the rule once: a held map of one qubit is none
+    spec, _, _ = _static_stage0({0: (5, 1)})
+    assert spec.boundary.held == {}
+    assert shape_key(spec) == shape_key(_static_stage0({})[0])
+    # two held qubits stay held
+    assert len(Boundary(xy={}, held={0: (5, 1), 1: (2, 3)}).held) == 2
+
+
+def test_avoid_rows_admit_exactly_the_sites_not_avoided():
+    avoid = frozenset({(0, 3), (1, 1), (2, 1), (3, 0)})
+    spec = window(Circuit(1, ()), full_region(ArraySpec(4)),
+                  avoid_sites=avoid)
+    backend = MilpBackend()
+    v = encode_window(backend, spec, (avoid_rows,))
+    for site in itertools.product(range(4), repeat=2):
+        fixed = dict(zip((v.x[0, 0], v.y[0, 0]), site))
+        assert (backend.check(fixed=fixed) == "sat") == (site not in avoid)
+
+
+def test_obstacle_rows_keep_big_m_within_the_array_side():
+    # a pinned window on 16x16 with parked sites, as in pac's global phase:
+    # every coefficient, big-M included, stays within the side
+    n = 16
+    spec = WindowSpec([0, 1, 2], {0: (0, 1), 1: (1, 2)}, 2,
+                      full_region(ArraySpec(n)),
+                      Boundary(xy={0: (0, 0), 1: (5, 9), 2: (15, 14)}),
+                      frozenset({(0, 15), (7, 3), (15, 15)}))
+    backend = MilpBackend()
+    encode_window(backend, spec)
+    assert abs(backend._constraint()[0].data).max() <= n
 
 
 @pytest.mark.parametrize("case", ["k4-2x2", "rand3reg6-w1", "rand3reg6-w2"])

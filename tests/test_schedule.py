@@ -68,12 +68,35 @@ def _not_integers():
         yield field, value, edit(field, value)
 
 
+def _bad_headers():
+    """(field, value, document) for each header field of a valid document
+    set to a value of the wrong kind, or left out (None)."""
+    text = _doc(Schedule([Stage({0: QubitState(0, 0, SLM)})]))
+    for field, value in (("mode", "nonsense"), ("mode", 5), ("circuit", 5),
+                         ("circuit", ["demo"]), ("circuit", None),
+                         ("name", 5), ("name", None), ("sha256", ["ab"]),
+                         ("qubits", 2.0), ("qubits", None), ("gates", "1"),
+                         ("gates", True)):
+        doc = json.loads(text)
+        holder = doc if field in ("mode", "circuit") else doc["circuit"]
+        holder[field] = value
+        if value is None:
+            del holder[field]
+        yield field, value, json.dumps(doc)
+
+
+# a header that parses, so each stage case fails on its own defect
+HEADER = ('"format": 1, "circuit": {"name": "demo", "sha256": "ab", '
+          '"qubits": 1, "gates": 0}, "array": 2')
+
+
 @pytest.mark.parametrize("text", [
     "not json",
     '{"format": 99, "stages": []}',
-    '{"format": 1, "circuit": {}, "array": 2, "stages": [{"gates": []}]}',
+    pytest.param('{' + HEADER + ', "stages": [{"gates": []}]}',
+                 id="a-stage-without-qubits"),
     # one qubit on two sites at once
-    pytest.param('{"format": 1, "circuit": {}, "array": 2, "stages": '
+    pytest.param('{' + HEADER + ', "stages": '
                  '[{"gates": [], "qubits": [{"id": 0, "x": 0, "y": 0, '
                  '"a": 0}, {"id": 0, "x": 1, "y": 1, "a": 0}]}]}',
                  id="a-qubit-listed-twice"),
@@ -81,7 +104,17 @@ def _not_integers():
     # coercion would read as some other number
     *(pytest.param(text, id=f"{field}-{value}")
       for field, value, text in _not_integers()),
+    # a header field a reader of `meta` would otherwise get as it stands
+    *(pytest.param(text, id=f"{field}-{value}")
+      for field, value, text in _bad_headers()),
 ])
 def test_malformed_documents_are_rejected(text):
     with pytest.raises(ParseError):
         schedule_from_json(text)
+
+
+def test_a_document_without_a_mode_reads_direct():
+    doc = json.loads(_doc(Schedule([Stage({0: QubitState(0, 0, SLM)})])))
+    del doc["mode"]
+    _, meta = schedule_from_json(json.dumps(doc))
+    assert meta["mode"] == "direct"

@@ -183,10 +183,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", metavar="SRC_DIR",
                         help="directory that holds the atomc package")
-    parser.add_argument("--case", type=_case, action="append",
+    parser.add_argument("--case", type=_case, nargs="+", action="extend",
                         metavar="MODE:Q:SEED:N",
                         help="compile rand3reg(Q, SEED) on N x N in MODE "
-                             "(repeatable; default: the fixed sweep)")
+                             "(one or more after a flag, and the flag "
+                             "repeatable; default: the fixed sweep)")
     parser.add_argument("--refines", metavar="PARENT_OUT",
                         help="the parent tree's output on the same cases; "
                              "exit 1 on the first case that is not a "
