@@ -37,6 +37,16 @@ from .verifier import verify, verify_phases
 
 @dataclass(frozen=True)
 class PacOptions:
+    """Options of one pac compile.
+
+    `division` weighs the division's loss and seeds its first partition.
+    `solver` applies to each phase compile on its own: its timeout is the
+    budget of each local phase and of the global phase, not of the pac
+    compile as a whole.  The two local phases run at once and the global
+    phase after them, so a pac compile can run for about twice
+    `solver.timeout` (plus division, merge and verify) before it raises.
+    """
+
     division: DivisionOptions = field(default_factory=DivisionOptions)
     solver: SolverOptions = field(default_factory=SolverOptions)
 

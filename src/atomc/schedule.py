@@ -151,11 +151,14 @@ def schedule_from_json(text: str) -> tuple[Schedule, dict[str, Any]]:
             raise ParseError("circuit must be an object with a string name "
                              f"and sha256, got {circuit!r}")
         for k in ("qubits", "gates"):
-            _integer(circuit[k], f"circuit {k}")
+            if _integer(circuit[k], f"circuit {k}") < 0:
+                raise ParseError(f"circuit {k} must be >= 0, got {circuit[k]}")
         if mode not in ("direct", "pac"):
             raise ParseError(f"mode must be direct or pac, got {mode!r}")
-        meta = {"circuit": circuit, "array": _integer(doc["array"], "array"),
-                "mode": mode}
+        array = _integer(doc["array"], "array")
+        if array < 2:  # what ArraySpec admits
+            raise ParseError(f"array side must be >= 2, got {array}")
+        meta = {"circuit": circuit, "array": array, "mode": mode}
         stages = []
         for entry in doc["stages"]:
             states = {}

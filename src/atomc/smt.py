@@ -2,8 +2,10 @@
 
 Constraints are clauses over bounded integer and boolean variables: each
 asserts that at least one of its items holds, an item being a literal or a
-linear comparison.  MilpBackend compiles them in process to exact big-M
-integer-linear rows and decides each check with scipy's HiGHS MILP engine.
+difference comparison (x - y op k, either variable possibly absent; the
+encoder writes nothing else).  MilpBackend compiles them in process to
+exact big-M integer-linear rows and decides each check with scipy's HiGHS
+MILP engine.
 A check has no objective.  It may fix some variables by their bounds for
 that check alone; this lets the compiler check one encoded window against
 several candidate fired sets, all sharing one constraint matrix.  The
@@ -18,15 +20,16 @@ the check, so the check is sat, and it becomes the model a sat check
 leaves.
 
 A clause compiles in index space: each comparison is read once into its
-merged column coefficients, its right-hand side and the bounds of its terms
-over the declared domains, and rows are kept as flat column and value lists
-that become the CSC matrix in one numpy step.
+two columns, its right-hand side and the bounds of its difference over the
+declared domains, and rows are kept as flat column and value lists that
+become the CSC matrix in one numpy step.
 
 A comparison inside a multi-item clause is reified: a binary equivalent to
 it, tied by two big-M rows.  Reified comparisons are shared (hash-consed on
-column indices): a repeat gets the same binary, and a comparison whose
-complement is already reified (x <= y against x > y, say) gets that binary
-negated, so a pair and its complement cost one binary and two rows.
+their columns and right-hand side): a repeat gets the same binary, and a
+comparison whose complement is already reified (x <= y against x > y, say)
+gets that binary negated, so a pair and its complement cost one binary and
+two rows.
 
 All integer variables are finite-domain, so every comparison is exact
 (integer arithmetic: a strict bound is the non-strict one shifted by 1), and
@@ -44,7 +47,7 @@ import numpy as np
 from .errors import BackendError
 
 # ---------------------------------------------------------------------------
-# variables and linear expressions
+# variables
 
 
 @dataclass(frozen=True)
@@ -64,42 +67,18 @@ class BoolVar:
 
 Var = Union[IntVar, BoolVar]
 
-
-@dataclass(frozen=True)
-class LinExpr:
-    """Integer linear expression; boolean variables contribute as 0/1."""
-
-    terms: tuple[tuple[int, Var], ...]
-    const: int = 0
-
-    def __add__(self, other: "LinExpr | Var | int") -> "LinExpr":
-        other = lin(other)
-        return LinExpr(self.terms + other.terms, self.const + other.const)
-
-    def __sub__(self, other: "LinExpr | Var | int") -> "LinExpr":
-        other = lin(other)
-        neg = tuple((-k, v) for k, v in other.terms)
-        return LinExpr(self.terms + neg, self.const - other.const)
-
-
-def lin(x: LinExpr | Var | int) -> LinExpr:
-    if isinstance(x, LinExpr):
-        return x
-    if isinstance(x, (IntVar, BoolVar)):
-        return LinExpr(((1, x),))
-    return LinExpr((), int(x))
-
-
 # ---------------------------------------------------------------------------
 # clause items
 
 
 @dataclass(frozen=True)
 class Cmp:
-    """expr op k with op in {"<=", "=="}."""
+    """plus - minus op k with op in {"<=", "=="}; an absent (None) side
+    reads 0.  Boolean variables contribute as 0/1."""
 
     op: str
-    expr: LinExpr
+    plus: Var | None
+    minus: Var | None
     k: int
 
 
@@ -109,50 +88,46 @@ class Lit:
     neg: bool = False
 
 
-def _cmp(op: str, a, b, shift: int) -> Cmp:
-    """lin(a) + shift - lin(b) op 0, its constant moved to the right-hand
-    side: what the LinExpr arithmetic in the docstrings below builds, in
-    one step."""
-    if isinstance(a, LinExpr):
-        terms, ca = a.terms, a.const
-    elif isinstance(a, (IntVar, BoolVar)):
-        terms, ca = ((1, a),), 0
+def _diff(op: str, a, b, shift: int) -> Cmp:
+    """a + shift - b op 0 as a difference: a variable operand is a side,
+    an integer one moves to the right-hand side."""
+    if a == b:  # a - a: no variable is left
+        a = b = 0
+    k = -shift
+    if isinstance(a, (IntVar, BoolVar)):
+        plus = a
     else:
-        terms, ca = (), int(a)
-    if isinstance(b, LinExpr):
-        if b.terms:
-            terms = terms + tuple([(-k, v) for k, v in b.terms])
-        cb = b.const
-    elif isinstance(b, (IntVar, BoolVar)):
-        terms, cb = terms + ((-1, b),), 0
+        plus, k = None, k - int(a)
+    if isinstance(b, (IntVar, BoolVar)):
+        minus = b
     else:
-        cb = int(b)
-    return Cmp(op, LinExpr(terms), cb - ca - shift)
+        minus, k = None, k + int(b)
+    return Cmp(op, plus, minus, k)
 
 
 def LE(a, b) -> Cmp:
-    """a <= b: Cmp("<=", e without its constant, -e.const) for e = a - b."""
-    return _cmp("<=", a, b, 0)
+    """a <= b, a and b each a variable or an integer."""
+    return _diff("<=", a, b, 0)
 
 
 def LT(a, b) -> Cmp:
-    """a < b, i.e. LE(lin(a) + 1, b)."""
-    return _cmp("<=", a, b, 1)
+    """a < b, i.e. a + 1 <= b."""
+    return _diff("<=", a, b, 1)
 
 
 def GE(a, b) -> Cmp:
     """a >= b, i.e. LE(b, a)."""
-    return _cmp("<=", b, a, 0)
+    return _diff("<=", b, a, 0)
 
 
 def GT(a, b) -> Cmp:
     """a > b, i.e. LT(b, a)."""
-    return _cmp("<=", b, a, 1)
+    return _diff("<=", b, a, 1)
 
 
 def EQ(a, b) -> Cmp:
-    """a == b: Cmp("==", e without its constant, -e.const) for e = a - b."""
-    return _cmp("==", a, b, 0)
+    """a == b."""
+    return _diff("==", a, b, 0)
 
 
 def NE(a, b) -> tuple[Cmp, Cmp]:
@@ -171,10 +146,10 @@ def neg(v: BoolVar) -> Lit:
 # ---------------------------------------------------------------------------
 # in-process MILP backend (scipy / HiGHS)
 
-# One `<=` side of a comparison in index space: (merged column coefficients
-# without zeros, rhs, lo, hi) for terms <= rhs, the terms ranging over
-# [lo, hi] on the declared domains.
-_Side = tuple[dict, int, int, int]
+# One `<=` side of a comparison in index space: (plus, minus, rhs, lo, hi)
+# for plus - minus <= rhs, plus and minus columns or None, the difference
+# ranging over [lo, hi] on the declared domains.
+_Side = tuple[int | None, int | None, int, int, int]
 
 
 class MilpBackend:
@@ -199,7 +174,7 @@ class MilpBackend:
         # hash-cons key of a reified comparison -> its binary's column
         self._reify: dict[tuple, int] = {}
         # per reified binary: its column, the row of its p = 1 side (its
-        # comparison's terms plus the binary) and the comparison's rhs
+        # comparison's difference plus the binary) and the comparison's rhs
         self._tied: list[tuple[int, int, int]] = []
         self._model: dict[str, int] | None = None
         # the rows as `_constraint` compiled them; None when stale
@@ -241,65 +216,62 @@ class MilpBackend:
         self._built = None
 
     def _side(self, cmp: Cmp) -> _Side:
-        names = self._names
-        coeffs: dict[int, float] = {}
+        plus = minus = None
         lo = hi = 0
-        for k, v in cmp.expr.terms:
-            idx = names[v.name]
-            coeffs[idx] = coeffs.get(idx, 0.0) + k
-            if k > 0:
-                lo += k * v.lo
-                hi += k * v.hi
-            else:
-                lo += k * v.hi
-                hi += k * v.lo
-        if 0.0 in coeffs.values():
-            coeffs = {i: c for i, c in coeffs.items() if c != 0.0}
-        return coeffs, cmp.k - cmp.expr.const, lo, hi
+        if cmp.plus is not None:
+            plus = self._names[cmp.plus.name]
+            lo, hi = cmp.plus.lo, cmp.plus.hi
+        if cmp.minus is not None:
+            minus = self._names[cmp.minus.name]
+            lo, hi = lo - cmp.minus.hi, hi - cmp.minus.lo
+        return plus, minus, cmp.k, lo, hi
 
     @staticmethod
     def _flip(side: _Side) -> _Side:
-        """The other `<=` side of an equality: -terms <= -rhs."""
-        coeffs, rhs, lo, hi = side
-        return {i: -c for i, c in coeffs.items()}, -rhs, -hi, -lo
+        """The other `<=` side of an equality: minus - plus <= -rhs."""
+        plus, minus, rhs, lo, hi = side
+        return minus, plus, -rhs, -hi, -lo
+
+    @staticmethod
+    def _row(side: _Side) -> dict[int, float]:
+        """The side's columns with their coefficients, as a fresh row."""
+        plus, minus = side[0], side[1]
+        row = {}
+        if plus is not None:
+            row[plus] = 1.0
+        if minus is not None:
+            row[minus] = -1.0
+        return row
 
     def _reified(self, side: _Side) -> tuple[int, bool]:
-        """A literal (column, negated) equivalent to (terms <= rhs),
-        hash-consed on columns.  Called on live comparisons only (lo <=
-        rhs < hi), so both big-M rows bind.
+        """A literal (column, negated) equivalent to (plus - minus <= rhs),
+        hash-consed on (plus, minus, rhs).  Called on live comparisons only
+        (lo <= rhs < hi), so both big-M rows bind.
 
-        A miss whose complement (terms >= rhs + 1, keyed as -terms <=
-        -rhs - 1) is already reified returns that binary negated: its two
-        big-M rows tie it to its comparison both ways, so not p is exactly
-        this one.  Otherwise a fresh p gets p <-> (terms <= rhs) as two
-        big-M rows.
+        A miss whose complement (plus - minus >= rhs + 1, keyed as (minus,
+        plus, -rhs - 1)) is already reified returns that binary negated:
+        its two big-M rows tie it to its comparison both ways, so not p is
+        exactly this one.  Otherwise a fresh p gets p <-> (plus - minus <=
+        rhs) as two big-M rows.
         """
-        coeffs, rhs, lo, hi = side
-        if len(coeffs) == 2:
-            (i, a), (j, b) = coeffs.items()
-            if j < i:
-                i, a, j, b = j, b, i, a
-            key = (i, a, j, b, rhs)
-            flip = (i, -a, j, -b, -rhs - 1)
-        else:
-            terms = tuple(sorted(coeffs.items()))
-            key = (terms, rhs)
-            flip = (tuple((i, -c) for i, c in terms), -rhs - 1)
+        plus, minus, rhs, lo, hi = side
+        key = plus, minus, rhs
         hit = self._reify.get(key)
         if hit is not None:
             return hit, False
-        hit = self._reify.get(flip)
+        hit = self._reify.get((minus, plus, -rhs - 1))
         if hit is not None:
             return hit, True
         p = self._register(BoolVar(f"__r{len(self._reify)}"), 0, 1)
         self._reify[key] = p
         self._tied.append((p, len(self._lengths), rhs))
+        # with e = plus - minus:
         # p = 1  =>  e <= rhs:            e + (hi - rhs) p <= hi
-        row = dict(coeffs)
+        row = self._row(side)
         row[p] = float(hi - rhs)
         self._add_row(row, -np.inf, float(hi))
         # p = 0  =>  e >= rhs + 1:        e + (rhs + 1 - lo) p >= rhs + 1
-        row = dict(coeffs)
+        row = self._row(side)
         row[p] = float(rhs + 1 - lo)
         self._add_row(row, float(rhs + 1), np.inf)
         return p, False
@@ -334,7 +306,7 @@ class MilpBackend:
         # comparisons decided by the variable domains leave the clause
         live: list[_Side] = []
         for side in sides:
-            _, rhs, lo, hi = side
+            _, _, rhs, lo, hi = side
             if hi <= rhs:
                 return  # always true: clause satisfied
             if lo > rhs:
@@ -349,8 +321,8 @@ class MilpBackend:
         if live:
             # exactly one comparison, guarded by any literals: when every
             # literal is false the comparison must hold
-            coeffs, rhs, _, hi = live[0]
-            coeffs = dict(coeffs)
+            _, _, rhs, _, hi = live[0]
+            coeffs = self._row(live[0])
             m = float(hi - rhs)
             ub = float(rhs)
             for idx, negated in lits:
@@ -468,7 +440,7 @@ class MilpBackend:
             a_mat, row_lo, row_hi = built
             if binaries.size:
                 # with its binary at 0, the p = 1 row of a reified
-                # comparison sums the comparison's terms
+                # comparison reads the comparison's difference
                 rows = np.array([r for _, r, _ in self._tied], dtype=np.intp)
                 rhs = np.array([k for _, _, k in self._tied], dtype=float)
                 x[binaries] = (a_mat @ x)[rows] <= rhs

@@ -367,6 +367,46 @@ def test_pac_timeout_names_its_phase():
     assert exc.value.phase.startswith("local-")
 
 
+def _unknown_after(monkeypatch, calls):
+    """Make every HiGHS check answer "unknown" once `calls` checks have
+    run; returns the list the checks append their answers to."""
+    real, answers = MilpBackend.check, []
+
+    def check(self, timeout=None, fixed=None):
+        answer = real(self, timeout, fixed) if len(answers) < calls \
+            else "unknown"
+        answers.append(answer)
+        return answer
+
+    monkeypatch.setattr(MilpBackend, "check", check)
+    return answers
+
+
+def test_a_solver_time_limit_is_a_compile_timeout(monkeypatch):
+    # the first window is free and goes to HiGHS, which hits its limit
+    answers = _unknown_after(monkeypatch, 0)
+    with pytest.raises(CompileTimeout,
+                       match=r"^solver hit the time limit$") as exc:
+        compile_circuit(K4, full_region(ArraySpec(2)))
+    assert answers == ["unknown"]
+    assert exc.value.solver_calls == 1 and exc.value.phase is None
+
+
+def test_pac_global_failure_names_its_phase(monkeypatch):
+    # four qubits park here, and the global phase makes one HiGHS call
+    # after the local phases' own; that one hits the solver's time limit
+    c, a = generate_rand3reg(12, 16), ArraySpec(8)
+    _, phases = pac_compile(c, a)
+    local_calls = phases.r1.solver_calls + phases.r2.solver_calls
+    assert phases.r3.solver_calls == 1
+    answers = _unknown_after(monkeypatch, local_calls)
+    with pytest.raises(CompileTimeout,
+                       match=r"^\[global\] solver hit the time limit$") as exc:
+        pac_compile(c, a)
+    assert exc.value.phase == "global" and exc.value.solver_calls == 1
+    assert answers[-1] == "unknown" and len(answers) == local_calls + 1
+
+
 def _pac_verifies(c, n):
     a = ArraySpec(n)
     merged, phases = pac_compile(c, a)

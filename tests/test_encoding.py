@@ -15,9 +15,9 @@ from atomc.encoding import (ALL_FAMILIES, Boundary, WindowSpec, avoid_rows,
                             static_lines, window_bounds)
 from atomc.orchestrator import pac_compile
 from atomc.schedule import AOD, SLM, QubitState, Schedule, Stage
-from atomc.smt import EQ, LE, MilpBackend
+from atomc.smt import EQ, MilpBackend, neg
 from atomc.verifier import verify
-from test_smt import evaluate, maximize, total
+from test_smt import evaluate, maximize
 
 K4 = Circuit(4, tuple(itertools.combinations(range(4), 2)), name="k4")
 NO_PIN = tuple(f for f in ALL_FAMILIES if f is not static_lines)
@@ -29,13 +29,14 @@ def window(c, region, stages=1, boundary=Boundary(), **kw):
 
 
 def one_gate_per_qubit(v, w):
-    """C8 as rows: gates that share a qubit never fire together.  The
-    compiler's checks each fix a matching to fire; a maximize over free fire
-    variables needs these rows to ask the same question."""
+    """C8 as clauses: two gates that share a qubit never fire together.
+    The compiler's checks each fix a matching to fire; a maximize over free
+    fire variables needs these clauses to ask the same question."""
     for q in w.qubits:
         incident = [v.f[g] for g, ends in sorted(w.gates.items()) if q in ends]
-        if len(incident) > 1:
-            yield (LE(total(incident), 1),)
+        for i, f in enumerate(incident):
+            for g in incident[i + 1:]:
+                yield neg(f), neg(g)
 
 
 def solve(spec, families=ALL_FAMILIES):
@@ -46,7 +47,7 @@ def solve(spec, families=ALL_FAMILIES):
     v = encode_window(backend, spec, (*families, one_gate_per_qubit))
     for var, value in window_bounds(v, spec).items():
         backend.add(EQ(var, value))
-    best = maximize(backend, total(v.f.values()))
+    best = maximize(backend, v.f.values())
     return None if best is None else (*best, v)
 
 

@@ -70,15 +70,17 @@ def _not_integers():
 
 def _bad_headers():
     """(field, value, document) for each header field of a valid document
-    set to a value of the wrong kind, or left out (None)."""
+    set to a value of the wrong kind or out of range, or left out (None)."""
     text = _doc(Schedule([Stage({0: QubitState(0, 0, SLM)})]))
     for field, value in (("mode", "nonsense"), ("mode", 5), ("circuit", 5),
                          ("circuit", ["demo"]), ("circuit", None),
                          ("name", 5), ("name", None), ("sha256", ["ab"]),
                          ("qubits", 2.0), ("qubits", None), ("gates", "1"),
-                         ("gates", True)):
+                         ("gates", True), ("qubits", -4), ("gates", -1),
+                         ("array", 1), ("array", -2)):
         doc = json.loads(text)
-        holder = doc if field in ("mode", "circuit") else doc["circuit"]
+        holder = doc if field in ("mode", "circuit", "array") \
+            else doc["circuit"]
         holder[field] = value
         if value is None:
             del holder[field]

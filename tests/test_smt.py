@@ -6,20 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from atomc.smt import (EQ, GE, GT, LE, LT, NE, BoolVar, Cmp, IntVar, LinExpr,
-                       Lit, MilpBackend, lin)
-
-
-def total(xs):
-    """The sum of the variables xs."""
-    return LinExpr(tuple((1, x) for x in xs))
+from atomc.smt import (EQ, GE, GT, LE, LT, NE, BoolVar, IntVar, Lit,
+                       MilpBackend)
 
 
 def _holds(item, env):
     if isinstance(item, Lit):
         val = bool(env[item.var.name])
         return (not val) if item.neg else val
-    s = item.expr.const + sum(k * env[v.name] for k, v in item.expr.terms)
+    s = sum(sign * env[v.name] for sign, v in ((1, item.plus),
+                                               (-1, item.minus))
+            if v is not None)
     return s <= item.k if item.op == "<=" else s == item.k
 
 
@@ -77,11 +74,11 @@ def b(request):
 def test_basic_sat_unsat(b):
     x = b.int_var("x", 0, 3)
     y = b.int_var("y", 0, 3)
-    b.add(EQ(lin(x) + lin(y), 5))
+    b.add(GE(y, 3))
     b.add(LT(x, y))
     assert b.check() == "sat"
     m = b.model()
-    assert m["x"] + m["y"] == 5 and m["x"] < m["y"]
+    assert m["y"] == 3 and m["x"] < m["y"]
     b.add(GT(x, y))
     assert b.check() == "unsat"
 
@@ -106,8 +103,10 @@ def test_implication_with_comparison(b):
 
 
 def test_cardinality_over_bools(b):
+    # at least three of five: every three of them hold a true one
     fs = [b.bool_var(f"f{i}") for i in range(5)]
-    b.add(GE(total(fs), 3))
+    for three in itertools.combinations(fs, 3):
+        b.add(*map(Lit, three))
     b.add(Lit(fs[0], neg=True))
     b.add(Lit(fs[1], neg=True))
     assert b.check() == "sat"
@@ -160,16 +159,16 @@ def test_fixed_holds_for_one_check_only():
     assert b.check() == "sat"
 
 
-def maximize(backend, expr):
-    """Reference optimum: `expr` maximized over the backend's rows by
-    scipy's HiGHS with an objective; (value, model), or None when the
-    rows are infeasible."""
+def maximize(backend, variables):
+    """Reference optimum: the sum of `variables` maximized over the
+    backend's rows by scipy's HiGHS with an objective; (value, model), or
+    None when the rows are infeasible."""
     from scipy.optimize import Bounds, LinearConstraint, milp
     n = len(backend._vars)
     lo, hi = np.array(backend._lo, float), np.array(backend._hi, float)
     c = np.zeros(n)
-    for k, v in expr.terms:
-        c[backend._names[v.name]] -= k
+    for v in variables:
+        c[backend._names[v.name]] -= 1
     built = backend._constraint()
     res = milp(c=c, integrality=np.ones(n), bounds=Bounds(lo, hi),
                constraints=() if built is None else LinearConstraint(*built))
@@ -178,7 +177,7 @@ def maximize(backend, expr):
     assert res.status == 0, res.message
     xs = np.rint(res.x).astype(int)
     model = {v.name: int(xs[i]) for i, v in enumerate(backend._vars)}
-    value = expr.const + sum(k * model[v.name] for k, v in expr.terms)
+    value = sum(model[v.name] for v in variables)
     return value, model
 
 
@@ -246,37 +245,40 @@ def test_a_backend_without_variables_decides_its_clauses(items, answer):
     assert b.check() == answer
 
 
-def _le(a, b):
-    e = lin(a) - lin(b)
-    return Cmp("<=", LinExpr(e.terms), -e.const)
+@pytest.mark.parametrize("op,answer", [(LE, "sat"), (LT, "unsat"),
+                                       (EQ, "sat"), (NE, "unsat")],
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_a_variable_compared_with_itself_is_a_constant(op, answer):
+    b = MilpBackend()
+    x = b.int_var("x", 0, 3)
+    items = op(x, x)
+    b.add(*(items if op is NE else (items,)))
+    assert b.check() == answer
 
 
-def _eq(a, b):
-    e = lin(a) - lin(b)
-    return Cmp("==", LinExpr(e.terms), -e.const)
-
-
-# each constructor's definition by LinExpr arithmetic
+# each constructor's definition: Python's operator on the operands' values
 DEFINITIONS = {
-    LE: _le,
-    LT: lambda a, b: _le(lin(a) + 1, b),
-    GE: lambda a, b: _le(b, a),
-    GT: lambda a, b: _le(lin(b) + 1, a),
-    EQ: _eq,
-    NE: lambda a, b: (_le(lin(a) + 1, b), _le(lin(b) + 1, a)),
+    LE: lambda a, b: a <= b,
+    LT: lambda a, b: a < b,
+    GE: lambda a, b: a >= b,
+    GT: lambda a, b: a > b,
+    EQ: lambda a, b: a == b,
+    NE: lambda a, b: a != b,
 }
-VARS = st.sampled_from([IntVar("x", -2, 3), IntVar("y", 0, 4), BoolVar("p")])
-OPERANDS = st.one_of(
-    VARS, st.integers(-5, 5),
-    st.builds(LinExpr, st.lists(st.tuples(st.integers(-3, 3), VARS),
-                                max_size=3).map(tuple),
-              st.integers(-5, 5)))
+VARS = (IntVar("x", -2, 3), IntVar("y", 0, 4), BoolVar("p"))
+OPERANDS = st.one_of(st.sampled_from(VARS), st.integers(-5, 5))
+ENVS = st.fixed_dictionaries({v.name: st.integers(v.lo, v.hi) for v in VARS})
 
 
 @pytest.mark.parametrize("op", list(DEFINITIONS), ids=lambda f: f.__name__)
-@given(a=OPERANDS, b=OPERANDS)
-def test_comparisons_equal_their_arithmetic_definitions(op, a, b):
-    assert op(a, b) == DEFINITIONS[op](a, b)
+@given(a=OPERANDS, b=OPERANDS, env=ENVS)
+def test_comparisons_equal_their_arithmetic_definitions(op, a, b, env):
+    # a constructor's items hold exactly when its operator does, for
+    # variable and integer operands alike
+    items = op(a, b)
+    holds = evaluate(items if op is NE else (items,), env)
+    value = {v: env[v.name] for v in VARS}
+    assert holds == DEFINITIONS[op](value.get(a, a), value.get(b, b))
 
 
 def _assignment(rng, variables):

@@ -242,19 +242,22 @@ def test_c4_column_order_contradicts_x_order(path):
     assert any("column order contradicts x order" in x.detail for x in c4)
 
 
-def test_c4_column_order_not_preserved_across_the_stage():
-    # two idle qubits in movable traps, on columns 0 and 1, stand still; the
-    # mutant moves qubit 1 onto x = 0 and relabels it to column 0 there, so
-    # the two columns' order changes within the transition
+@pytest.mark.parametrize("axis,moved", [
+    ("column", QubitState(x=0, y=1, a=AOD, c=0, r=1)),
+    ("row", QubitState(x=1, y=0, a=AOD, c=1, r=0))], ids=["column", "row"])
+def test_c4_line_order_not_preserved_across_the_stage(axis, moved):
+    # two idle qubits in movable traps, on columns 0 and 1 and rows 0 and 1,
+    # stand still; the mutant moves qubit 1 onto x = 0 (y = 0) and relabels
+    # it to column (row) 0 there, so that axis's order changes within the
+    # transition
     c = Circuit(2, ())
     line = {0: QubitState(x=0, y=0, a=AOD, c=0, r=0),
             1: QubitState(x=1, y=1, a=AOD, c=1, r=1)}
     still = Schedule([Stage(line), Stage(line)])
     assert verify(still, c, A).ok
-    merged = _set(still, 1, 1, QubitState(x=0, y=1, a=AOD, c=0, r=1))
-    report = verify(merged, c, A)
+    report = verify(_set(still, 1, 1, moved), c, A)
     assert [(v.rule, v.detail) for v in report.violations] == [
-        ("C4", "column order of 0,1 not preserved across the stage")]
+        ("C4", f"{axis} order of 0,1 not preserved across the stage")]
 
 
 def test_e2_two_qubits_parked_on_one_site(two_triangles):
